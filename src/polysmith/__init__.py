@@ -34,7 +34,6 @@ from .structured import (
 )
 from .detadj import (
     adjoint,
-    adjoint_perturbation_bound,
     determinant,
     hadamard_gradient_bound,
     jacobian_adj,

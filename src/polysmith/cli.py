@@ -105,6 +105,8 @@ def parse(path: str) -> InputDocument:
     rows, cols, entries = raw["rows"], raw["cols"], raw["entries"]
     if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 1 and cols >= 1):
         raise ValidationError("rows and cols must be positive integers")
+    if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+        raise ValidationError("entries must be a list of rows, each a list of coefficient lists")
     if len(entries) != rows or any(len(r) != cols for r in entries):
         raise ValidationError("entries grid is ragged or does not match rows/cols")
     for i, row in enumerate(entries):
@@ -189,6 +191,8 @@ def _cmd_snf(args):
     a = doc.to_matpoly()
     structure = doc.to_structure(a, args.structure)
     cfg = _lm_config(args)
+    if args.deg_h is not None and args.deg_h > (a.rows - 1) * a.degree_bound:
+        raise ValidationError(f"--deg-h {args.deg_h} is infeasible for n={a.rows}, d={a.degree_bound}")
     if args.deg_h is None:
         report = solve_best_degree(a, structure, cfg, use_reversal=args.reversal)
     else:
@@ -294,7 +298,7 @@ def run(argv=None):
     """Parse arguments, dispatch, and print the report document."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.time()
+    started = time.perf_counter()
     try:
         payload, code = args.fn(args)
     except (ParseError, ValidationError) as exc:
@@ -313,7 +317,7 @@ def run(argv=None):
     if hasattr(args, "input"):
         report["input_digest"] = _digest(args.input)
     report.update(payload)
-    report["wall_seconds"] = time.time() - started
+    report["wall_seconds"] = time.perf_counter() - started
     print(json.dumps(report))
     return code
 

@@ -1,18 +1,29 @@
 """Determinant and adjoint of matrix polynomials, their Jacobians, and bounds.
 
-Both the determinant and the adjoint are computed by evaluation at scaled
+Both the determinant and the adjoint are computed by evaluation at the
 roots of unity followed by inverse-FFT interpolation.  The point set is
 conjugate symmetric, so real inputs give real coefficients up to rounding,
-and the Vandermonde system is perfectly conditioned.
+and the Vandermonde system is perfectly conditioned.  On the unit circle
+value growth is bounded by the coefficient 1-norm, so interpolated
+coefficients keep full relative accuracy regardless of the input scale.
+
+Derivatives come from minors at the same nodes.  By Laplace/Jacobi the
+k-th partial derivatives of det M are signed (n-k)-minors, and
+adj(M)_ab = d det M / dM_ba, so the adjugate, its Jacobian and its
+curvature are the first three derivatives of det.  Nothing divides by
+det M, so nodes where A(t) is singular need no special care.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
 
 import numpy as np
 
 from .errors import DimensionMismatch, RankDeficientInput
 from .matpoly import MatPoly, Poly
-from .structured import block_conv_matrix, kronecker, numeric_rank
+from .structured import block_conv_matrix
 
 
 def _require_square(a: MatPoly):
@@ -20,16 +31,8 @@ def _require_square(a: MatPoly):
         raise DimensionMismatch(f"matrix is {a.rows}x{a.cols}, expected square")
 
 
-def _eval_radius(a: MatPoly) -> float:
-    # Plain roots of unity: value growth on the unit circle is bounded by the
-    # coefficient 1-norm, so interpolated coefficients keep full relative
-    # accuracy regardless of the input scale.  Scaling the radius with the
-    # coefficient magnitude amplifies high-degree values catastrophically.
-    return 1.0
-
-
-def _interp_nodes(count: int, radius: float) -> np.ndarray:
-    return radius * np.exp(-2j * np.pi * np.arange(count) / count)
+def _interp_nodes(count: int) -> np.ndarray:
+    return np.exp(-2j * np.pi * np.arange(count) / count)
 
 
 def _batch_evaluate(a: MatPoly, nodes: np.ndarray) -> np.ndarray:
@@ -38,17 +41,16 @@ def _batch_evaluate(a: MatPoly, nodes: np.ndarray) -> np.ndarray:
     return vals.transpose(2, 0, 1)
 
 
-def _coeffs_from_values(values: np.ndarray, radius: float) -> np.ndarray:
-    """Interpolate values taken at the standard node set; first axis is the node."""
-    count = values.shape[0]
-    coeff = np.fft.ifft(values, axis=0)
-    scale = radius ** np.arange(count)
-    return (coeff.T / scale).T
+def _coeffs_from_values(values: np.ndarray) -> np.ndarray:
+    """Real coefficients interpolating values at the node set; first axis is the node."""
+    return np.fft.ifft(values, axis=0).real
 
 
 def _det_batch(values: np.ndarray) -> np.ndarray:
     """Determinants of a stack of square matrices, closed form up to 3x3."""
     n = values.shape[-1]
+    if n == 0:
+        return np.ones(values.shape[:-2], dtype=values.dtype)
     if n == 1:
         return values[..., 0, 0]
     if n == 2:
@@ -61,142 +63,155 @@ def _det_batch(values: np.ndarray) -> np.ndarray:
     return np.linalg.det(values)
 
 
-def _adjugate_batch(values: np.ndarray) -> np.ndarray:
-    """Adjugates of a stack of square matrices via batched minors.
+@functools.lru_cache(maxsize=None)
+def _minor_tables(n: int, k: int):
+    """Index and sign tables for the k-th partial derivatives of an n x n det.
 
-    All n^2 complementary minors are gathered in one advanced-indexing step
-    and their determinants taken in one batched call.
+    For each sorted index set S of size k, keep[S] lists the indices left
+    once S is deleted, and sign[S, i_1, ..., i_k] is (-1)^(sum S) times the
+    sign of the permutation that sorts (i_1, ..., i_k) into S, or 0 when the
+    tuple is not an ordering of S.  By the Laplace expansion
+
+        d^k det M / dM_{i_1 j_1} ... dM_{i_k j_k}
+            = sum_{S, T} sign[S, i] sign[T, j] det M[keep[S], keep[T]].
+
+    Built on first use, once per (n, k).
     """
-    m, n, _ = values.shape
-    if n == 1:
-        return np.ones_like(values)
-    keep = np.array([[r for r in range(n) if r != k] for k in range(n)])
-    rows = keep[None, :, :, None]  # delete row j of the input
-    cols = keep[:, None, None, :]  # delete column i of the input
-    minors = values[:, rows, cols]
-    signs = (-1.0) ** (np.arange(n)[:, None] + np.arange(n)[None, :])
-    return signs * _det_batch(minors)
+    sets = list(itertools.combinations(range(n), k))
+    keep = np.array([[i for i in range(n) if i not in s] for s in sets], dtype=np.intp)
+    sign = np.zeros((len(sets),) + (n,) * k)
+    for idx, s in enumerate(sets):
+        for perm in itertools.permutations(range(k)):
+            inversions = sum(perm[x] > perm[y] for x in range(k) for y in range(x + 1, k))
+            sign[(idx, *(s[q] for q in perm))] = (-1.0) ** (sum(s) + inversions)
+    return keep.reshape(len(sets), n - k), sign
+
+
+class AdjugateNodes:
+    """A(t) at the interpolation nodes of its adjugate, with derivatives from minors.
+
+    Adj(A) has degree bound D = (n-1)d, so its values at the D+1 roots of
+    unity determine it and every derivative of it in the coefficients of A.
+    The minors of each order are computed once and shared.
+    """
+
+    def __init__(self, a: MatPoly):
+        _require_square(a)
+        if a.rows < 2:
+            raise DimensionMismatch("adjoint needs a matrix of size at least 2")
+        self.n, self.d = a.rows, a.degree_bound
+        self.dadj = (self.n - 1) * self.d
+        self.nodes = _interp_nodes(self.dadj + 1)
+        self.values = _batch_evaluate(a, self.nodes)
+        self._minors = {}
+
+    def _derivative(self, k: int, weight=None) -> np.ndarray:
+        """d^k det / dM_{i_1 j_1} ... dM_{i_k j_k} at every node.
+
+        Axes are (node, i_1..i_k, j_1..j_k).  A weight of shape (node, n, n)
+        contracts the first pair as sum_ab weight[a, b] d/dM_ba, which pairs
+        the weight with the adjugate entry (a, b); the axes of that pair drop.
+        """
+        keep, sign = _minor_tables(self.n, k)
+        if k not in self._minors:
+            self._minors[k] = _det_batch(self.values[:, keep[:, None, :, None], keep[None, :, None, :]])
+        minors, n, count = self._minors[k], self.n, len(sign)
+        if weight is None:
+            flat = sign.reshape(count, -1)
+            return (flat.T @ minors @ flat).reshape((-1,) + (n,) * (2 * k))
+        rest = n ** (k - 1)
+        right = (minors @ sign.reshape(count, -1)).reshape(-1, count, n, rest)  # (x, S, a, j..)
+        right = np.swapaxes(weight, 1, 2)[:, None] @ right  # (x, S, b, j..)
+        out = sign.reshape(count * n, rest).T @ right.reshape(-1, count * n, rest)
+        return out.reshape((-1,) + (n,) * (2 * k - 2))
+
+    def _node_weight(self, lam) -> np.ndarray:
+        """nu with lam . vec Adj(A) = sum over nodes x of sum_ab nu[x, a, b] adj(A(z_x))_ab."""
+        n = self.n
+        nu = np.fft.ifft(np.asarray(lam, dtype=float).reshape(n * n, self.dadj + 1), axis=1)
+        return nu.reshape(n, n, -1).transpose(2, 1, 0)
+
+    def adjoint(self) -> MatPoly:
+        """Adjugate with declared degree bound (n-1)d."""
+        cofactors = _coeffs_from_values(self._derivative(1))
+        return MatPoly(cofactors.transpose(2, 1, 0))
+
+    def jacobian(self) -> np.ndarray:
+        """d vec Adj(A) / d vec(A); shape n^2((n-1)d+1) x n^2(d+1).
+
+        Coefficient k of A_rs moves adj_ab by t^k times d adj_ab / dM_rs
+        taken along A(t), a polynomial of degree at most (n-2)d.
+        """
+        n, d, deg = self.n, self.d, (self.n - 2) * self.d
+        second = _coeffs_from_values(self._derivative(2))[: deg + 1]  # (m, b, r, a, s)
+        blocks = second.transpose(1, 3, 0, 4, 2).reshape(n * n, deg + 1, n * n)
+        jac = np.zeros((n * n, self.dadj + 1, n * n, d + 1))
+        for k in range(d + 1):
+            jac[:, k : k + deg + 1, :, k] = blocks
+        return jac.reshape(n * n * (self.dadj + 1), n * n * (d + 1))
+
+    def gradient(self, lam) -> np.ndarray:
+        """Gradient of lam . vec Adj(A) with respect to vec(A), i.e. J^T lam."""
+        first = self._derivative(2, self._node_weight(lam))  # (x, r, s)
+        powers = self.nodes[:, None] ** np.arange(self.d + 1)
+        return np.einsum("xrs,xk->srk", first, powers).real.reshape(-1)
+
+    def curvature(self, lam) -> np.ndarray:
+        """Hessian of lam . vec Adj(A) with respect to vec(A), from (n-3)-minors."""
+        size = self.n * self.n * (self.d + 1)
+        if self.n < 3:  # det has degree n in M, so a 2x2 adjugate is linear in A
+            return np.zeros((size, size))
+        second = self._derivative(3, self._node_weight(lam))  # (x, r, u, s, v)
+        powers = self.nodes[:, None] ** np.arange(self.d + 1)
+        pairs = (powers[:, :, None] * powers[:, None, :]).reshape(len(powers), -1)
+        hess = np.tensordot(second, pairs, axes=(0, 0)).reshape((self.n,) * 4 + (self.d + 1,) * 2)
+        return hess.transpose(2, 0, 4, 3, 1, 5).real.reshape(size, size)
+
+
+def require_full_rank(a: MatPoly):
+    """Raise RankDeficientInput unless the I kron A convolution system has full rank.
+
+    That system is n copies of the convolution matrix of A at the adjoint
+    degree bound, so one copy's singular values decide it.
+    """
+    _require_square(a)
+    block = block_conv_matrix(a, (a.rows - 1) * a.degree_bound)
+    s = np.linalg.svd(block, compute_uv=False)
+    tol = s[0] * max(block.shape) * a.rows * 1e-12
+    if not (s[0] > 0.0 and np.count_nonzero(s > tol) == block.shape[1]):
+        raise RankDeficientInput("I kron A convolution system is rank deficient")
 
 
 def determinant(a: MatPoly) -> Poly:
     """Determinant as a polynomial of degree at most n * degree_bound."""
     _require_square(a)
-    n, d = a.rows, a.degree_bound
-    count = n * d + 1
-    radius = _eval_radius(a)
-    values = np.linalg.det(_batch_evaluate(a, _interp_nodes(count, radius)))
-    return Poly(_coeffs_from_values(values, radius).real)
+    count = a.rows * a.degree_bound + 1
+    values = np.linalg.det(_batch_evaluate(a, _interp_nodes(count)))
+    return Poly(_coeffs_from_values(values))
 
 
 def adjoint(a: MatPoly) -> MatPoly:
     """Adjugate matrix with declared degree bound (n-1) * degree_bound."""
-    _require_square(a)
-    if a.rows < 2:
-        raise DimensionMismatch("adjoint needs a matrix of size at least 2")
-    n, d = a.rows, a.degree_bound
-    count = (n - 1) * d + 1
-    radius = _eval_radius(a)
-    values = _adjugate_batch(_batch_evaluate(a, _interp_nodes(count, radius)))
-    coeff = _coeffs_from_values(values, radius).real
-    return MatPoly(coeff.transpose(1, 2, 0))
-
-
-def _pvec_row(a: MatPoly) -> MatPoly:
-    """The entries of a, column-major, as a 1 x (rows*cols) matrix polynomial."""
-    arr = a.coeff.transpose(1, 0, 2).reshape(1, a.rows * a.cols, a.degree_bound + 1)
-    return MatPoly(arr)
+    return AdjugateNodes(a).adjoint()
 
 
 def jacobian_det(a: MatPoly) -> np.ndarray:
     """Jacobian of vec(det(A)) with respect to vec(A); shape (nd+1) x n^2(d+1)."""
     _require_square(a)
-    adj_t = MatPoly.identity(1, 0) if a.rows == 1 else adjoint(a).transpose()
-    return block_conv_matrix(_pvec_row(adj_t), a.degree_bound)
-
-
-class _AdjointSystem:
-    """Shared factorization of the linear system defining the adjoint.
-
-    The convolution system of I kron A is block diagonal with n identical
-    copies of the convolution matrix of A, so one small SVD serves as the
-    pseudo-inverse of the whole thing.
-    """
-
-    def __init__(self, a: MatPoly, adj: MatPoly | None = None):
-        _require_square(a)
-        self.a = a
-        self.n, self.d = a.rows, a.degree_bound
-        self.dadj = (self.n - 1) * self.d
-        self.block = block_conv_matrix(a, self.dadj)
-        self.u, self.s, self.vt = np.linalg.svd(self.block, full_matrices=False)
-        big = max(self.block.shape) * self.n
-        self.full_rank = bool(
-            self.s.size
-            and self.s[0] > 0.0
-            and np.count_nonzero(self.s > self.s[0] * big * 1e-12) == self.block.shape[1]
-        )
-        self.adj = adjoint(a) if adj is None else adj
-        self._rhs = None
-        self._jacobian = None
-
-    def require_full_rank(self):
-        if not self.full_rank:
-            raise RankDeficientInput("I kron A convolution system is rank deficient")
-
-    def smallest_singular_value(self) -> float:
-        return float(self.s[self.block.shape[1] - 1])
-
-    def rhs(self) -> np.ndarray:
-        if self._rhs is not None:
-            return self._rhs
-        n, d = self.n, self.d
-        adj_t = self.adj.transpose()
-        eye = MatPoly.identity(n, 0)
-        outer = MatPoly.zeros(n * n, n * n, adj_t.degree_bound)
-        adj_row = _pvec_row(adj_t)
-        for j in range(n):
-            outer.coeff[j * n + j, :, :] = adj_row.coeff[0]
-        self._rhs = block_conv_matrix(outer, d) - block_conv_matrix(kronecker(adj_t, eye), d)
-        return self._rhs
-
-    def apply_pinv(self, stacked: np.ndarray) -> np.ndarray:
-        """Pseudo-inverse of the full block diagonal system applied blockwise."""
-        rows, cols = self.block.shape
-        pieces = stacked.reshape(self.n, rows, -1)
-        solved = np.einsum("ki,ni...->nk...", self.vt.T / self.s, self.u.T @ pieces)
-        return solved.reshape(self.n * cols, *stacked.shape[1:])
-
-    def jacobian(self) -> np.ndarray:
-        self.require_full_rank()
-        if self._jacobian is None:
-            self._jacobian = self.apply_pinv(self.rhs())
-        return self._jacobian
-
-    def jacobian_transpose_apply(self, lam: np.ndarray) -> np.ndarray:
-        """J_adj^T @ lam without forming the Jacobian."""
-        self.require_full_rank()
-        rows, cols = self.block.shape
-        lam_blocks = lam.reshape(self.n, cols)
-        back = np.einsum("ik,nk->ni", self.u @ (self.vt.T / self.s).T, lam_blocks)
-        return self.rhs().T @ back.reshape(-1)
+    adj = MatPoly.identity(1, 0) if a.rows == 1 else adjoint(a)
+    # The entries of Adj(A)^T, column-major, as a 1 x n^2 matrix polynomial.
+    row = MatPoly(adj.coeff.reshape(1, a.rows * a.cols, adj.degree_bound + 1))
+    return block_conv_matrix(row, a.degree_bound)
 
 
 def jacobian_adj(a: MatPoly) -> np.ndarray:
     """Jacobian of vec(Adj(A)) with respect to vec(A).
 
     Shape n^2((n-1)d+1) x n^2(d+1).  Requires A to have full rank over the
-    rational functions; the defining linear system is then pseudo-invertible.
+    rational functions, by the test of require_full_rank.
     """
-    return _AdjointSystem(a).jacobian()
-
-
-def adjoint_perturbation_bound(a: MatPoly) -> float:
-    """First-order Lipschitz factor for the adjoint under coefficient changes."""
-    system = _AdjointSystem(a)
-    system.require_full_rank()
-    n, d = a.rows, a.degree_bound
-    c_hat = 1.0 / system.smallest_singular_value()
-    return c_hat * (n + np.sqrt(n)) * (d + 1) * system.adj.frobenius_norm()
+    require_full_rank(a)
+    return AdjugateNodes(a).jacobian()
 
 
 def hadamard_gradient_bound(a: MatPoly) -> float:

@@ -152,13 +152,13 @@ class _McCoyWorkspace:
         return m, dm
 
     def _param_weight(self, i, j, coef, omega):
-        """Row, column, and weight of a unit perturbation inside the operator."""
+        """Row, column, weight and its omega derivative for a unit perturbation."""
         if not self.linearized:
-            return i, j, omega**coef
+            return i, j, omega**coef, coef * omega ** (coef - 1) if coef else 0.0
         base = (self.d - 1) * self.n
         if coef < self.d:
-            return base + i, coef * self.n + j, 1.0 + 0.0j
-        return base + i, base + j, complex(omega)
+            return base + i, coef * self.n + j, 1.0 + 0.0j, 0.0
+        return base + i, base + j, complex(omega), 1.0
 
     def constraint(self, m, bc) -> np.ndarray:
         mb = m @ bc
@@ -177,7 +177,7 @@ class _McCoyWorkspace:
         j = np.zeros((self.n_c, self.n_x))
         cols = np.arange(r)
         for k, (pi, pj, coef) in enumerate(self.triples):
-            row, col, w = self._param_weight(pi, pj, coef, omega)
+            row, col, w, _ = self._param_weight(pi, pj, coef, omega)
             contrib = w * bc[col, :]
             j[row * r + cols, k] = contrib.real
             j[nr + row * r + cols, k] = contrib.imag
@@ -232,36 +232,48 @@ def mccoy_hessian(problem: McCoyProblem, z) -> np.ndarray:
 
 
 def _mccoy_hessian(ws: _McCoyWorkspace, z) -> np.ndarray:
-    """Exact constraint Jacobian plus a differenced curvature block."""
-    z = np.asarray(z, dtype=float)
+    """Exact Hessian of the Lagrangian, bordered by the constraint Jacobian.
+
+    With W = lam_1 + i lam_2 the multipliers of the kernel rows, those rows
+    add Re sum(conj(W) * M B) to the Lagrangian: linear in p and in B and
+    analytic in omega = x + iy, so d/dy = i d/dx.  The Gram rows add the
+    constant blocks kron(I, Q1 + Q1^T) and kron(I, Q2 - Q2^T).
+    """
     p, omega, br, bi, lam = ws.unpack(z)
     bc = br + 1j * bi
-    m, dm = ws.operator(ws.perturbed(p), omega)
+    a_pert = ws.perturbed(p)
+    m, dm = ws.operator(a_pert, omega)
     jc = ws.constraint_jacobian(m, dm, bc, omega)
+    size, r, nr = ws.size, ws.r, ws.nr
+    wc = (lam[:nr] - 1j * lam[nr : 2 * nr]).reshape(size, r)
+    q1, q2 = lam[2 * nr :].reshape(2, r, r)
+    br0, bi0, w0 = ws.sl_br.start, ws.sl_bi.start, ws.sl_w.start
 
-    step = np.sqrt(np.finfo(float).eps) * (1.0 + float(np.linalg.norm(z)))
-    h_xx = np.empty((ws.n_x, ws.n_x))
-    base = _grad_x(ws, z, lam)
-    for k in range(ws.n_x):
-        probe = z.copy()
-        probe[k] += step
-        h_xx[:, k] = (_grad_x(ws, probe, lam) - base) / step
+    # Upper off-diagonal blocks first; the lower ones are their transposes.
+    h_xx = np.zeros((ws.n_x, ws.n_x))
+    cols = np.arange(r)
+    for k, (pi, pj, coef) in enumerate(ws.triples):
+        row, col, w, dw = ws._param_weight(pi, pj, coef, omega)
+        h_xx[k, br0 + col * r + cols] = (w * wc[row]).real
+        h_xx[k, bi0 + col * r + cols] = -(w * wc[row]).imag
+        if ws.has_omega:
+            s = dw * (wc[row] @ bc[col])
+            h_xx[k, w0 : w0 + 2] = s.real, -s.imag
+    if ws.has_omega:
+        t = (dm.T @ wc).ravel()
+        h_xx[w0, ws.sl_br], h_xx[w0, ws.sl_bi] = t.real, -t.imag
+        h_xx[w0 + 1, ws.sl_br], h_xx[w0 + 1, ws.sl_bi] = -t.imag, -t.real
+    h_xx[ws.sl_br, ws.sl_bi] = np.kron(np.eye(size), q2 - q2.T)
+    h_xx += h_xx.T
 
-    full = np.zeros((ws.n_x + ws.n_c, ws.n_x + ws.n_c))
-    full[: ws.n_x, : ws.n_x] = h_xx
-    full[: ws.n_x, ws.n_x :] = jc.T
-    full[ws.n_x :, : ws.n_x] = jc
-    return 0.5 * (full + full.T)
+    h_xx[ws.sl_p, ws.sl_p] = 2.0 * np.eye(ws.m_p)
+    h_xx[ws.sl_br, ws.sl_br] = h_xx[ws.sl_bi, ws.sl_bi] = np.kron(np.eye(size), q1 + q1.T)
+    if ws.has_omega and not ws.linearized:
+        d2m = MatPoly(np.polynomial.polynomial.polyder(a_pert.coeff, 2, axis=2)).evaluate(omega)
+        s = np.sum(wc * (d2m @ bc))
+        h_xx[w0 : w0 + 2, w0 : w0 + 2] = [[s.real, -s.imag], [-s.imag, -s.real]]
 
-
-def _grad_x(ws: _McCoyWorkspace, z, lam) -> np.ndarray:
-    p, omega, br, bi, _ = ws.unpack(z)
-    bc = br + 1j * bi
-    m, dm = ws.operator(ws.perturbed(p), omega)
-    jc = ws.constraint_jacobian(m, dm, bc, omega)
-    grad = jc.T @ lam
-    grad[ws.sl_p] += 2.0 * p
-    return grad
+    return np.block([[h_xx, jc.T], [jc, np.zeros((ws.n_c, ws.n_c))]])
 
 
 def initial_guess_mccoy(problem: McCoyProblem) -> np.ndarray:

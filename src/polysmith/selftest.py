@@ -16,7 +16,8 @@ from .detadj import adjoint, determinant, jacobian_adj, jacobian_det
 from .gcdkit import approx_gcd
 from .lmsolve import LmConfig, lm_minimize
 from .matpoly import MatPoly, PerturbStructure, Poly
-from .snf_opt import SnfProblem, solve
+from .mccoy_opt import McCoyProblem, initial_guess_mccoy, mccoy_hessian, mccoy_residual
+from .snf_opt import SnfProblem, initial_guess, kkt_hessian, kkt_residual, solve
 from .structured import conv_matrix, generalized_sylvester, kronecker, numeric_rank
 
 
@@ -54,45 +55,35 @@ def _poly_add(a, b):
 
 def exact_gcd_degree(polys):
     """Degree of the GCD of Fraction coefficient lists via Euclid."""
-
-    def trim(p):
-        while len(p) > 1 and p[-1] == 0:
-            p = p[:-1]
-        return p
-
-    def rem(a, b):
-        a, b = trim(a[:]), trim(b[:])
-        while len(a) >= len(b) and any(a):
-            factor = a[-1] / b[-1]
-            shift = len(a) - len(b)
-            for i, c in enumerate(b):
-                a[shift + i] -= factor * c
-            a = trim(a)
-            if not any(a):
-                break
-        return a
-
     acc = None
     for p in polys:
-        p = trim(list(p))
-        if not any(p):
-            continue
-        acc = p if acc is None else _euclid(acc, p, rem)
-    if acc is None:
-        return -1
-    return len(trim(acc)) - 1
+        p = _trim(list(p))
+        if any(p):
+            acc = p if acc is None else _euclid(acc, p)
+    return -1 if acc is None else len(_trim(acc)) - 1
 
 
-def _euclid(a, b, rem):
-    def trim(p):
-        while len(p) > 1 and p[-1] == 0:
-            p = p[:-1]
-        return p
+def _trim(p):
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    return p
 
-    a, b = trim(a), trim(b)
+
+def _euclid(a, b):
+    a, b = _trim(a), _trim(b)
     while any(b):
-        a, b = b, rem(a, b)
-        b = trim(b)
+        a, b = b, _trim(_rem(a, b))
+    return a
+
+
+def _rem(a, b):
+    a, b = _trim(a[:]), _trim(b[:])
+    while len(a) >= len(b) and any(a):
+        factor = a[-1] / b[-1]
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] -= factor * c
+        a = _trim(a)
     return a
 
 
@@ -136,23 +127,12 @@ def run_selftest(seed: int = 0):
     yield "adjoint identity A adj(A) = det(A) I", err <= 1e-9 * (1 + mat.frobenius_norm() ** 3), f"err={err:.2e}"
 
     small = MatPoly(rng.normal(size=(2, 2, 2)))
-    for name, fn in (("det", jacobian_det), ("adj", jacobian_adj)):
-        jac = fn(small)
-        eps = 1e-6
-        cols = []
-        for k in range(small.rows * small.cols * (small.degree_bound + 1)):
-            e = np.zeros(small.rows * small.cols * (small.degree_bound + 1))
-            e[k] = eps
-            bump = MatPoly.unvec(e, small.rows, small.cols, small.degree_bound)
-            if name == "det":
-                plus, minus = determinant(small + bump), determinant(small - bump)
-                cols.append((plus - minus).coeffs[: jac.shape[0]] / (2 * eps))
-            else:
-                plus, minus = adjoint(small + bump), adjoint(small - bump)
-                cols.append((plus - minus).vec(small.degree_bound) / (2 * eps))
-        fd = np.array(cols).T
-        rel = np.linalg.norm(jac - fd) / np.linalg.norm(fd)
-        yield f"jacobian_{name} vs central differences", rel <= 1e-5, f"rel={rel:.2e}"
+    jac = jacobian_det(small)
+    fd = _central_differences(lambda v: determinant(MatPoly.unvec(v, 2, 2, 1)).coeffs, small.vec())
+    yield "jacobian_det vs central differences", *_relative_check(jac, fd, 1e-5)
+    jac = jacobian_adj(small)
+    fd = _central_differences(lambda v: adjoint(MatPoly.unvec(v, 2, 2, 1)).vec(), small.vec())
+    yield "jacobian_adj vs central differences", *_relative_check(jac, fd, 1e-5)
 
     ints = rng.integers(-5, 6, size=(2, 4))
     common = [Fraction(1), Fraction(1)]  # t + 1
@@ -186,3 +166,37 @@ def run_selftest(seed: int = 0):
     best = float(np.sqrt(np.min((fv**2 + gv**2) / weight)))
     ok = abs(report.distance - best) <= 1e-4 * (1 + best)
     yield "snf solve vs diagonal projection search", ok, f"solver={report.distance:.8f} grid={best:.8f}"
+
+    # 3x3: the adjugate is quadratic, so its Jacobian and curvature are not
+    # constant and the solvers' Hessians carry the minors-based blocks.
+    dense = MatPoly(rng.normal(size=(3, 3, 2)))
+    jac = jacobian_adj(dense)
+    fd = _central_differences(lambda v: adjoint(MatPoly.unvec(v, 3, 3, 1)).vec(), dense.vec())
+    yield "jacobian_adj 3x3 vs central differences", *_relative_check(jac, fd, 1e-5)
+
+    snf = SnfProblem(dense, PerturbStructure.full(dense), deg_h=1)
+    z = initial_guess(snf)
+    z = z + 0.02 * rng.normal(size=z.size)
+    fd = _central_differences(lambda v: kkt_residual(snf, v), z)
+    yield "snf kkt_hessian vs central differences", *_relative_check(kkt_hessian(snf, z), fd, 1e-6)
+
+    mccoy = McCoyProblem(dense, PerturbStructure.full(dense), r=2)
+    z = initial_guess_mccoy(mccoy)
+    z = z + 0.02 * rng.normal(size=z.size)
+    fd = _central_differences(lambda v: mccoy_residual(mccoy, v), z)
+    yield "mccoy_hessian vs central differences", *_relative_check(mccoy_hessian(mccoy, z), fd, 1e-6)
+
+
+def _central_differences(fn, x, eps=1e-6) -> np.ndarray:
+    """Jacobian of a vector function by central differences, one column per coordinate."""
+    cols = []
+    for k in range(x.size):
+        step = np.zeros(x.size)
+        step[k] = eps
+        cols.append((fn(x + step) - fn(x - step)) / (2 * eps))
+    return np.array(cols).T
+
+
+def _relative_check(got, want, tol):
+    rel = float(np.linalg.norm(got - want) / np.linalg.norm(want))
+    return rel <= tol, f"rel={rel:.2e}"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .detadj import _AdjointSystem, adjoint
+from .detadj import AdjugateNodes, adjoint, require_full_rank
 from .errors import DimensionMismatch, RankDeficientInput, UnattainableProblem
 from .gcdkit import approx_gcd_candidates, detect_unattainable, local_invariant_structure
 from .lmsolve import LmConfig, LmTrace, Termination, lm_minimize
@@ -116,26 +116,28 @@ class _Workspace:
         shape = m.shape
         return m.reshape(self.n_entries, self.dadj + 1, shape[1])[:, ::-1, :].reshape(shape)
 
-    def system_at(self, p) -> _AdjointSystem:
-        """Adjoint system at A + delta(p); one-slot cache shared by g and H."""
+    def system_at(self, p) -> AdjugateNodes:
+        """Adjugate kernel at A + delta(p); one-slot cache shared by g and H.
+
+        Raises RankDeficientInput at the full-rank wall, so trial steps there are rejected."""
         key = np.asarray(p, dtype=float).tobytes()
         if self._cache_key != key:
-            system = _AdjointSystem(self.perturbed(p))
-            system.require_full_rank()
+            a = self.perturbed(p)
+            require_full_rank(a)
             self._cache_key = key
-            self._cache = system
+            self._cache = AdjugateNodes(a)
         return self._cache
 
-    def adjoint_vec(self, system: _AdjointSystem) -> np.ndarray:
-        return self._maybe_reverse_vec(system.adj.vec(self.dadj))
+    def adjoint_vec(self, system: AdjugateNodes) -> np.ndarray:
+        # vec(dadj) without MatPoly.vec's degree scan: the bound is exactly dadj.
+        return self._maybe_reverse_vec(system.adjoint().coeff.transpose(1, 0, 2).reshape(-1))
 
-    def adjoint_jacobian(self, system: _AdjointSystem) -> np.ndarray:
+    def adjoint_jacobian(self, system: AdjugateNodes) -> np.ndarray:
         return self._maybe_reverse_rows(system.jacobian()[:, self.param_idx])
 
-    def adjoint_gradient(self, system: _AdjointSystem, lam_c) -> np.ndarray:
+    def adjoint_gradient(self, system: AdjugateNodes, lam_c) -> np.ndarray:
         """(R J_adj E)^T lam without forming the Jacobian."""
-        lam_eff = self._maybe_reverse_vec(lam_c)
-        return system.jacobian_transpose_apply(lam_eff)[self.param_idx]
+        return system.gradient(self._maybe_reverse_vec(lam_c))[self.param_idx]
 
     def product_vec(self, f_vec, h) -> np.ndarray:
         conv = conv_matrix(Poly(h), self.deg_f)
@@ -184,17 +186,15 @@ def _kkt_residual(ws: _Workspace, z) -> np.ndarray:
 
 
 def kkt_hessian(problem: SnfProblem, z) -> np.ndarray:
-    ws = _Workspace(problem)
-    return _kkt_hessian(ws, z)
+    return _kkt_hessian(_Workspace(problem), z)
 
 
 def _kkt_hessian(ws: _Workspace, z) -> np.ndarray:
-    """Hessian of the Lagrangian: exact except the adjoint curvature block.
+    """Exact Hessian of the Lagrangian, bordered by the constraint Jacobian.
 
-    The (p, p) curvature of the adjoint constraint term is differenced from
-    the exact gradient; everything else (the quadratic objective, the
-    bilinear F h coupling, the constraint Jacobian) is assembled exactly.
-    The result is symmetrized.
+    The (p, p) block is the quadratic objective plus the adjoint curvature
+    from (n-3)-minors; the F h coupling is bilinear.  The result is
+    symmetrized.
     """
     p, f_vec, h, lam = ws.unpack(z)
     system = ws.system_at(p)
@@ -202,54 +202,18 @@ def _kkt_hessian(ws: _Workspace, z) -> np.ndarray:
     j = ws.constraint_jacobian(system, f_vec, h)
 
     h_xx = np.zeros((ws.n_x, ws.n_x))
-    h_xx[ws.sl_p, ws.sl_p] = 2.0 * np.eye(ws.m_p) + _adjoint_curvature(ws, p, lam_c, z)
+    curvature = system.curvature(ws._maybe_reverse_vec(lam_c))
+    h_xx[ws.sl_p, ws.sl_p] = 2.0 * np.eye(ws.m_p) + curvature[np.ix_(ws.param_idx, ws.param_idx)]
 
     # Cross block between cofactors and divisor: bilinear, hence exact.
     lam_blocks = lam_c.reshape(ws.n_entries, ws.dadj + 1)
-    cross = np.zeros((ws.n_f, ws.n_h))
-    for e in range(ws.n_entries):
-        for k in range(ws.deg_f + 1):
-            cross[e * (ws.deg_f + 1) + k, :] = -lam_blocks[e, k : k + ws.n_h]
+    windows = np.lib.stride_tricks.sliding_window_view(lam_blocks, ws.n_h, axis=1)
+    cross = -windows.reshape(ws.n_f, ws.n_h)
     h_xx[ws.sl_f, ws.sl_h] = cross
     h_xx[ws.sl_h, ws.sl_f] = cross.T
 
-    full = np.zeros((ws.n_x + ws.n_c, ws.n_x + ws.n_c))
-    full[: ws.n_x, : ws.n_x] = h_xx
-    full[: ws.n_x, ws.n_x :] = j.T
-    full[ws.n_x :, : ws.n_x] = j
+    full = np.block([[h_xx, j.T], [j, np.zeros((ws.n_c, ws.n_c))]])
     return 0.5 * (full + full.T)
-
-
-def _adjoint_curvature(ws: _Workspace, p, lam_c, z) -> np.ndarray:
-    """Central difference of the adjoint part of grad_p in each parameter.
-
-    Central differencing keeps this block accurate enough that the terminal
-    iterations stay quadratic; a probe that lands on a rank deficiency falls
-    back to a one-sided difference.
-    """
-    if ws.m_p == 0:
-        return np.zeros((0, 0))
-    step = np.cbrt(np.finfo(float).eps) * (1.0 + float(np.linalg.norm(z)))
-
-    def adj_grad(q):
-        system = _AdjointSystem(ws.perturbed(q))
-        system.require_full_rank()
-        return ws.adjoint_gradient(system, lam_c)
-
-    out = np.empty((ws.m_p, ws.m_p))
-    for k in range(ws.m_p):
-        plus, minus = p.copy(), p.copy()
-        plus[k] += step
-        minus[k] -= step
-        try:
-            out[:, k] = (adj_grad(plus) - adj_grad(minus)) / (2.0 * step)
-        except RankDeficientInput:
-            base = ws.adjoint_gradient(ws.system_at(p), lam_c)
-            try:
-                out[:, k] = (adj_grad(plus) - base) / step
-            except RankDeficientInput:
-                out[:, k] = (base - adj_grad(minus)) / step
-    return 0.5 * (out + out.T)
 
 
 def initial_guess(problem: SnfProblem) -> np.ndarray:

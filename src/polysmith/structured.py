@@ -57,16 +57,8 @@ def block_conv_matrix(a: MatPoly, d2: int) -> np.ndarray:
     return out
 
 
-def kronecker(a, b):
-    """Kronecker product of two scalar matrices or two matrix polynomials."""
-    if isinstance(a, MatPoly) and isinstance(b, MatPoly):
-        da, db = a.degree_bound, b.degree_bound
-        rows, cols = a.rows * b.rows, a.cols * b.cols
-        out = np.zeros((a.rows, b.rows, a.cols, b.cols, da + db + 1))
-        for k in range(db + 1):
-            term = np.einsum("ijk,mn->imjnk", a.coeff, b.coeff[:, :, k])
-            out[..., k : k + da + 1] += term
-        return MatPoly(out.reshape(rows, cols, da + db + 1))
+def kronecker(a, b) -> np.ndarray:
+    """Kronecker product of two scalar matrices."""
     return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
 
 

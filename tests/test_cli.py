@@ -44,6 +44,10 @@ def test_parse_errors(tmp_path):
     bad.write_text("{nope")
     with pytest.raises(ParseError):
         cli.parse(str(bad))
+    for entries in ("5", "[5, 5]"):
+        bad.write_text('{"rows":2,"cols":2,"entries":%s}' % entries)
+        with pytest.raises(ValidationError):
+            cli.parse(str(bad))
 
 
 def test_serialize_parse_round_trip(tmp_path):
@@ -74,6 +78,15 @@ def test_exit_code_validation_error(capsys, tmp_path):
     path.write_text('{"rows":1,"cols":2,"entries":[[[1.0],[2.0]]]}')
     _, code = run_cli(capsys, ["check", str(path)])
     assert code == cli.EXIT_INVALID
+    path.write_text('{"rows":2,"cols":2,"entries":5}')
+    for command in ("check", "bound"):
+        report, code = run_cli(capsys, [command, str(path)])
+        assert code == cli.EXIT_INVALID and "error" in report
+    # A constant 3x3 matrix has a constant adjugate: no divisor of degree 1.
+    grid = [[[1.0 + (i == j)] for j in range(3)] for i in range(3)]
+    path.write_text(json.dumps({"rows": 3, "cols": 3, "entries": grid}))
+    report, code = run_cli(capsys, ["snf", str(path), "--deg-h", "1"])
+    assert code == cli.EXIT_INVALID and "infeasible" in report["error"]
 
 
 def test_exit_code_unattainable(capsys):

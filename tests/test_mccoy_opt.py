@@ -11,6 +11,7 @@ from polysmith.mccoy_opt import (
     _McCoyWorkspace,
     companion_linearization,
     initial_guess_mccoy,
+    mccoy_hessian,
     mccoy_residual,
     reversed_problem,
     solve_mccoy,
@@ -88,6 +89,24 @@ def test_residual_matches_finite_differences():
     fd = fd_columns(lagrangian, z, eps=1e-6).ravel()
     g = mccoy_residual(problem, z)
     assert np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(fd)) <= 1e-5
+
+
+def test_hessian_matches_finite_differences():
+    rng = np.random.default_rng(7)
+    quad = MatPoly(rng.normal(size=(2, 2, 3)))
+    pinned = mccoy_rank2_instance(4)
+    problems = [
+        McCoyProblem(quad, PerturbStructure.full(quad), r=2),
+        McCoyProblem(quad, PerturbStructure.full(quad), r=2, use_linearization=False),
+        reversed_problem(McCoyProblem(pinned, PerturbStructure.full(pinned), r=2)),
+    ]
+    for problem in problems:
+        ws = _McCoyWorkspace(problem)
+        z = initial_guess_mccoy(problem) + 0.05 * rng.normal(size=ws.n_x + ws.n_c)
+        h_full = mccoy_hessian(problem, z)
+        assert np.array_equal(h_full, h_full.T)
+        fd = fd_columns(lambda v: mccoy_residual(problem, v), z, eps=1e-6)
+        assert np.linalg.norm(h_full - fd) / np.linalg.norm(fd) <= 1e-8
 
 
 def test_initial_guess_candidates_and_orthonormal_kernel():

@@ -63,15 +63,35 @@ def test_kkt_hessian_blocks_and_symmetry():
     assert np.array_equal(h_full, h_full.T)
 
 
+def singular_at_one_3x3(seed):
+    # A(1) has rank 2, so det A has a root at t = 1, one of the nodes.
+    rng = np.random.default_rng(seed)
+    lead = rng.normal(size=(3, 3))
+    at_one = rng.normal(size=(3, 2)) @ rng.normal(size=(2, 3))
+    return MatPoly(np.stack([at_one - lead, lead], axis=2))
+
+
 def test_kkt_hessian_matches_finite_differences():
-    mat, _, _ = diagonal_snf_instance(2)
-    problem = SnfProblem(mat, PerturbStructure.degree(mat), deg_h=1)
-    ws = _Workspace(problem)
+    diag, _, _ = diagonal_snf_instance(2)
+    dense = singular_at_one_3x3(16)
+    assert abs(np.linalg.det(dense.evaluate(1.0))) <= 1e-12
     rng = np.random.default_rng(12)
-    z = initial_guess(problem) + 0.02 * rng.normal(size=ws.n_x + ws.n_c)
-    h_full = kkt_hessian(problem, z)
-    fd = fd_columns(lambda v: kkt_residual(problem, v), z, eps=1e-6)
-    assert np.linalg.norm(h_full - fd) / np.linalg.norm(fd) <= 1e-4
+    for mat, structure in ((diag, PerturbStructure.degree(diag)),
+                           (dense, PerturbStructure.full(dense))):
+        problem = SnfProblem(mat, structure, deg_h=1)
+        ws = _Workspace(problem)
+        z = initial_guess(problem) + 0.02 * rng.normal(size=ws.n_x + ws.n_c)
+        h_full = kkt_hessian(problem, z)
+        fd = fd_columns(lambda v: kkt_residual(problem, v), z, eps=1e-6)
+        assert np.linalg.norm(h_full - fd) / np.linalg.norm(fd) <= 1e-4
+        # The adjoint curvature alone: zero for 2x2, from (n-3)-minors above.
+        curv = h_full[ws.sl_p, ws.sl_p] - 2.0 * np.eye(ws.m_p)
+        fd_curv = fd[ws.sl_p, ws.sl_p] - 2.0 * np.eye(ws.m_p)
+        assert np.linalg.norm(curv - fd_curv) <= 1e-6 * max(1.0, np.linalg.norm(fd_curv))
+        if mat.rows == 2:
+            assert np.all(curv == 0.0)
+        else:
+            assert np.linalg.norm(fd_curv) >= 1e-2
 
 
 def test_initial_guess_near_planted_solution():
