@@ -141,6 +141,7 @@ def _complex_field(z) -> list:
 def _trace_summary(trace) -> dict:
     return {
         "iterations": trace.iterations,
+        "rejected_trials": sum(trace.rejected),
         "final_grad_norm": trace.merits[-1],
         "termination": trace.termination.value,
         "merits": list(trace.merits),

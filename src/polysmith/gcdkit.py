@@ -302,6 +302,8 @@ def approx_gcd_candidates(f, deg_h: int, dprime, shortlist: int = 4) -> list:
         raise DegreeTooLarge(f"degree {deg_h} exceeds a declared degree bound")
     trimmed = [p.trimmed(TRIM_TOL) for p in f]
     active = [i for i, p in enumerate(trimmed) if p.degree() != NEG_INF]
+    if not active:
+        raise RankDeficientInput("every entry vanishes after trimming; no divisor to fit")
     targets = {i: trimmed[i].padded(dprime[i]).coeffs for i in active}
     seeds = _initial_divisors(
         [trimmed[i] for i in active], deg_h, [dprime[i] for i in active], shortlist
@@ -316,27 +318,35 @@ def approx_gcd_candidates(f, deg_h: int, dprime, shortlist: int = 4) -> list:
 
 
 def _alternating_fit(h, targets, active, dprime, deg_h, count) -> ApproxGcdResult:
+    """Alternate cofactor and divisor least squares until the residual settles.
+
+    Cofactors of one declared degree come from one multi-right-hand-side
+    solve; a sweep that raises the residual ends at the previous fit.
+    """
+    groups = {}
+    for i in active:
+        groups.setdefault(dprime[i], []).append(i)
+    groups = [(deg - deg_h, idx, np.column_stack([targets[i] for i in idx]))
+              for deg, idx in groups.items()]
+    rhs = np.concatenate([targets[i] for i in active])
     cofactors = [Poly.zero(max(dprime[i] - deg_h, 0)) for i in range(count)]
     residual = np.inf
     for _ in range(100):
-        for i in active:
-            deg_u = dprime[i] - deg_h
-            m = conv_matrix(h, deg_u)
-            sol, *_ = np.linalg.lstsq(m, targets[i], rcond=None)
-            cofactors[i] = Poly(sol)
-        blocks = [conv_matrix(cofactors[i], deg_h) for i in active]
-        stacked = np.vstack(blocks)
-        rhs = np.concatenate([targets[i] for i in active])
-        rhs = rhs - stacked[:, -1]
-        free, *_ = np.linalg.lstsq(stacked[:, :-1], rhs, rcond=None)
-        h = Poly(np.concatenate([free, [1.0]]))
-        new_residual = _gcd_residual(targets, cofactors, h, active)
+        new_cofactors = list(cofactors)
+        for deg_u, idx, group_rhs in groups:
+            sol, *_ = np.linalg.lstsq(conv_matrix(h, deg_u), group_rhs, rcond=None)
+            for k, i in enumerate(idx):
+                new_cofactors[i] = Poly(sol[:, k])
+        stacked = np.vstack([conv_matrix(new_cofactors[i], deg_h) for i in active])
+        free, *_ = np.linalg.lstsq(stacked[:, :-1], rhs - stacked[:, -1], rcond=None)
+        new_h = Poly(np.concatenate([free, [1.0]]))
+        new_residual = _gcd_residual(targets, new_cofactors, new_h, active)
         if not (new_residual <= residual + 1e-10 * (1.0 + residual)):
-            raise AssertionError("alternating least squares residual increased")
-        if abs(residual - new_residual) < 1e-12:
-            residual = new_residual
             break
-        residual = new_residual
+        converged = abs(residual - new_residual) < 1e-12
+        h, cofactors, residual = new_h, new_cofactors, new_residual
+        if converged:
+            break
     return ApproxGcdResult(h=h, cofactors=cofactors, residual=float(residual))
 
 
@@ -381,24 +391,20 @@ def _common_root_radius(entries) -> float:
 
 
 def _real_candidate_roots(entries, radius):
-    """Real-line minimizers of the projection score, refined by golden section."""
+    """Real-line minimizers of the projection score, refined together by golden section."""
     grid = np.sort(radius * np.cos(np.pi * (np.arange(256) + 0.5) / 256))
     vals = _root_projection_score(entries, grid)
     keep = np.nonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
-    out = []
-    for idx in keep:
-        lo, hi = grid[idx - 1], grid[idx + 1]
-        for _ in range(60):
-            m1 = lo + 0.381966 * (hi - lo)
-            m2 = hi - 0.381966 * (hi - lo)
-            s1 = _root_projection_score(entries, [m1])[0]
-            s2 = _root_projection_score(entries, [m2])[0]
-            if s1 < s2:
-                hi = m2
-            else:
-                lo = m1
-        out.append(0.5 * (lo + hi))
-    return out
+    if keep.size == 0:
+        return []
+    lo, hi = grid[keep - 1], grid[keep + 1]
+    for _ in range(60):
+        m1 = lo + 0.381966 * (hi - lo)
+        m2 = hi - 0.381966 * (hi - lo)
+        scores = _root_projection_score(entries, np.concatenate([m1, m2]))
+        left = scores[: keep.size] < scores[keep.size :]
+        lo, hi = np.where(left, lo, m1), np.where(left, m2, hi)
+    return list(0.5 * (lo + hi))
 
 
 def _initial_divisors(entries, deg_h: int, dprime, shortlist: int = 4) -> list:

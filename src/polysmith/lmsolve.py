@@ -1,10 +1,12 @@
 """Regularized Newton (Levenberg-Marquardt) solver for nonlinear systems.
 
 Solves g(z) = 0 by repeatedly solving (H^T H + nu I) dz = -H^T g with
-H the Jacobian of g, using ||g||_2 as the merit function.  The shift nu
-tracks the merit, which yields quadratic local convergence on systems
-satisfying a local error bound while keeping every step a descent
-direction for the merit.
+H the Jacobian of g, using ||g||_2 as the merit function.  The shift
+nu = mu ||g|| (Fan & Yuan, Computing 74, 2005) has its multiplier mu
+adapted by the gain ratio of actual to predicted merit reduction (Nielsen,
+"Damping parameter in Marquardt's method", IMM DTU, 1999), so near a
+solution with a local error bound nu falls faster than the merit and the
+iteration turns quadratic; every step is a descent direction for the merit.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class LmConfig:
     grad_tol: float = 1e-12
     step_tol: float = 1e-14
     nu_floor: float = 1e-14
-    nu_scale: float = 1.0
+    nu_scale: float = 1.0  # initial multiplier mu in nu = mu ||g||
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -42,11 +44,16 @@ class LmConfig:
 
 @dataclass
 class LmTrace:
-    """Accepted-iterate history: merits[0] is the merit at the initial point."""
+    """Accepted-iterate history: merits[0] is the merit at the initial point.
+
+    rejected[k] counts the trials rejected before accepted step k; a
+    Stalled run ends with one more entry, the trials of its last iteration.
+    """
 
     merits: list = field(default_factory=list)
     nus: list = field(default_factory=list)
     step_norms: list = field(default_factory=list)
+    rejected: list = field(default_factory=list)
     termination: Termination = Termination.MAX_ITER
 
     @property
@@ -81,8 +88,8 @@ def lm_minimize(g_fn, h_fn, z0, cfg: LmConfig | None = None):
     """Drive g to zero from z0; returns (z, trace).
 
     Steps are accepted only when they strictly decrease ||g||; a rejected
-    step inflates nu tenfold and retries, giving up as Stalled after 20
-    retries.  A RankDeficientInput raised by g_fn during a trial step is
+    step raises mu and retries, giving up as Stalled after 21 trials in one
+    iteration.  A RankDeficientInput raised by g_fn during a trial step is
     treated as a rejection, so the iterate backs away from the wall.
     """
     cfg = cfg or LmConfig()
@@ -90,34 +97,39 @@ def lm_minimize(g_fn, h_fn, z0, cfg: LmConfig | None = None):
     g = np.asarray(g_fn(z), dtype=float)
     merit = float(np.linalg.norm(g))
     trace = LmTrace(merits=[merit])
+    mu, growth = cfg.nu_scale, 2.0
 
     for _ in range(cfg.max_iter):
         if merit <= cfg.grad_tol:
             trace.termination = Termination.GRAD_TOL
             return z, trace
         h = np.asarray(h_fn(z), dtype=float)
-        nu = max(cfg.nu_floor, cfg.nu_scale * merit)
-        accepted = False
-        for _ in range(21):
+        rejected = 0
+        while True:
+            nu = max(cfg.nu_floor, mu * merit)
             dz = lm_step(g, h, nu)
             z_trial = z + dz
             try:
                 g_trial = np.asarray(g_fn(z_trial), dtype=float)
+                merit_trial = float(np.linalg.norm(g_trial))
             except RankDeficientInput:
-                nu *= 10.0
-                continue
-            merit_trial = float(np.linalg.norm(g_trial))
+                merit_trial = np.inf
             if merit_trial < merit:
-                accepted = True
                 break
-            nu *= 10.0
-        if not accepted:
-            trace.termination = Termination.STALLED
-            return z, trace
+            rejected += 1
+            mu, growth = mu * growth, 2.0 * growth
+            if rejected == 21:
+                trace.rejected.append(rejected)
+                trace.termination = Termination.STALLED
+                return z, trace
+        predicted = merit**2 - float(np.linalg.norm(g + h @ dz)) ** 2
+        rho = (merit**2 - merit_trial**2) / predicted if predicted > 0 else 0.0
+        mu, growth = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
         z, g, merit = z_trial, g_trial, merit_trial
         trace.merits.append(merit)
         trace.nus.append(nu)
         trace.step_norms.append(float(np.linalg.norm(dz)))
+        trace.rejected.append(rejected)
         if merit <= cfg.grad_tol:
             trace.termination = Termination.GRAD_TOL
             return z, trace

@@ -153,6 +153,14 @@ def run_selftest(seed: int = 0):
     )
     yield "regularized newton on z^2 = 2", abs(z[0] - np.sqrt(2)) < 1e-9, f"z={z[0]!r}"
 
+    # A fixed shift nu = ||g|| crawls along the 1e-4 direction for hundreds
+    # of steps; the gain-ratio multiplier must shrink it to reach the root.
+    scales = np.array([1.0, 1e-2, 1e-4])
+    z, trace = lm_minimize(lambda v: scales * v - 1.0, lambda v: np.diag(scales),
+                           np.zeros(3), LmConfig())
+    ok = trace.iterations <= 40 and np.allclose(z, 1.0 / scales, rtol=1e-10)
+    yield "adaptive shift on an ill-conditioned linear system", ok, f"iterations={trace.iterations}"
+
     # Quadratics with close-by real roots, so the nearest common root is
     # interior and the global search basin is unambiguous.
     f = [0.594, -1.53, 0.9]  # 0.9 (t - 0.6)(t - 1.1)

@@ -89,6 +89,31 @@ def test_exit_code_validation_error(capsys, tmp_path):
     assert code == cli.EXIT_INVALID and "infeasible" in report["error"]
 
 
+# Reversed-adjoint approximate GCD inputs that used to escape as tracebacks:
+# an alternating-fit sweep that raises the residual, and an adjugate whose
+# entries all trim to zero.
+APPROX_GCD_BREAKERS = [
+    [[[7.201517957741638e-07, -1.3744795293573324e-07, 1.0539539198412028e-06],
+      [2.5069315663659017e-06, 4.486547899589429e-06, -1.1026437885587052e-05]],
+     [[-3.8886471768372175e-09, 5.67005582013524e-07, -1.1986755540404252e-07],
+      [-15222125.565161938, -43253427.52114434, 54229557.41551935]]],
+    [[[-8.444300178685122e-16, -3.680061629127464e-16],
+      [1.0540424840260954e-15, -7.474884729072235e-16]],
+     [[6.500080822533866e-34, -1.648664259119408e-33],
+      [-4.634990513311799e-33, -2.3070101583409703e-34]]],
+]
+
+
+@pytest.mark.parametrize("entries", APPROX_GCD_BREAKERS)
+def test_snf_reversal_approx_gcd_errors_are_reported(capsys, tmp_path, entries):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": entries}))
+    code = cli.run(["snf", str(path), "--deg-h", "1", "--reversal"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 1
+    assert code == 1 and "error" in json.loads(lines[0])
+
+
 def test_exit_code_unattainable(capsys):
     _, code = run_cli(
         capsys, ["snf", str(FIXTURES / "unattainable_C.json"), "--deg-h", "2"]

@@ -157,6 +157,17 @@ def test_approx_gcd_matches_grid_oracle():
     assert fit.residual <= lo + 1e-6
 
 
+def test_approx_gcd_mixed_declared_degrees():
+    # Entries of equal declared degree share one cofactor solve per sweep.
+    root = 0.7
+    others = ([-2.0], [1j, -1j], [3.0, -0.5])
+    polys = [Poly(np.polynomial.polynomial.polyfromroots([root, *r]).real) for r in others]
+    fit = approx_gcd(polys, 1, [2, 3, 3])
+    assert fit.residual <= 1e-10
+    assert np.allclose(fit.h.coeffs, [-root, 1.0], atol=1e-8)
+    assert [u.declared_degree for u in fit.cofactors] == [1, 2, 2]
+
+
 def test_approx_gcd_degree_too_large():
     with pytest.raises(DegreeTooLarge):
         approx_gcd([Poly([1, 1]), Poly([2, 1])], 2, [1, 1])

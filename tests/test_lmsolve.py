@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polysmith.errors import LinearSolveFailure
+from polysmith.errors import LinearSolveFailure, RankDeficientInput
 from polysmith.lmsolve import LmConfig, Termination, lm_minimize, lm_step
 
 
@@ -88,3 +88,28 @@ def test_config_validation():
         LmConfig(max_iter=0)
     with pytest.raises(ValueError):
         LmConfig(grad_tol=0.0)
+
+
+def test_lm_minimize_adaptive_shift_on_ill_conditioned_linear():
+    # With nu tied to ||g|| alone the 1e-4 direction crawls for 500 steps;
+    # the gain-ratio multiplier shrinks nu once the model predicts well.
+    scales = np.array([1.0, 1e-2, 1e-4])
+    z, trace = lm_minimize(
+        lambda v: scales * v - 1.0, lambda v: np.diag(scales), np.zeros(3), LmConfig()
+    )
+    assert trace.termination == Termination.GRAD_TOL
+    assert trace.iterations <= 40
+    assert np.allclose(z, 1.0 / scales, rtol=1e-10)
+
+
+def test_lm_minimize_counts_rejected_trials():
+    # A wall at z >= 0.5 rejects the full Newton step toward the root at 1.
+    def g(v):
+        if v[0] >= 0.5:
+            raise RankDeficientInput("wall")
+        return np.array([v[0] - 1.0])
+
+    z, trace = lm_minimize(g, lambda v: np.eye(1), np.array([0.0]), LmConfig(max_iter=5))
+    assert trace.rejected[0] >= 1
+    assert len(trace.rejected) == trace.iterations + (trace.termination == Termination.STALLED)
+    assert z[0] < 0.5

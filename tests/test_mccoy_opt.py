@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polysmith import cli
 from polysmith.detadj import determinant
 from polysmith.errors import UnattainableProblem
 from polysmith.gcdkit import local_invariant_structure
@@ -18,6 +19,7 @@ from polysmith.mccoy_opt import (
 )
 from polysmith.structured import numeric_rank
 
+from conftest import FIXTURES
 from oracles import fd_columns, mccoy_all_entries_distance, mccoy_rank2_instance
 
 
@@ -240,3 +242,11 @@ def test_divergence_watchdog_raises():
     z_far = ws.pack(p, 2e8 + 0j, br, bi, lam)
     with pytest.raises(UnattainableProblem):
         solve_mccoy(problem, LmConfig(), z0=z_far)
+
+
+def test_ex2_converges_in_few_iterations():
+    # The gain-ratio shift reaches the quadratic phase early: 11 iterations.
+    a = cli.parse(str(FIXTURES / "ex1.json")).to_matpoly()
+    report = solve_mccoy(McCoyProblem(a, PerturbStructure.support(a), r=4), LmConfig())
+    assert report.trace.termination == Termination.GRAD_TOL
+    assert report.trace.iterations <= 20

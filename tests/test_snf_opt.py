@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polysmith import cli
 from polysmith.detadj import adjoint
 from polysmith.gcdkit import distance_lower_bound
 from polysmith.lmsolve import LmConfig, Termination
@@ -16,6 +17,7 @@ from polysmith.snf_opt import (
     solve_best_degree,
 )
 
+from conftest import FIXTURES
 from oracles import diagonal_projection_distance, diagonal_snf_instance, fd_columns
 
 
@@ -203,3 +205,12 @@ def test_solve_best_degree_picks_smaller_distance():
     report = solve_best_degree(mat, PerturbStructure.degree(mat))
     direct = solve(SnfProblem(mat, PerturbStructure.degree(mat), deg_h=1), LmConfig())
     assert report.distance <= direct.distance + 1e-9
+
+
+def test_ex1_converges_in_few_iterations():
+    # The gain-ratio shift reaches the quadratic phase early: 19 iterations.
+    a = cli.parse(str(FIXTURES / "ex1.json")).to_matpoly()
+    report = solve(SnfProblem(a, PerturbStructure.support(a), deg_h=2), LmConfig())
+    assert report.trace.termination == Termination.GRAD_TOL
+    assert report.iterations <= 30
+    assert report.certified
