@@ -8,30 +8,19 @@ first-order optimality systems with a regularized Newton iteration.
 """
 
 from .errors import (
-    ConvergenceFailure,
     DegreeBoundViolation,
     DegreeTooLarge,
     DimensionMismatch,
     LinearSolveFailure,
-    NoCandidates,
     PadTooSmall,
     ParseError,
     PolysmithError,
     RankDeficientInput,
-    TrivialInputExpected,
     UnattainableProblem,
     ValidationError,
 )
-from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly, apply_perturbation
-from .structured import (
-    SvdResult,
-    block_conv_matrix,
-    conv_matrix,
-    generalized_sylvester,
-    kronecker,
-    numeric_rank,
-    singular_values,
-)
+from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
+from .structured import block_conv_matrix, conv_matrix, generalized_sylvester, numeric_rank
 from .detadj import (
     adjoint,
     determinant,
@@ -40,13 +29,12 @@ from .detadj import (
     jacobian_det,
 )
 from .gcdkit import (
+    Analysis,
     ApproxGcdResult,
     TrivialityReport,
     approx_gcd,
     detect_unattainable,
     distance_lower_bound,
-    eigenvalue_candidates,
-    gcd_trivial_check,
     local_invariant_structure,
     mccoy_rank,
     reachable_adjoint_degrees,

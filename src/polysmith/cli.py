@@ -7,8 +7,9 @@ Input documents are JSON with ascending-degree coefficient lists:
      "structure": "support"}
 
 Reports are JSON on standard output; diagnostics go to standard error.
-Exit codes: 0 success, 2 solver stalled, 3 unattainable problem,
-4 invalid input.
+Exit codes: 0 success, 1 the library rejected the input or a numeric step
+failed, 2 solver stalled, 3 unattainable problem, 4 invalid input.  Every
+run prints exactly one JSON object on standard output.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import selftest
 from .errors import ParseError, PolysmithError, UnattainableProblem, ValidationError
-from .gcdkit import local_invariant_structure, triviality_report, distance_lower_bound
+from .gcdkit import distance_lower_bound, triviality_report
 from .lmsolve import LmConfig, Termination
 from .matpoly import MatPoly, PerturbStructure
 from .mccoy_opt import McCoyProblem, solve_mccoy
@@ -35,6 +36,8 @@ EXIT_OK = 0
 EXIT_STALLED = 2
 EXIT_UNATTAINABLE = 3
 EXIT_INVALID = 4
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass
@@ -65,11 +68,14 @@ class InputDocument:
 
 def _mask_from_grid(grid, a: MatPoly) -> PerturbStructure:
     mask = np.zeros_like(a.coeff, dtype=bool)
-    if len(grid) != a.rows or any(len(row) != a.cols for row in grid):
+    if not (isinstance(grid, list) and len(grid) == a.rows
+            and all(isinstance(row, list) and len(row) == a.cols for row in grid)):
         raise ValidationError("mask grid shape does not match the matrix")
     for i in range(a.rows):
         for j in range(a.cols):
             cells = grid[i][j]
+            if not isinstance(cells, list):
+                raise ValidationError(f"mask entry ({i},{j}) must be a list of flags")
             if len(cells) > a.degree_bound + 1:
                 raise ValidationError(f"mask entry ({i},{j}) longer than degree bound")
             mask[i, j, : len(cells)] = [bool(c) for c in cells]
@@ -114,7 +120,8 @@ def parse(path: str) -> InputDocument:
             if not isinstance(cell, list) or not cell:
                 raise ValidationError(f"entry ({i},{j}) must be a non-empty coefficient list")
             for c in cell:
-                if not isinstance(c, (int, float)) or isinstance(c, bool) or not math.isfinite(c):
+                # abs() rather than math.isfinite: JSON integers may exceed the float range.
+                if not isinstance(c, (int, float)) or isinstance(c, bool) or not abs(c) <= _FLOAT_MAX:
                     raise ValidationError(f"entry ({i},{j}) has a non-finite coefficient")
     return InputDocument(rows=rows, cols=cols, entries=entries, structure=raw.get("structure"))
 
@@ -173,8 +180,9 @@ def _cmd_check(args):
         "sylvester_sigma": report.sylvester_sigma,
     }
     if report.unattainable:
-        reversed_profile = local_invariant_structure(a.reversed(), 0.0)
-        payload["reversal_invariant_structure"] = [list(pair) for pair in reversed_profile]
+        payload["reversal_invariant_structure"] = [
+            list(pair) for pair in report.reversal_invariant_structure
+        ]
     return payload, EXIT_OK
 
 

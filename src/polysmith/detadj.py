@@ -186,7 +186,7 @@ def determinant(a: MatPoly) -> Poly:
     """Determinant as a polynomial of degree at most n * degree_bound."""
     _require_square(a)
     count = a.rows * a.degree_bound + 1
-    values = np.linalg.det(_batch_evaluate(a, _interp_nodes(count)))
+    values = _det_batch(_batch_evaluate(a, _interp_nodes(count)))
     return Poly(_coeffs_from_values(values))
 
 

@@ -17,16 +17,8 @@ class DegreeBoundViolation(PolysmithError):
     """A declared degree bound is below the actual degree of a polynomial."""
 
 
-class ConvergenceFailure(PolysmithError):
-    """An iterative dense factorization failed to converge."""
-
-
 class RankDeficientInput(PolysmithError):
     """An operation requiring full rank received a rank-deficient input."""
-
-
-class TrivialInputExpected(PolysmithError):
-    """An operation defined only for inputs with a trivial Smith form."""
 
 
 class DegreeTooLarge(PolysmithError):
@@ -39,10 +31,6 @@ class LinearSolveFailure(PolysmithError):
 
 class UnattainableProblem(PolysmithError):
     """The requested minimum is an infimum at infinity; rerun in reversal mode."""
-
-
-class NoCandidates(PolysmithError):
-    """No eigenvalue candidates exist (the determinant is numerically constant)."""
 
 
 class ParseError(PolysmithError):

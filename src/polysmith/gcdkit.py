@@ -9,7 +9,8 @@ and is used to recognize unattainable infima.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,9 @@ class TrivialityReport:
     unattainable: bool
     sylvester_rank: int
     sylvester_sigma: float
+    # (degree, multiplicity) pairs at zero of the reversed input; only for
+    # unattainable inputs.
+    reversal_invariant_structure: list = field(default_factory=list)
 
 
 @dataclass
@@ -57,33 +61,186 @@ def rank_at_point(a: MatPoly, omega, rel_tol: float = EIGEN_RANK_TOL) -> int:
     return int(np.count_nonzero(s > rel_tol * max(1.0, s[0] if s.size else 0.0)))
 
 
-def eigenvalue_candidates(a: MatPoly) -> np.ndarray:
-    """Numeric roots of det(A); empty when the determinant is near-constant."""
-    det = determinant(a).trimmed(TRIM_TOL)
-    if det.degree() in (NEG_INF, 0):
-        return np.zeros(0, dtype=complex)
-    return np.roots(det.coeffs[::-1])
-
-
 # Fixed generic sample point for rank questions about singular inputs.
 _GENERIC_POINT = 0.5702958749 + 0.8216998537j
 
 
-def mccoy_rank(a: MatPoly) -> int:
-    """Minimum rank of A(omega) over candidate eigenvalues.
+def _rescaled(value: float, power: int) -> float:
+    """value * 2**power, saturating to inf or 0 at the ends of the float range."""
+    with np.errstate(over="ignore", under="ignore"):
+        return float(np.ldexp(value, power))
 
-    Unimodular inputs have no eigenvalues and keep rank n everywhere; for a
-    singular input the rank over the rational functions (sampled at a generic
-    point) is the ceiling instead.
+
+class Analysis:
+    """Triviality quantities of one square input, each computed once on first use.
+
+    Every decision is taken on A / 2**k, with the power of two 2**k that puts
+    the largest coefficient magnitude in [0.5, 1).  That division is exact,
+    and the trimming and rank tolerances (relative, with an absolute floor
+    for values below one) then see the same magnitudes whatever the input's
+    scale.  The reported bound and sigma are scaled back.  MatPoly
+    coefficients are mutable, so an analysis belongs to the caller that made
+    it, not to the input.
     """
-    det = determinant(a).trimmed(TRIM_TOL)
-    if det.degree() == NEG_INF:
-        rank = rank_at_point(a, _GENERIC_POINT)
-    else:
-        rank = min(a.rows, a.cols)
-    for omega in eigenvalue_candidates(a):
-        rank = min(rank, rank_at_point(a, omega))
-    return rank
+
+    def __init__(self, a: MatPoly):
+        self.a = a
+        self.n = a.rows
+        self.k = int(np.frexp(np.max(np.abs(a.coeff)))[1])
+        self.norm = MatPoly(np.ldexp(a.coeff, -self.k))
+
+    @cached_property
+    def det(self) -> Poly:
+        """Trimmed determinant of the normalized input."""
+        return determinant(self.norm).trimmed(TRIM_TOL)
+
+    def require_nonsingular(self):
+        """Raise RankDeficientInput when the trimmed determinant vanishes."""
+        if self.det.degree() == NEG_INF:
+            raise RankDeficientInput("matrix polynomial is singular over the rational functions")
+
+    @cached_property
+    def entries(self) -> list:
+        """Trimmed adjugate entries of the normalized input, column-major."""
+        return [p.trimmed(TRIM_TOL) for p in adjoint(self.norm).pvec()]
+
+    @cached_property
+    def nonzero(self) -> list:
+        return [p for p in self.entries if p.degree() != NEG_INF]
+
+    @cached_property
+    def gcd_degree(self) -> int:
+        """GCD degree of the nonzero adjugate entries at their actual degrees.
+
+        This is the nullity of their generalized Sylvester matrix; 0 when
+        every entry vanishes.
+        """
+        f = self.nonzero
+        if len(f) < 2:
+            return int(f[0].degree()) if f else 0
+        syl = generalized_sylvester(f, [int(p.degree()) for p in f])
+        return syl.shape[1] - numeric_rank(syl)
+
+    @property
+    def gcd_trivial(self) -> bool:
+        return bool(self.nonzero) and self.gcd_degree == 0
+
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Numeric roots of det(A); empty when the determinant is near-constant."""
+        if self.det.degree() in (NEG_INF, 0):
+            return np.zeros(0, dtype=complex)
+        return np.roots(self.det.coeffs[::-1])
+
+    @cached_property
+    def mccoy_rank(self) -> int:
+        """Minimum rank of A(omega) over candidate eigenvalues.
+
+        Unimodular inputs have no eigenvalues and keep rank n everywhere; for
+        a singular input the rank over the rational functions (sampled at a
+        generic point) is the ceiling instead.
+        """
+        singular = self.det.degree() == NEG_INF
+        rank = rank_at_point(self.norm, _GENERIC_POINT) if singular else self.n
+        for omega in self.eigenvalues:
+            rank = min(rank, rank_at_point(self.norm, omega))
+        return rank
+
+    @cached_property
+    def padded(self):
+        """Rank and rank-th singular value of the adjugate's Sylvester matrix
+        at the padded degree (n-1)d, both from one SVD of the normalized input.
+
+        A constant matrix has a constant adjugate, and triviality is then a
+        plain rank question about A(0).
+        """
+        n, reach = self.n, (self.n - 1) * self.a.degree_bound
+        if reach == 0:
+            s = np.linalg.svd(self.norm.evaluate(0.0).real, compute_uv=False)
+            e = int(np.count_nonzero(s > s[0] * n * 1e-12)) if s[0] else 0
+            return e, float(s[n - 2]) if n >= 2 else 0.0
+        if len(self.nonzero) < 2:
+            return 0, 0.0
+        syl = generalized_sylvester(self.nonzero, [reach] * len(self.nonzero))
+        s = np.linalg.svd(syl, compute_uv=False)
+        e = int(np.count_nonzero(s > s[0] * max(syl.shape) * 1e-12)) if s[0] else 0
+        return e, float(s[e - 1]) if e else 0.0
+
+    @property
+    def sylvester_sigma(self) -> float:
+        """The padded sigma at the input's scale: adjugate entries are
+        (n-1)-minors, a constant matrix's sigma is a singular value of A."""
+        power = self.k if self.a.degree_bound == 0 else self.k * (self.n - 1)
+        return _rescaled(self.padded[1], power)
+
+    def unattainable(self, structure: PerturbStructure) -> bool:
+        """True iff the nearest non-trivial Smith form is an infimum at infinity.
+
+        Tests the adjoint entries at their actual degrees, at the maximal
+        degrees reachable under the perturbation mask, and after reversal at
+        those degrees: the infimum is unattainable exactly when padding to
+        the reachable degrees kills full rank and the reversed entries share
+        a root at zero.
+        """
+        self.require_nonsingular()
+        if not self.gcd_trivial:
+            return False
+        reach = reachable_adjoint_degrees(self.a, structure).T.ravel()
+        pairs = [(p, int(max(r, p.degree(), 0))) for p, r in zip(self.entries, reach)
+                 if not (r == NEG_INF and p.degree() == NEG_INF)]
+        if len(pairs) < 2 or max(dp for _, dp in pairs) == 0:
+            return False
+        dprime = [dp for _, dp in pairs]
+        syl = generalized_sylvester([p for p, _ in pairs], dprime)
+        if numeric_rank(syl) == syl.shape[1]:
+            return False
+        syl = generalized_sylvester([p.reversed(dp) for p, dp in pairs], dprime)
+        return numeric_rank(syl) < syl.shape[1]
+
+    def lower_bound(self):
+        """Lower bound on the distance to a non-trivial Smith form.
+
+        Returns (bound, sigma) where sigma is the rank-th singular value of
+        the generalized Sylvester matrix of the adjoint at the padded
+        degrees.  The bound is zero for inputs that are already non-trivial.
+        """
+        self.require_nonsingular()
+        if not self.gcd_trivial:
+            return 0.0, 0.0
+        e, sigma = self.padded
+        d = self.a.degree_bound
+        if d == 0:
+            # Constant matrix: non-triviality means rank at most n-2, and the
+            # unstructured distance to that set is the (n-1)-th singular value.
+            bound = sigma
+        elif e == 0 or len(self.nonzero) < 2:
+            bound = 0.0
+        else:
+            gradient_scale = min(
+                float(np.linalg.norm(jacobian_adj(self.norm))), hadamard_gradient_bound(self.norm)
+            )
+            bound = sigma / ((self.n - 1) * d * gradient_scale) if gradient_scale else 0.0
+        return _rescaled(bound, self.k), self.sylvester_sigma
+
+    def report(self, structure: PerturbStructure) -> TrivialityReport:
+        """Triviality, McCoy rank, bound, and unattainability in one record."""
+        n = self.n
+        if n == 1:
+            # A 1x1 matrix has a single invariant factor and is always trivial.
+            rank = self.mccoy_rank
+            return TrivialityReport(True, rank, 0, 0.0, False, rank, 0.0)
+        trivial = self.gcd_trivial and self.mccoy_rank >= n - 1
+        unattainable = trivial and self.unattainable(structure)
+        bound = self.lower_bound()[0] if trivial and not unattainable else 0.0
+        e, sigma = (self.padded[0], self.sylvester_sigma) if self.nonzero else (0, 0.0)
+        profile = local_invariant_structure(self.norm.reversed(), 0.0) if unattainable else []
+        return TrivialityReport(trivial, self.mccoy_rank, self.gcd_degree, float(bound),
+                                unattainable, e, sigma, profile)
+
+
+def mccoy_rank(a: MatPoly) -> int:
+    """Minimum rank of A(omega) over candidate eigenvalues; see Analysis.mccoy_rank."""
+    return Analysis(a).mccoy_rank
 
 
 def local_invariant_structure(a: MatPoly, omega, rel_tol: float = EIGEN_RANK_TOL):
@@ -141,29 +298,6 @@ def _choose(m: int, j: int) -> float:
     return float(comb(m, j))
 
 
-def _nonzero_adjoint_entries(a: MatPoly):
-    entries = [p.trimmed(TRIM_TOL) for p in adjoint(a).pvec()]
-    return [p for p in entries if p.degree() != NEG_INF]
-
-
-def _require_full_rank(a: MatPoly):
-    det = determinant(a).trimmed(TRIM_TOL)
-    if det.degree() == NEG_INF:
-        raise RankDeficientInput("matrix polynomial is singular over the rational functions")
-
-
-def gcd_trivial_check(f, dprime) -> bool:
-    """True iff the polynomials have a trivial GCD at the declared degrees."""
-    pairs = [(p.trimmed(TRIM_TOL), int(dp)) for p, dp in zip(f, dprime)]
-    pairs = [(p, dp) for p, dp in pairs if p.degree() != NEG_INF]
-    if not pairs:
-        return False
-    if len(pairs) == 1:
-        return pairs[0][0].degree() == 0
-    syl = generalized_sylvester([p for p, _ in pairs], [dp for _, dp in pairs])
-    return numeric_rank(syl) == syl.shape[1]
-
-
 def reachable_entry_degrees(a: MatPoly, structure: PerturbStructure) -> np.ndarray:
     """Largest coefficient index of each entry that is nonzero or perturbable."""
     out = np.full((a.rows, a.cols), NEG_INF)
@@ -199,86 +333,13 @@ def reachable_adjoint_degrees(a: MatPoly, structure: PerturbStructure) -> np.nda
 
 
 def detect_unattainable(a: MatPoly, structure: PerturbStructure) -> bool:
-    """True iff the nearest non-trivial Smith form is an infimum at infinity.
-
-    Tests the adjoint entries at their actual degrees, at the maximal degrees
-    reachable under the perturbation mask, and after reversal at those
-    degrees: the infimum is unattainable exactly when padding to the
-    reachable degrees kills full rank and the reversed entries share a root
-    at zero.
-    """
-    _require_full_rank(a)
-    entries = [p.trimmed(TRIM_TOL) for p in adjoint(a).pvec()]
-    reach_mat = reachable_adjoint_degrees(a, structure)
-    reach = [reach_mat[i, j] for j in range(a.cols) for i in range(a.rows)]
-    pairs = []
-    for p, r in zip(entries, reach):
-        deg = p.degree()
-        if r == NEG_INF and deg == NEG_INF:
-            continue
-        pairs.append((p, int(max(r, deg, 0))))
-    nonzero = [p for p, _ in pairs if p.degree() != NEG_INF]
-    if not nonzero:
-        return False
-    if not gcd_trivial_check(nonzero, [int(p.degree()) for p in nonzero]):
-        return False
-    if len(pairs) < 2 or max(dp for _, dp in pairs) == 0:
-        return False
-    dprime = [dp for _, dp in pairs]
-    syl_padded = generalized_sylvester([p for p, _ in pairs], dprime)
-    if numeric_rank(syl_padded) == syl_padded.shape[1]:
-        return False
-    reversed_entries = [p.reversed(dp) for p, dp in pairs]
-    syl_rev = generalized_sylvester(reversed_entries, dprime)
-    return numeric_rank(syl_rev) < syl_rev.shape[1]
-
-
-def _sylvester_rank_sigma(a: MatPoly):
-    """Rank and the rank-th singular value of the padded adjoint Sylvester matrix."""
-    n, d = a.rows, a.degree_bound
-    entries = _nonzero_adjoint_entries(a)
-    reach = (n - 1) * d
-    if reach == 0:
-        # Constant matrix: triviality is a plain rank question about A(0).
-        s = np.linalg.svd(a.evaluate(0.0).real, compute_uv=False)
-        e = int(np.count_nonzero(s > s[0] * max(a.rows, a.cols) * 1e-12)) if s[0] else 0
-        sigma = float(s[n - 2]) if n >= 2 else 0.0
-        return e, sigma, reach
-    if len(entries) < 2:
-        return 0, 0.0, reach
-    syl = generalized_sylvester(entries, [reach] * len(entries))
-    e = numeric_rank(syl)
-    s = np.linalg.svd(syl, compute_uv=False)
-    sigma = float(s[e - 1]) if e >= 1 else 0.0
-    return e, sigma, reach
+    """True iff the nearest non-trivial Smith form is at infinity; see Analysis.unattainable."""
+    return Analysis(a).unattainable(structure)
 
 
 def distance_lower_bound(a: MatPoly):
-    """Lower bound on the distance to a non-trivial Smith form.
-
-    Returns (bound, sigma) where sigma is the rank-th singular value of the
-    generalized Sylvester matrix of the adjoint at the padded degrees.  The
-    bound is zero for inputs that are already non-trivial.
-    """
-    _require_full_rank(a)
-    n, d = a.rows, a.degree_bound
-    entries = _nonzero_adjoint_entries(a)
-    actual = [int(p.degree()) for p in entries] if entries else []
-    if not entries or not gcd_trivial_check(entries, actual):
-        return 0.0, 0.0
-    e, sigma, reach = _sylvester_rank_sigma(a)
-    if reach == 0:
-        # Constant matrix: non-triviality means rank at most n-2, and the
-        # unstructured distance to that set is the (n-1)-th singular value.
-        return sigma, sigma
-    if e == 0 or len(entries) < 2:
-        return 0.0, float(sigma)
-    gradient_scale = min(
-        float(np.linalg.norm(jacobian_adj(a))), hadamard_gradient_bound(a)
-    )
-    if gradient_scale == 0.0:
-        return 0.0, sigma
-    return float(sigma / (reach * gradient_scale)), float(sigma)
+    """(bound, sigma) for the distance to a non-trivial Smith form; see Analysis.lower_bound."""
+    return Analysis(a).lower_bound()
 
 
 def approx_gcd(f, deg_h: int, dprime) -> ApproxGcdResult:
@@ -483,43 +544,4 @@ def _initial_divisors(entries, deg_h: int, dprime, shortlist: int = 4) -> list:
 
 def triviality_report(a: MatPoly, structure: PerturbStructure) -> TrivialityReport:
     """Aggregate triviality, McCoy rank, bound, and unattainability checks."""
-    n = a.rows
-    if n == 1:
-        # A 1x1 matrix has a single invariant factor and is always trivial.
-        rank = mccoy_rank(a)
-        return TrivialityReport(
-            is_trivial=True,
-            mccoy_rank=rank,
-            gcd_adjoint_degree=0,
-            lower_bound=0.0,
-            unattainable=False,
-            sylvester_rank=rank,
-            sylvester_sigma=0.0,
-        )
-    entries = _nonzero_adjoint_entries(a)
-    if not entries:
-        gcd_degree = 0
-    elif len(entries) == 1:
-        gcd_degree = int(entries[0].degree())
-    else:
-        actual = [int(p.degree()) for p in entries]
-        syl = generalized_sylvester(entries, actual)
-        gcd_degree = syl.shape[1] - numeric_rank(syl)
-    rank = mccoy_rank(a)
-    trivial = gcd_degree == 0 and rank >= n - 1 and bool(entries)
-    unattainable = detect_unattainable(a, structure) if trivial else False
-    e, sigma, _ = _sylvester_rank_sigma(a) if entries else (0, 0.0, 0)
-    if trivial and not unattainable:
-        bound, sigma_used = distance_lower_bound(a)
-        sigma = sigma_used if sigma_used else sigma
-    else:
-        bound = 0.0
-    return TrivialityReport(
-        is_trivial=trivial,
-        mccoy_rank=rank,
-        gcd_adjoint_degree=gcd_degree,
-        lower_bound=float(bound),
-        unattainable=unattainable,
-        sylvester_rank=int(e),
-        sylvester_sigma=float(sigma),
-    )
+    return Analysis(a).report(structure)

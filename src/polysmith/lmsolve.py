@@ -79,7 +79,8 @@ def lm_step(g, h, nu: float) -> np.ndarray:
             residual = m @ dz - rhs
     except np.linalg.LinAlgError as exc:
         raise LinearSolveFailure(str(exc)) from exc
-    if np.linalg.norm(residual) > 1e-10 * (1.0 + np.linalg.norm(rhs)):
+    # Written so that a NaN residual (an overflowed system) fails too.
+    if not np.linalg.norm(residual) <= 1e-10 * (1.0 + np.linalg.norm(rhs)):
         raise LinearSolveFailure("shifted normal equations solved inaccurately")
     return dz
 

@@ -8,7 +8,7 @@ on declared, not actual, degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,13 +76,6 @@ class Poly:
         if deg != NEG_INF and d < deg:
             raise PadTooSmall(f"reversal degree {d} < degree {deg}")
         return Poly(self.padded(d).coeffs[::-1].copy())
-
-    def monic(self) -> "Poly":
-        deg = self.degree()
-        if deg == NEG_INF:
-            raise ZeroDivisionError("the zero polynomial cannot be made monic")
-        c = self.coeffs[: int(deg) + 1]
-        return Poly(c / c[-1])
 
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(z, self.coeffs)
@@ -220,9 +213,6 @@ class MatPoly:
         """Column-major list of the entries as Poly values."""
         return [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)]
 
-    def transpose(self) -> "MatPoly":
-        return MatPoly(self.coeff.transpose(1, 0, 2))
-
     def reversed(self, d=None) -> "MatPoly":
         """Entry-wise degree-d reversal (default: the declared degree bound)."""
         if d is None:
@@ -292,15 +282,9 @@ class MatPoly:
 
 @dataclass
 class PerturbStructure:
-    """Admissible perturbation set: mask[i, j, k] allows coefficient k of (i, j).
-
-    The optional base_offset records the fixed part of an affine structure; it
-    does not participate in apply(), which only scatters parameters into the
-    masked coefficient slots.
-    """
+    """Admissible perturbation set: mask[i, j, k] allows coefficient k of (i, j)."""
 
     mask: np.ndarray
-    base_offset: MatPoly | None = None
 
     def __post_init__(self):
         self.mask = np.asarray(self.mask, dtype=bool)
@@ -332,20 +316,10 @@ class PerturbStructure:
     def num_params(self) -> int:
         return int(self.mask.sum())
 
-    def _vec_mask(self) -> np.ndarray:
-        # Flattened in the same column-major entry order as MatPoly.vec.
-        return self.mask.transpose(1, 0, 2).reshape(-1)
-
     def param_indices(self) -> np.ndarray:
         """Positions of the masked coefficients inside vec(., degree_bound)."""
-        return np.nonzero(self._vec_mask())[0]
-
-    def embedding_matrix(self) -> np.ndarray:
-        """Matrix E with vec(perturbation) = E @ params."""
-        idx = self.param_indices()
-        out = np.zeros((self._vec_mask().size, idx.size))
-        out[idx, np.arange(idx.size)] = 1.0
-        return out
+        # Flattened in the same column-major entry order as MatPoly.vec.
+        return np.nonzero(self.mask.transpose(1, 0, 2).reshape(-1))[0]
 
     def delta(self, params) -> MatPoly:
         """Perturbation matrix with params scattered into the masked slots."""
@@ -367,14 +341,3 @@ class PerturbStructure:
         delta = self.delta(params)
         out[self.mask] += delta.coeff[self.mask]
         return MatPoly(out)
-
-    def extract(self, delta: MatPoly) -> np.ndarray:
-        """Parameters of a perturbation matrix (inverse of delta())."""
-        if not self.matches(delta):
-            raise DimensionMismatch("mask shape does not match the matrix")
-        return delta.vec(self.mask.shape[2] - 1)[self.param_indices()]
-
-
-def apply_perturbation(a: MatPoly, structure: PerturbStructure, params) -> MatPoly:
-    """Functional form of PerturbStructure.apply."""
-    return structure.apply(a, params)

@@ -16,9 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .detadj import determinant
-from .errors import DimensionMismatch, RankDeficientInput, UnattainableProblem
-from .gcdkit import TRIM_TOL, eigenvalue_candidates
+from .errors import DimensionMismatch, UnattainableProblem
+from .gcdkit import Analysis
 from .lmsolve import LmConfig, LmTrace, lm_minimize
 from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 
@@ -289,14 +288,17 @@ def initial_guess_mccoy(problem: McCoyProblem) -> np.ndarray:
     if problem.pinned_omega is not None:
         omega = complex(problem.pinned_omega)
     else:
-        candidates = list(eigenvalue_candidates(a))
-        candidates.extend(_grid_extrema(a))
-        if not candidates:
-            candidates = [0.0 + 0.0j]
+        analysis = Analysis(a)
+        candidates = list(analysis.eigenvalues)
+        candidates.extend(_grid_extrema(analysis))
         drop_idx = a.rows - problem.r
-        best, best_score = None, np.inf
+        # A(0) is the constant coefficient, finite for any input.
+        best, best_score = 0.0 + 0.0j, np.inf
         for cand in candidates:
-            s = np.linalg.svd(a.evaluate(cand), compute_uv=False)
+            values = a.evaluate(cand)
+            if not np.all(np.isfinite(values)):
+                continue  # A overflows this far out
+            s = np.linalg.svd(values, compute_uv=False)
             score = s[drop_idx] if drop_idx >= 0 else s[0]
             if score < best_score:
                 best, best_score = complex(cand), score
@@ -309,12 +311,12 @@ def initial_guess_mccoy(problem: McCoyProblem) -> np.ndarray:
     return ws.pack(p, omega, bc.real.copy(), bc.imag.copy(), lam)
 
 
-def _grid_extrema(a: MatPoly):
+def _grid_extrema(analysis: Analysis):
     """Local minima of |det| on a Chebyshev grid, used as extra candidates."""
-    det = determinant(a).trimmed(TRIM_TOL)
+    det = analysis.det
     if det.degree() in (NEG_INF, 0):
         return []
-    radius = 1.0 + float(np.max(np.abs(a.coeff)))
+    radius = 1.0 + float(np.max(np.abs(analysis.a.coeff)))
     grid = radius * np.cos(np.pi * (np.arange(512) + 0.5) / 512)
     grid = np.sort(grid)
     vals = np.abs(det(grid))
@@ -325,9 +327,7 @@ def _grid_extrema(a: MatPoly):
 def solve_mccoy(problem: McCoyProblem, cfg: LmConfig | None = None, z0=None) -> McCoyReport:
     """Drive the rank-drop system to stationarity and extract the record."""
     cfg = cfg or LmConfig()
-    det = determinant(problem.a).trimmed(TRIM_TOL)
-    if det.degree() == NEG_INF:
-        raise RankDeficientInput("matrix polynomial is singular over the rational functions")
+    Analysis(problem.a).require_nonsingular()
     ws = _McCoyWorkspace(problem)
     if z0 is None:
         z0 = initial_guess_mccoy(problem)

@@ -3,7 +3,8 @@
 Each check recomputes an expected value through a route that does not share
 code with the operation under test (exact rational arithmetic, finite
 differences, brute-force search) and compares.  Used by the `selftest` CLI
-subcommand.
+subcommand.  The exact-arithmetic and finite-difference oracles are defined
+here once; the test suite imports them through tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -18,25 +19,10 @@ from .lmsolve import LmConfig, lm_minimize
 from .matpoly import MatPoly, PerturbStructure, Poly
 from .mccoy_opt import McCoyProblem, initial_guess_mccoy, mccoy_hessian, mccoy_residual
 from .snf_opt import SnfProblem, initial_guess, kkt_hessian, kkt_residual, solve
-from .structured import conv_matrix, generalized_sylvester, kronecker, numeric_rank
+from .structured import conv_matrix, generalized_sylvester, numeric_rank
 
 
-def exact_determinant(grid):
-    """Cofactor-expansion determinant over Fraction coefficient lists."""
-    n = len(grid)
-    if n == 1:
-        return grid[0][0]
-    total = [Fraction(0)]
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in grid[1:]]
-        term = _poly_mul(grid[0][j], exact_determinant(minor))
-        if j % 2:
-            term = [-c for c in term]
-        total = _poly_add(total, term)
-    return total
-
-
-def _poly_mul(a, b):
+def frac_poly_mul(a, b):
     out = [Fraction(0)] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
@@ -44,7 +30,7 @@ def _poly_mul(a, b):
     return out
 
 
-def _poly_add(a, b):
+def frac_poly_add(a, b):
     out = [Fraction(0)] * max(len(a), len(b))
     for i, x in enumerate(a):
         out[i] += x
@@ -53,44 +39,72 @@ def _poly_add(a, b):
     return out
 
 
-def exact_gcd_degree(polys):
-    """Degree of the GCD of Fraction coefficient lists via Euclid."""
-    acc = None
-    for p in polys:
-        p = _trim(list(p))
-        if any(p):
-            acc = p if acc is None else _euclid(acc, p)
-    return -1 if acc is None else len(_trim(acc)) - 1
-
-
-def _trim(p):
+def frac_trim(p):
     while len(p) > 1 and p[-1] == 0:
         p = p[:-1]
     return p
 
 
-def _euclid(a, b):
-    a, b = _trim(a), _trim(b)
-    while any(b):
-        a, b = b, _trim(_rem(a, b))
-    return a
+def exact_determinant(grid):
+    """Cofactor expansion over grids of Fraction coefficient lists."""
+    n = len(grid)
+    if n == 1:
+        return list(grid[0][0])
+    total = [Fraction(0)]
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in grid[1:]]
+        term = frac_poly_mul(grid[0][j], exact_determinant(minor))
+        if j % 2:
+            term = [-c for c in term]
+        total = frac_poly_add(total, term)
+    return total
 
 
-def _rem(a, b):
-    a, b = _trim(a[:]), _trim(b[:])
+def exact_poly_rem(a, b):
+    a, b = frac_trim(list(a)), frac_trim(list(b))
     while len(a) >= len(b) and any(a):
         factor = a[-1] / b[-1]
         shift = len(a) - len(b)
         for i, c in enumerate(b):
             a[shift + i] -= factor * c
-        a = _trim(a)
+        a = frac_trim(a)
     return a
 
 
-def _random_rational_matpoly(rng, n, d):
-    ints = rng.integers(-6, 7, size=(n, n, d + 1))
+def exact_gcd(a, b):
+    """Euclid's algorithm over Fraction coefficient lists."""
+    a, b = frac_trim(list(a)), frac_trim(list(b))
+    while any(b):
+        a, b = b, exact_poly_rem(a, b)
+    return a
+
+
+def exact_gcd_degree(polys):
+    """Degree of the GCD of Fraction coefficient lists; None when every one is zero."""
+    acc = None
+    for p in polys:
+        p = frac_trim(list(p))
+        if any(p):
+            acc = p if acc is None else exact_gcd(acc, p)
+    return None if acc is None else len(acc) - 1
+
+
+def random_integer_matpoly(rng, n, d, low=-6, high=7):
+    """Matrix polynomial with small integer coefficients and its Fraction grid."""
+    ints = rng.integers(low, high, size=(n, n, d + 1))
     grid = [[[Fraction(int(v)) for v in ints[i, j]] for j in range(n)] for i in range(n)]
     return MatPoly(ints.astype(float)), grid
+
+
+def fd_columns(fn, x0, eps=1e-6) -> np.ndarray:
+    """Central-difference Jacobian of a vector function, one column per coordinate."""
+    x0 = np.asarray(x0, dtype=float)
+    cols = []
+    for k in range(x0.size):
+        step = np.zeros_like(x0)
+        step[k] = eps
+        cols.append((fn(x0 + step) - fn(x0 - step)) / (2 * eps))
+    return np.array(cols).T
 
 
 def run_selftest(seed: int = 0):
@@ -106,11 +120,11 @@ def run_selftest(seed: int = 0):
     x = rng.normal(size=(2, 3))
     y = rng.normal(size=(3, 2))
     m = rng.normal(size=(2, 2))
-    lhs = kronecker(y.T, m) @ x.reshape(-1, order="F")
+    lhs = np.kron(y.T, m) @ x.reshape(-1, order="F")
     rhs = (m @ x @ y).reshape(-1, order="F")
     yield "kronecker vec identity", np.allclose(lhs, rhs, atol=1e-12), ""
 
-    mat, grid = _random_rational_matpoly(rng, 3, 2)
+    mat, grid = random_integer_matpoly(rng, 3, 2)
     exact = np.array([float(c) for c in exact_determinant(grid)])
     got = determinant(mat).coeffs
     ok = np.allclose(got[: exact.size], exact, atol=1e-9 * (1 + np.abs(exact).max()))
@@ -128,17 +142,17 @@ def run_selftest(seed: int = 0):
 
     small = MatPoly(rng.normal(size=(2, 2, 2)))
     jac = jacobian_det(small)
-    fd = _central_differences(lambda v: determinant(MatPoly.unvec(v, 2, 2, 1)).coeffs, small.vec())
+    fd = fd_columns(lambda v: determinant(MatPoly.unvec(v, 2, 2, 1)).coeffs, small.vec())
     yield "jacobian_det vs central differences", *_relative_check(jac, fd, 1e-5)
     jac = jacobian_adj(small)
-    fd = _central_differences(lambda v: adjoint(MatPoly.unvec(v, 2, 2, 1)).vec(), small.vec())
+    fd = fd_columns(lambda v: adjoint(MatPoly.unvec(v, 2, 2, 1)).vec(), small.vec())
     yield "jacobian_adj vs central differences", *_relative_check(jac, fd, 1e-5)
 
     ints = rng.integers(-5, 6, size=(2, 4))
     common = [Fraction(1), Fraction(1)]  # t + 1
     polys = []
     for row in ints:
-        polys.append(_poly_mul([Fraction(int(v)) for v in row], common))
+        polys.append(frac_poly_mul([Fraction(int(v)) for v in row], common))
     gdeg = exact_gcd_degree(polys)
     fs = [Poly([float(c) for c in p]) for p in polys]
     syl = generalized_sylvester(fs, [p.declared_degree for p in fs])
@@ -179,30 +193,20 @@ def run_selftest(seed: int = 0):
     # constant and the solvers' Hessians carry the minors-based blocks.
     dense = MatPoly(rng.normal(size=(3, 3, 2)))
     jac = jacobian_adj(dense)
-    fd = _central_differences(lambda v: adjoint(MatPoly.unvec(v, 3, 3, 1)).vec(), dense.vec())
+    fd = fd_columns(lambda v: adjoint(MatPoly.unvec(v, 3, 3, 1)).vec(), dense.vec())
     yield "jacobian_adj 3x3 vs central differences", *_relative_check(jac, fd, 1e-5)
 
     snf = SnfProblem(dense, PerturbStructure.full(dense), deg_h=1)
     z = initial_guess(snf)
     z = z + 0.02 * rng.normal(size=z.size)
-    fd = _central_differences(lambda v: kkt_residual(snf, v), z)
+    fd = fd_columns(lambda v: kkt_residual(snf, v), z)
     yield "snf kkt_hessian vs central differences", *_relative_check(kkt_hessian(snf, z), fd, 1e-6)
 
     mccoy = McCoyProblem(dense, PerturbStructure.full(dense), r=2)
     z = initial_guess_mccoy(mccoy)
     z = z + 0.02 * rng.normal(size=z.size)
-    fd = _central_differences(lambda v: mccoy_residual(mccoy, v), z)
+    fd = fd_columns(lambda v: mccoy_residual(mccoy, v), z)
     yield "mccoy_hessian vs central differences", *_relative_check(mccoy_hessian(mccoy, z), fd, 1e-6)
-
-
-def _central_differences(fn, x, eps=1e-6) -> np.ndarray:
-    """Jacobian of a vector function by central differences, one column per coordinate."""
-    cols = []
-    for k in range(x.size):
-        step = np.zeros(x.size)
-        step[k] = eps
-        cols.append((fn(x + step) - fn(x - step)) / (2 * eps))
-    return np.array(cols).T
 
 
 def _relative_check(got, want, tol):

@@ -8,11 +8,9 @@ are plain 2-D numpy arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConvergenceFailure, DegreeBoundViolation
+from .errors import DegreeBoundViolation
 from .matpoly import NEG_INF, MatPoly, Poly
 
 
@@ -57,11 +55,6 @@ def block_conv_matrix(a: MatPoly, d2: int) -> np.ndarray:
     return out
 
 
-def kronecker(a, b) -> np.ndarray:
-    """Kronecker product of two scalar matrices."""
-    return np.kron(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-
-
 def generalized_sylvester(f, dprime) -> np.ndarray:
     """Stacked transposed convolution blocks of several polynomials.
 
@@ -102,34 +95,6 @@ def generalized_sylvester(f, dprime) -> np.ndarray:
             block[j, j : j + ell + 1] = c
         blocks.append(block)
     return np.vstack(blocks) if width > 0 else np.zeros((ell + (len(f) - 1) * d, 0))
-
-
-@dataclass
-class SvdResult:
-    """Full singular value decomposition m = u @ diag(s) @ vt."""
-
-    singular_values: np.ndarray
-    u: np.ndarray
-    vt: np.ndarray
-
-    def reconstruction(self) -> np.ndarray:
-        m, n = self.u.shape[0], self.vt.shape[1]
-        s = np.zeros((m, n))
-        k = self.singular_values.size
-        s[:k, :k] = np.diag(self.singular_values)
-        return self.u @ s @ self.vt
-
-
-def singular_values(m) -> SvdResult:
-    """Full SVD of a dense scalar matrix, singular values descending."""
-    m = np.asarray(m, dtype=float)
-    if m.size == 0:
-        raise DegreeBoundViolation("matrix must be nonempty")
-    try:
-        u, s, vt = np.linalg.svd(m, full_matrices=True)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceFailure(str(exc)) from exc
-    return SvdResult(singular_values=s, u=u, vt=vt)
 
 
 def numeric_rank(m, tol=None) -> int:

@@ -2,101 +2,21 @@
 
 Everything here recomputes expected values through routes that share no code
 with the library: exact rational arithmetic, finite differences, and brute
-force searches.
+force searches.  The exact-arithmetic and finite-difference oracles live in
+polysmith.selftest, which the CLI's selftest runs too, and are re-exported.
 """
-
-from fractions import Fraction
 
 import numpy as np
 
 from polysmith.matpoly import MatPoly
-
-
-def frac_poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def frac_poly_add(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] += x
-    return out
-
-
-def frac_trim(p):
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def exact_determinant(grid):
-    """Cofactor expansion over grids of Fraction coefficient lists."""
-    n = len(grid)
-    if n == 1:
-        return list(grid[0][0])
-    total = [Fraction(0)]
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in grid[1:]]
-        term = frac_poly_mul(grid[0][j], exact_determinant(minor))
-        if j % 2:
-            term = [-c for c in term]
-        total = frac_poly_add(total, term)
-    return total
-
-
-def exact_poly_rem(a, b):
-    a, b = frac_trim(list(a)), frac_trim(list(b))
-    while len(a) >= len(b) and any(a):
-        factor = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= factor * c
-        a = frac_trim(a)
-        if not any(a):
-            break
-    return a
-
-
-def exact_gcd(a, b):
-    a, b = frac_trim(list(a)), frac_trim(list(b))
-    while any(b):
-        a, b = b, exact_poly_rem(a, b)
-        b = frac_trim(b)
-    return frac_trim(a)
-
-
-def exact_gcd_degree(polys):
-    """Degree of the monic GCD of Fraction coefficient lists (zero entries skipped)."""
-    acc = None
-    for p in polys:
-        p = frac_trim(list(p))
-        if not any(p):
-            continue
-        acc = p if acc is None else exact_gcd(acc, p)
-    if acc is None:
-        return None
-    return len(frac_trim(acc)) - 1
-
-
-def int_grid_to_fractions(arr):
-    """Integer coefficient array (n, n, d+1) to Fraction coefficient lists."""
-    n = arr.shape[0]
-    return [
-        [[Fraction(int(c)) for c in arr[i, j]] for j in range(arr.shape[1])]
-        for i in range(n)
-    ]
-
-
-def random_integer_matpoly(rng, n, d, low=-6, high=7):
-    """Matrix polynomial with small integer coefficients (exactly representable)."""
-    ints = rng.integers(low, high, size=(n, n, d + 1))
-    return MatPoly(ints.astype(float)), int_grid_to_fractions(ints)
+from polysmith.selftest import (  # noqa: F401
+    exact_determinant,
+    exact_gcd_degree,
+    fd_columns,
+    frac_poly_mul,
+    frac_trim,
+    random_integer_matpoly,
+)
 
 
 def random_full_rank_matpoly(rng, n, d, scale=1.0):
@@ -106,17 +26,6 @@ def random_full_rank_matpoly(rng, n, d, scale=1.0):
         dets = [np.linalg.det(a.evaluate(z)) for z in (0.31, -0.77, 1.23j)]
         if max(abs(v) for v in dets) > 1e-6:
             return a
-
-
-def fd_columns(fn, x0, eps=1e-6):
-    """Central-difference Jacobian of a vector function, one column per coordinate."""
-    x0 = np.asarray(x0, dtype=float)
-    cols = []
-    for k in range(x0.size):
-        step = np.zeros_like(x0)
-        step[k] = eps
-        cols.append((fn(x0 + step) - fn(x0 - step)) / (2 * eps))
-    return np.array(cols).T
 
 
 def golden_minimize(fn, lo, hi, iters=120):

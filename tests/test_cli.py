@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from polysmith import cli
+from polysmith import cli, gcdkit
 from polysmith.errors import ParseError, ValidationError
 
 from conftest import FIXTURES
@@ -228,3 +230,81 @@ def test_exit_code_stalled(capsys, monkeypatch, tmp_path):
     path.write_text(json.dumps(doc))
     _, code = run_cli(capsys, ["snf", str(path), "--deg-h", "1"])
     assert code == cli.EXIT_STALLED
+
+
+def test_check_builds_adjugate_and_determinant_once(capsys, monkeypatch):
+    calls = {"adjoint": 0, "determinant": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(gcdkit, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(gcdkit, name, counted)
+    report, code = run_cli(capsys, ["check", str(FIXTURES / "ex1.json")])
+    assert code == 0 and report["is_trivial"]
+    assert calls == {"adjoint": 1, "determinant": 1}
+
+
+# Contract: every document, well formed or not, gives an exit code in
+# {0, 1, 2, 3, 4} and exactly one JSON object on stdout (file descriptor 1,
+# so output written by native code counts too).
+COEFFICIENTS = st.one_of(
+    st.sampled_from([0, 0.0, 1, -1, 1e300, -1e300, 1e-300, -1e-300]),
+    st.floats(-4.0, 4.0),
+)
+BAD_CELLS = st.sampled_from([[], 1.0, [[1.0]], ["1"], [None], [True], [10**400], {}])
+STRUCTURES = st.one_of(
+    st.sampled_from([None, "full", "support", "degree", 3, {}, [], [[1]], [[[1]]], True,
+                     {"mask": 1}, [[[True], 2]]]),
+    st.recursive(st.booleans(), lambda leaf: st.lists(leaf, max_size=3), max_leaves=12),
+)
+
+
+@st.composite
+def documents(draw):
+    n = draw(st.integers(1, 3))
+    doc = {"rows": n, "cols": n,
+           "entries": [[draw(st.lists(COEFFICIENTS, min_size=1, max_size=3)) for _ in range(n)]
+                       for _ in range(n)]}
+    structure = draw(STRUCTURES)
+    if structure is not None:
+        doc["structure"] = structure
+    breakage = draw(st.sampled_from(["none", "none", "cell", "rows", "flat", "key", "top"]))
+    if breakage == "cell":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        doc["entries"][i][j] = draw(BAD_CELLS)
+    elif breakage == "rows":
+        doc["rows"] = draw(st.sampled_from([n + 1, 0, "2", None, 1.5]))
+    elif breakage == "flat":
+        doc["entries"] = doc["entries"][0]
+    elif breakage == "key":
+        del doc[draw(st.sampled_from(["rows", "cols", "entries"]))]
+    elif breakage == "top":
+        doc = [doc]
+    return doc
+
+
+CONTRACT_COMMANDS = (
+    ["check"],
+    ["bound"],
+    ["snf", "--deg-h", "1", "--max-iter", "20"],
+    ["mccoy", "--rank-drop", "2", "--max-iter", "20"],
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(documents())
+@example({"rows": 2, "cols": 2, "entries": [[[1.0], [0.0, 1.0]], [[0.0], [1.0]]], "structure": 3})
+@example({"rows": 1, "cols": 1, "entries": [[[10**400]]]})
+@example({"rows": 3, "cols": 3,
+          "entries": [[[2.0, 1.0], [0.5, 0.0], [0.5, 2.0]], [[2.0, 0.0], [-1.0, 2.0], [2.0, -1e300]],
+                      [[1.0, 2.0], [-1.0, -1e300], [2.0, 0.5]]]})
+def test_cli_contract_on_any_document(capfd, tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in CONTRACT_COMMANDS:
+        code = cli.run([command[0], str(path), *command[1:]])
+        lines = capfd.readouterr().out.strip().splitlines()
+        assert code in (0, 1, 2, 3, 4)
+        assert len(lines) == 1 and isinstance(json.loads(lines[0]), dict)

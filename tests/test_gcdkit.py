@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from polysmith import cli
 from polysmith.detadj import adjoint
 from polysmith.errors import DegreeTooLarge
 from polysmith.gcdkit import (
     approx_gcd,
     detect_unattainable,
     distance_lower_bound,
-    gcd_trivial_check,
     local_invariant_structure,
     mccoy_rank,
     reachable_adjoint_degrees,
@@ -15,6 +15,7 @@ from polysmith.gcdkit import (
 )
 from polysmith.matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 
+from conftest import FIXTURES
 from oracles import grid_then_golden
 
 UNIMODULAR = MatPoly.from_entries([[[0, 1], [-1, 1]], [[1, 1], [0, 1]]])
@@ -40,17 +41,6 @@ def block_diag_c():
         ],
         degree_bound=1,
     )
-
-
-def test_gcd_trivial_check_basics():
-    assert gcd_trivial_check([Poly([1, 1]), Poly([-1, 1])], [1, 1])
-    assert not gcd_trivial_check([Poly([-1, 0, 1]), Poly([1, -2, 1])], [2, 2])
-
-
-def test_gcd_trivial_check_ex1_adjoint():
-    entries = [p.trimmed(1e-10) for p in adjoint(EX1).pvec()]
-    nonzero = [p for p in entries if p.degree() != NEG_INF]
-    assert gcd_trivial_check(nonzero, [int(p.degree()) for p in nonzero])
 
 
 def test_detect_unattainable_block_diag():
@@ -217,3 +207,23 @@ def test_local_invariant_structure_reversed_block_diag():
 def test_local_invariant_structure_generic_point():
     profile = local_invariant_structure(UNIMODULAR, 0.123)
     assert profile == [(0, 2)]
+
+
+# Flags as the unscaled inputs report them: (is_trivial, mccoy_rank,
+# gcd_adjoint_degree, unattainable, sylvester_rank).
+@pytest.mark.parametrize("name, flags, profile", [
+    ("ex1.json", (True, 3, 0, False, 16), []),
+    ("unattainable_C.json", (True, 4, 0, True, 4), [(0, 2), (2, 2)]),
+])
+def test_analysis_is_scale_covariant(name, flags, profile):
+    a = cli.parse(str(FIXTURES / name)).to_matpoly()
+    bound, sigma = distance_lower_bound(a)
+    for c in (1e-8, 1e-3, 1e3, 1e8):
+        scaled = c * a
+        report = triviality_report(scaled, PerturbStructure.support(scaled))
+        assert (report.is_trivial, report.mccoy_rank, report.gcd_adjoint_degree,
+                report.unattainable, report.sylvester_rank) == flags
+        assert report.reversal_invariant_structure == profile
+        got_bound, got_sigma = distance_lower_bound(scaled)
+        assert got_bound == pytest.approx(c * bound, rel=1e-10)
+        assert got_sigma == pytest.approx(c ** (a.rows - 1) * sigma, rel=1e-10)

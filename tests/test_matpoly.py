@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polysmith.errors import DimensionMismatch, PadTooSmall
-from polysmith.matpoly import NEG_INF, MatPoly, PerturbStructure, Poly, apply_perturbation
+from polysmith.matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 
 EXAMPLE = MatPoly.from_entries([[[0, 1], [-1, 1]], [[1, 1], [0, 1]]])  # [[t, t-1], [t+1, t]]
 
@@ -106,7 +106,7 @@ def test_apply_perturbation_zero_params_identity_bits():
 
 def test_apply_perturbation_full_cancels():
     structure = PerturbStructure.full(EXAMPLE)
-    out = apply_perturbation(EXAMPLE, structure, -EXAMPLE.vec(EXAMPLE.degree_bound))
+    out = structure.apply(EXAMPLE, -EXAMPLE.vec(EXAMPLE.degree_bound))
     assert np.all(out.coeff == 0.0)
 
 

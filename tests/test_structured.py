@@ -7,9 +7,7 @@ from polysmith.structured import (
     block_conv_matrix,
     conv_matrix,
     generalized_sylvester,
-    kronecker,
     numeric_rank,
-    singular_values,
 )
 
 from oracles import exact_gcd_degree, frac_poly_mul
@@ -56,28 +54,6 @@ def test_block_conv_product_oracle():
     lhs = block_conv_matrix(a, b.degree_bound) @ b.vec()
     rhs = (a @ b).vec(a.degree_bound + b.degree_bound)
     assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_kronecker_identity_block_diagonal():
-    rng = np.random.default_rng(2)
-    b = rng.normal(size=(2, 2))
-    k = kronecker(np.eye(2), b)
-    assert np.allclose(k[:2, :2], b) and np.allclose(k[2:, 2:], b)
-    assert np.allclose(k[:2, 2:], 0.0) and np.allclose(k[2:, :2], 0.0)
-
-
-def test_kronecker_vec_identity():
-    rng = np.random.default_rng(3)
-    a, x, b = rng.normal(size=(2, 2)), rng.normal(size=(2, 3)), rng.normal(size=(3, 2))
-    lhs = kronecker(b.T, a) @ x.reshape(-1, order="F")
-    rhs = (a @ x @ b).reshape(-1, order="F")
-    assert np.allclose(lhs, rhs, atol=1e-12)
-
-
-def test_kronecker_mixed_product():
-    rng = np.random.default_rng(4)
-    a, b, c, d = (rng.normal(size=(2, 2)) for _ in range(4))
-    assert np.allclose(kronecker(a, b) @ kronecker(c, d), kronecker(a @ c, b @ d), atol=1e-12)
 
 
 def test_sylvester_coprime_full_rank():
@@ -129,25 +105,6 @@ def test_sylvester_coefficient_replication_count():
     syl = generalized_sylvester(fs, [gamma] * 3)
     expected = gamma * sum(p.norm() ** 2 for p in fs)
     assert np.sum(syl**2) == pytest.approx(expected)
-
-
-def test_singular_values_identity_and_diag():
-    assert np.allclose(singular_values(np.eye(4)).singular_values, 1.0)
-    s = singular_values(np.diag([3.0, 0.0])).singular_values
-    assert np.allclose(s, [3.0, 0.0])
-
-
-def test_singular_values_reconstruction_and_eckart_young():
-    rng = np.random.default_rng(7)
-    m = rng.normal(size=(6, 4))
-    res = singular_values(m)
-    assert np.linalg.norm(m - res.reconstruction()) <= 1e-10 * max(1.0, res.singular_values[0])
-    for keep in (1, 2, 3):
-        s = res.singular_values.copy()
-        s[keep:] = 0.0
-        trunc = res.u[:, :4] @ np.diag(s) @ res.vt
-        gap = np.linalg.svd(m - trunc, compute_uv=False)[0]
-        assert gap == pytest.approx(res.singular_values[keep], abs=1e-10)
 
 
 def test_numeric_rank_basics():
