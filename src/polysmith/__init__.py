@@ -24,7 +24,6 @@ from .structured import block_conv_matrix, conv_matrix, generalized_sylvester, n
 from .detadj import (
     adjoint,
     determinant,
-    hadamard_gradient_bound,
     jacobian_adj,
     jacobian_det,
 )

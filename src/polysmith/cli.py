@@ -15,6 +15,7 @@ run prints exactly one JSON object on standard output.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -124,13 +125,6 @@ def parse(path: str) -> InputDocument:
                 if not isinstance(c, (int, float)) or isinstance(c, bool) or not abs(c) <= _FLOAT_MAX:
                     raise ValidationError(f"entry ({i},{j}) has a non-finite coefficient")
     return InputDocument(rows=rows, cols=cols, entries=entries, structure=raw.get("structure"))
-
-
-def serialize(doc: InputDocument) -> str:
-    payload = {"rows": doc.rows, "cols": doc.cols, "entries": doc.entries}
-    if doc.structure is not None:
-        payload["structure"] = doc.structure
-    return json.dumps(payload)
 
 
 def _digest(path: str) -> str:
@@ -255,7 +249,9 @@ def _matpoly_grid(a: MatPoly) -> list:
     return [[a.coeff[i, j].tolist() for j in range(a.cols)] for i in range(a.rows)]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="polysmith",
         description="Nearby non-trivial Smith forms of matrix polynomials",
@@ -276,11 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="triviality and unattainability report")
     add_common(p_check)
-    p_check.set_defaults(fn=_cmd_check)
 
     p_bound = sub.add_parser("bound", help="lower bound on the distance to non-triviality")
     add_common(p_bound, with_structure=False)
-    p_bound.set_defaults(fn=_cmd_bound)
 
     p_snf = sub.add_parser("snf", help="nearest matrix polynomial with non-trivial Smith form")
     add_common(p_snf, with_solver=True)
@@ -288,28 +282,28 @@ def build_parser() -> argparse.ArgumentParser:
                        help="divisor degree; both are tried when omitted")
     p_snf.add_argument("--reversal", action="store_true",
                        help="optimize the reversed adjoint (eigenvalue at infinity)")
-    p_snf.set_defaults(fn=_cmd_snf)
 
     p_mccoy = sub.add_parser("mccoy", help="nearest matrix polynomial with a rank-r eigenvalue")
     add_common(p_mccoy, with_solver=True)
     p_mccoy.add_argument("--rank-drop", type=int, required=True)
     p_mccoy.add_argument("--linearize", type=lambda s: s.lower() not in ("0", "false", "no"),
                          default=None, help="use the companion pencil (default: degree > 1)")
-    p_mccoy.set_defaults(fn=_cmd_mccoy)
 
     p_self = sub.add_parser("selftest", help="run the built-in oracle suite")
     p_self.add_argument("--seed", type=int, default=0)
-    p_self.set_defaults(fn=_cmd_selftest)
     return parser
 
 
 def run(argv=None):
     """Parse arguments, dispatch, and print the report document."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # Looked up on every call, not bound into the cached parser, so that a
+    # command wrapped or replaced after the first run is the one that runs.
+    commands = {"check": _cmd_check, "bound": _cmd_bound, "snf": _cmd_snf,
+                "mccoy": _cmd_mccoy, "selftest": _cmd_selftest}
     started = time.perf_counter()
     try:
-        payload, code = args.fn(args)
+        payload, code = commands[args.command](args)
     except (ParseError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(json.dumps({"command": args.command, "error": str(exc)}))

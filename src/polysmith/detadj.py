@@ -1,4 +1,4 @@
-"""Determinant and adjoint of matrix polynomials, their Jacobians, and bounds.
+"""Determinant and adjoint of matrix polynomials and their Jacobians.
 
 Both the determinant and the adjoint are computed by evaluation at the
 roots of unity followed by inverse-FFT interpolation.  The point set is
@@ -63,6 +63,12 @@ def _det_batch(values: np.ndarray) -> np.ndarray:
     return np.linalg.det(values)
 
 
+# Matrix elements gathered for one batch of minors.  Every solver-sized call
+# (n <= 4 at any order, n = 6 with d = 1) is one batch; larger inputs take
+# their nodes in chunks, which caps the gather without changing any minor.
+_GATHER_BUDGET = 1 << 16
+
+
 @functools.lru_cache(maxsize=None)
 def _minor_tables(n: int, k: int):
     """Index and sign tables for the k-th partial derivatives of an n x n det.
@@ -114,7 +120,10 @@ class AdjugateNodes:
         """
         keep, sign = _minor_tables(self.n, k)
         if k not in self._minors:
-            self._minors[k] = _det_batch(self.values[:, keep[:, None, :, None], keep[None, :, None, :]])
+            rows, cols = keep[:, None, :, None], keep[None, :, None, :]
+            step = max(1, _GATHER_BUDGET // max(1, keep.size) ** 2)
+            self._minors[k] = np.concatenate([_det_batch(self.values[x : x + step, rows, cols])
+                                              for x in range(0, len(self.values), step)])
         minors, n, count = self._minors[k], self.n, len(sign)
         if weight is None:
             flat = sign.reshape(count, -1)
@@ -212,19 +221,3 @@ def jacobian_adj(a: MatPoly) -> np.ndarray:
     """
     require_full_rank(a)
     return AdjugateNodes(a).jacobian()
-
-
-def hadamard_gradient_bound(a: MatPoly) -> float:
-    """Hadamard-type upper bound on the adjoint Jacobian spectral norm."""
-    _require_square(a)
-    n, d = a.rows, a.degree_bound
-    if n < 2:
-        raise DimensionMismatch("bound is defined for matrices of size at least 2")
-    a_inf = float(np.max(np.abs(a.coeff)))
-    return (
-        n**3
-        * (d + 1) ** 2.5
-        * a_inf ** (n - 2)
-        * (d + 1) ** (n - 2)
-        * n ** ((n - 2) / 2.0)
-    )

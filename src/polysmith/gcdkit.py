@@ -9,15 +9,16 @@ and is used to recognize unattainable infima.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .detadj import adjoint, determinant, hadamard_gradient_bound, jacobian_adj
+from .detadj import adjoint, determinant, jacobian_adj
 from .errors import DegreeTooLarge, RankDeficientInput
 from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
-from .structured import conv_matrix, generalized_sylvester, numeric_rank
+from .structured import generalized_sylvester, numeric_rank
 
 # Computed adjoints and determinants carry interpolation noise around 1e-16;
 # trailing coefficients below this relative size are treated as zero.
@@ -216,9 +217,7 @@ class Analysis:
         elif e == 0 or len(self.nonzero) < 2:
             bound = 0.0
         else:
-            gradient_scale = min(
-                float(np.linalg.norm(jacobian_adj(self.norm))), hadamard_gradient_bound(self.norm)
-            )
+            gradient_scale = float(np.linalg.norm(jacobian_adj(self.norm)))
             bound = sigma / ((self.n - 1) * d * gradient_scale) if gradient_scale else 0.0
         return _rescaled(bound, self.k), self.sylvester_sigma
 
@@ -257,7 +256,7 @@ def local_invariant_structure(a: MatPoly, omega, rel_tol: float = EIGEN_RANK_TOL
     taylor = []
     powers = np.array([omega**m for m in range(d + 1)])
     for j in range(d + 1):
-        binom = np.array([_choose(m, j) for m in range(d + 1)])
+        binom = np.array([float(math.comb(m, j)) for m in range(d + 1)])
         weights = np.zeros(d + 1, dtype=complex)
         weights[j:] = (binom[j:] * powers[: d + 1 - j])
         taylor.append(np.tensordot(a.coeff, weights, axes=([2], [0])))
@@ -290,12 +289,6 @@ def local_invariant_structure(a: MatPoly, omega, rel_tol: float = EIGEN_RANK_TOL
     for deg in sorted(set(degrees)):
         profile.append((deg, degrees.count(deg)))
     return profile
-
-
-def _choose(m: int, j: int) -> float:
-    from math import comb
-
-    return float(comb(m, j))
 
 
 def reachable_entry_degrees(a: MatPoly, structure: PerturbStructure) -> np.ndarray:
@@ -355,7 +348,6 @@ def approx_gcd(f, deg_h: int, dprime) -> ApproxGcdResult:
 
 def approx_gcd_candidates(f, deg_h: int, dprime, shortlist: int = 4) -> list:
     """Alternating-fit results from the top divisor seeds, best residual first."""
-    f = list(f)
     dprime = [int(x) for x in dprime]
     if deg_h < 1:
         raise DegreeTooLarge("the common divisor must have degree at least 1")
@@ -365,96 +357,109 @@ def approx_gcd_candidates(f, deg_h: int, dprime, shortlist: int = 4) -> list:
     active = [i for i, p in enumerate(trimmed) if p.degree() != NEG_INF]
     if not active:
         raise RankDeficientInput("every entry vanishes after trimming; no divisor to fit")
-    targets = {i: trimmed[i].padded(dprime[i]).coeffs for i in active}
-    seeds = _initial_divisors(
-        [trimmed[i] for i in active], deg_h, [dprime[i] for i in active], shortlist
-    )
-    fits = [_alternating_fit(seed, targets, active, dprime, deg_h, len(f)) for seed in seeds]
+    targets = [trimmed[i].padded(dprime[i]).coeffs for i in active]
+    seeds = _initial_divisors([trimmed[i].coeffs for i in active], deg_h, shortlist)
     unique = {}
-    for fit in fits:
-        key = tuple(np.round(fit.h.coeffs, 9))
-        if key not in unique or fit.residual < unique[key].residual:
+    for fit in _alternating_fits(seeds, targets, deg_h):
+        key = tuple(np.round(fit[0], 9))
+        if key not in unique or fit[2] < unique[key][2]:
             unique[key] = fit
-    return sorted(unique.values(), key=lambda fit: fit.residual)
+    results = []
+    for h, cofactors, residual in sorted(unique.values(), key=lambda fit: fit[2]):
+        polys = [Poly.zero(max(d - deg_h, 0)) for d in dprime]
+        for i, u in zip(active, cofactors):
+            polys[i] = Poly(u)
+        results.append(ApproxGcdResult(h=Poly(h), cofactors=polys, residual=residual))
+    return results
 
 
-def _alternating_fit(h, targets, active, dprime, deg_h, count) -> ApproxGcdResult:
-    """Alternate cofactor and divisor least squares until the residual settles.
+def _alternating_fits(seeds, targets, deg_h: int) -> list:
+    """(h, cofactors, residual) from each seed by alternating least squares.
 
     Cofactors of one declared degree come from one multi-right-hand-side
-    solve; a sweep that raises the residual ends at the previous fit.
+    solve, and the monic divisor from one solve against the stacked cofactor
+    convolution matrices; both matrices are written by scatters with fixed
+    indices.  A sweep that raises the residual ends at the previous fit.
     """
-    groups = {}
-    for i in active:
-        groups.setdefault(dprime[i], []).append(i)
-    groups = [(deg - deg_h, idx, np.column_stack([targets[i] for i in idx]))
-              for deg, idx in groups.items()]
-    rhs = np.concatenate([targets[i] for i in active])
-    cofactors = [Poly.zero(max(dprime[i] - deg_h, 0)) for i in range(count)]
-    residual = np.inf
-    for _ in range(100):
-        new_cofactors = list(cofactors)
-        for deg_u, idx, group_rhs in groups:
-            sol, *_ = np.linalg.lstsq(conv_matrix(h, deg_u), group_rhs, rcond=None)
-            for k, i in enumerate(idx):
-                new_cofactors[i] = Poly(sol[:, k])
-        stacked = np.vstack([conv_matrix(new_cofactors[i], deg_h) for i in active])
-        free, *_ = np.linalg.lstsq(stacked[:, :-1], rhs - stacked[:, -1], rcond=None)
-        new_h = Poly(np.concatenate([free, [1.0]]))
-        new_residual = _gcd_residual(targets, new_cofactors, new_h, active)
-        if not (new_residual <= residual + 1e-10 * (1.0 + residual)):
-            break
-        converged = abs(residual - new_residual) < 1e-12
-        h, cofactors, residual = new_h, new_cofactors, new_residual
-        if converged:
-            break
-    return ApproxGcdResult(h=h, cofactors=cofactors, residual=float(residual))
+    counts = np.array([t.size - deg_h for t in targets])  # coefficients per cofactor
+    ends = np.cumsum(counts)
+    bounds = list(zip((ends - counts).tolist(), ends.tolist()))
+    solves = []
+    for count in dict.fromkeys(counts.tolist()):
+        members = np.flatnonzero(counts == count)
+        shift = np.arange(count)[:, None]
+        solves.append((np.zeros((count + deg_h, count)), shift + np.arange(deg_h + 1), shift,
+                       np.column_stack([targets[k] for k in members]),
+                       (ends - counts)[members][:, None] + shift.T))
+    rhs = np.concatenate(targets)
+    stacked = np.zeros((rhs.size, deg_h + 1))
+    # Coefficient t of cofactor k multiplies h_j in row k*deg_h + (its flat index) + j.
+    cols = np.arange(deg_h + 1)[:, None]
+    rows = np.repeat(deg_h * np.arange(counts.size), counts) + np.arange(ends[-1]) + cols
+    fits = []
+    for h in seeds:
+        cofactors, residual = np.zeros(ends[-1]), np.inf
+        for _ in range(100):
+            new_cofactors = np.empty(ends[-1])
+            for matrix, conv_rows, conv_cols, group_rhs, where in solves:
+                matrix[conv_rows, conv_cols] = h
+                new_cofactors[where] = np.linalg.lstsq(matrix, group_rhs, rcond=None)[0].T
+            stacked[rows, cols] = new_cofactors
+            free = np.linalg.lstsq(stacked[:, :-1], rhs - stacked[:, -1], rcond=None)[0]
+            new_h = np.concatenate([free, [1.0]])
+            total = 0.0
+            for target, (lo, hi) in zip(targets, bounds):
+                diff = target - np.convolve(new_cofactors[lo:hi], new_h)
+                total += float(diff @ diff)
+            new_residual = math.sqrt(total)
+            if not (new_residual <= residual + 1e-10 * (1.0 + residual)):
+                break
+            converged = abs(residual - new_residual) < 1e-12
+            h, cofactors, residual = new_h, new_cofactors, new_residual
+            if converged:
+                break
+        fits.append((h, [cofactors[lo:hi] for lo, hi in bounds], residual))
+    return fits
 
 
-def _gcd_residual(targets, cofactors, h, active) -> float:
-    total = 0.0
-    for i in active:
-        fit = np.convolve(cofactors[i].coeffs, h.coeffs)
-        diff = targets[i] - fit[: targets[i].size]
-        total += float(diff @ diff)
-    return float(np.sqrt(total))
-
-
-def _root_projection_score(entries, points) -> np.ndarray:
-    """Least-norm coefficient change making every entry vanish at each point.
+def _root_projection_score(entries):
+    """score(points): least-norm coefficient change making every trimmed entry vanish at each point.
 
     The basis norm runs over each entry's actual degree, so the score stays
     bounded away from zero for far-away points and does not drift toward
-    roots at infinity.
+    roots at infinity.  Sums run in degree, then entry order: np.cumsum never
+    reorders them, as numpy's pairwise summation does for a single point.
     """
-    points = np.asarray(points, dtype=complex)
-    total = np.zeros(points.size)
-    absz = np.abs(points)
-    for p in entries:
-        deg = max(int(p.degree()), 0)
-        vals = np.abs(np.polynomial.polynomial.polyval(points, p.coeffs)) ** 2
-        basis = np.sum(absz[None, :] ** (2 * np.arange(deg + 1)[:, None]), axis=0)
-        total += vals / basis
-    return total
+    degrees = [c.size - 1 for c in entries]
+    table = np.zeros((max(degrees) + 1, len(entries)))
+    for k, c in enumerate(entries):
+        table[: c.size, k] = c
+    exponents = 2 * np.arange(table.shape[0])[:, None]
+
+    def score(points) -> np.ndarray:
+        points = np.asarray(points, dtype=complex)
+        vals = np.abs(np.polynomial.polynomial.polyval(points, table, tensor=True)) ** 2
+        basis = np.cumsum(np.abs(points) ** exponents, axis=0)[degrees]
+        return np.cumsum(vals / basis, axis=0)[-1]
+
+    return score
 
 
 def _common_root_radius(entries) -> float:
     """A near-common root must be a near-root of every entry."""
     bound = np.inf
-    for p in entries:
-        deg = int(p.degree())
-        lead = abs(p.coeffs[deg])
-        if deg >= 1 and lead > 0:
-            bound = min(bound, 1.0 + np.max(np.abs(p.coeffs[:deg])) / lead)
+    for c in entries:
+        if c.size >= 2:
+            bound = min(bound, 1.0 + np.max(np.abs(c[:-1])) / abs(c[-1]))
     if not np.isfinite(bound):
         return 2.0
     return 1.0 + 1.5 * bound
 
 
-def _real_candidate_roots(entries, radius):
+def _real_candidate_roots(score, radius):
     """Real-line minimizers of the projection score, refined together by golden section."""
     grid = np.sort(radius * np.cos(np.pi * (np.arange(256) + 0.5) / 256))
-    vals = _root_projection_score(entries, grid)
+    vals = score(grid)
     keep = np.nonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
     if keep.size == 0:
         return []
@@ -462,14 +467,14 @@ def _real_candidate_roots(entries, radius):
     for _ in range(60):
         m1 = lo + 0.381966 * (hi - lo)
         m2 = hi - 0.381966 * (hi - lo)
-        scores = _root_projection_score(entries, np.concatenate([m1, m2]))
+        scores = score(np.concatenate([m1, m2]))
         left = scores[: keep.size] < scores[keep.size :]
         lo, hi = np.where(left, lo, m1), np.where(left, m2, hi)
     return list(0.5 * (lo + hi))
 
 
-def _initial_divisors(entries, deg_h: int, dprime, shortlist: int = 4) -> list:
-    """Monic seed divisors from the best-scoring conjugate-closed root sets.
+def _initial_divisors(entries, deg_h: int, shortlist: int = 4) -> list:
+    """Monic seed divisors (coefficient vectors) from the best-scoring conjugate-closed root sets.
 
     Candidates pool the roots of the individual entries with real-line
     minimizers of the projection score, filtered to the radius where a
@@ -477,18 +482,17 @@ def _initial_divisors(entries, deg_h: int, dprime, shortlist: int = 4) -> list:
     alternating fit downstream keeps whichever refines best.
     """
     radius = _common_root_radius(entries)
+    score = _root_projection_score(entries)
     candidates = []
-    for p in entries:
-        deg = p.degree()
-        if deg == NEG_INF or deg == 0:
-            continue
-        candidates.extend(np.roots(p.trimmed().coeffs[::-1]))
+    for c in entries:
+        if c.size >= 2:
+            candidates.extend(np.roots(c[::-1]))
     candidates = [z for z in candidates if abs(z) <= radius] or candidates
-    candidates.extend(_real_candidate_roots(entries, radius))
+    candidates.extend(_real_candidate_roots(score, radius))
     if not candidates:
-        return [Poly(np.eye(deg_h + 1)[-1])]  # t**deg_h
+        return [np.eye(deg_h + 1)[-1]]  # t**deg_h
     candidates = np.asarray(candidates, dtype=complex)
-    scores = _root_projection_score(entries, candidates)
+    scores = score(candidates)
 
     def real_like(z):
         return abs(z.imag) <= 1e-8 * (1.0 + abs(z.real))
@@ -497,7 +501,7 @@ def _initial_divisors(entries, deg_h: int, dprime, shortlist: int = 4) -> list:
         real_idx = [i for i in range(candidates.size) if real_like(candidates[i])]
         pool = real_idx if real_idx else list(range(candidates.size))
         pool.sort(key=lambda i: scores[i])
-        return [Poly([-candidates[i].real, 1.0]) for i in pool[:shortlist]]
+        return [np.array([-candidates[i].real, 1.0]) for i in pool[:shortlist]]
 
     if deg_h == 2:
         # A real polynomial vanishing at z also vanishes at conj(z), so a
@@ -520,10 +524,8 @@ def _initial_divisors(entries, deg_h: int, dprime, shortlist: int = 4) -> list:
             z = candidates[int(np.argmin(scores))]
             scored_pairs.append((float(scores[int(np.argmin(scores))]), (z, np.conj(z))))
         scored_pairs.sort(key=lambda item: item[0])
-        seeds = []
-        for _, (r1, r2) in scored_pairs[:shortlist]:
-            seeds.append(Poly([float((r1 * r2).real), float(-(r1 + r2).real), 1.0]))
-        return seeds
+        return [np.array([float((r1 * r2).real), float(-(r1 + r2).real), 1.0])
+                for _, (r1, r2) in scored_pairs[:shortlist]]
 
     order = np.argsort(scores)
     roots, used = [], np.zeros(candidates.size, dtype=bool)
@@ -539,7 +541,7 @@ def _initial_divisors(entries, deg_h: int, dprime, shortlist: int = 4) -> list:
             break
     while len(roots) < deg_h:
         roots.append(0.0)
-    return [Poly(np.polynomial.polynomial.polyfromroots(roots).real)]
+    return [np.polynomial.polynomial.polyfromroots(roots).real]
 
 
 def triviality_report(a: MatPoly, structure: PerturbStructure) -> TrivialityReport:

@@ -261,11 +261,18 @@ def _rank_drop_score(ws: _Workspace, fit) -> float:
 
 def solve(problem: SnfProblem, cfg: LmConfig | None = None) -> SnfReport:
     """Run the constrained iteration and extract the solution record."""
-    cfg = cfg or LmConfig()
+    _require_attainable(problem)
+    return _minimize(problem, cfg or LmConfig())
+
+
+def _require_attainable(problem: SnfProblem):
     if not problem.use_reversal and detect_unattainable(problem.a, problem.structure):
         raise UnattainableProblem(
             "the nearest non-trivial Smith form is at infinity; rerun with use_reversal"
         )
+
+
+def _minimize(problem: SnfProblem, cfg: LmConfig) -> SnfReport:
     ws = _Workspace(problem)
     z0 = initial_guess(problem)
     z, trace = lm_minimize(lambda v: _kkt_residual(ws, v), lambda v: _kkt_hessian(ws, v), z0, cfg)
@@ -360,20 +367,23 @@ def certify(problem: SnfProblem, report: SnfReport, cfg: LmConfig | None = None)
 
 def solve_best_degree(a: MatPoly, structure: PerturbStructure, cfg: LmConfig | None = None,
                       use_reversal: bool = False) -> SnfReport:
-    """Try divisor degrees 1 and 2 and keep the smaller distance."""
+    """Try divisor degrees 1 and 2 and keep the smaller distance; one
+    attainability verdict, taken on the input and mask, covers both."""
     n, d = a.rows, a.degree_bound
-    reports = []
-    errors = []
-    for deg_h in (1, 2):
-        if (n - 1) * d - deg_h < 0:
-            continue
+    problems = [SnfProblem(a, structure, deg_h=deg_h, use_reversal=use_reversal)
+                for deg_h in (1, 2) if (n - 1) * d - deg_h >= 0]
+    if not problems:
+        raise UnattainableProblem("no feasible divisor degree")
+    _require_attainable(problems[0])
+    cfg = cfg or LmConfig()
+    reports, errors = [], []
+    for problem in problems:
         try:
-            problem = SnfProblem(a, structure, deg_h=deg_h, use_reversal=use_reversal)
-            reports.append(solve(problem, cfg))
-        except (RankDeficientInput, UnattainableProblem) as exc:
+            reports.append(_minimize(problem, cfg))
+        except RankDeficientInput as exc:
             errors.append(exc)
     if not reports:
-        raise errors[0] if errors else UnattainableProblem("no feasible divisor degree")
+        raise errors[0]
     converged = [r for r in reports if r.trace.termination
                  in (Termination.GRAD_TOL, Termination.STEP_TOL)]
     pool = converged or reports

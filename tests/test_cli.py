@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from polysmith import cli, gcdkit
+from polysmith import cli, gcdkit, snf_opt
 from polysmith.errors import ParseError, ValidationError
 
 from conftest import FIXTURES
@@ -50,14 +50,6 @@ def test_parse_errors(tmp_path):
         bad.write_text('{"rows":2,"cols":2,"entries":%s}' % entries)
         with pytest.raises(ValidationError):
             cli.parse(str(bad))
-
-
-def test_serialize_parse_round_trip(tmp_path):
-    doc = cli.parse(str(FIXTURES / "ex1.json"))
-    path = tmp_path / "copy.json"
-    path.write_text(cli.serialize(doc))
-    again = cli.parse(str(path))
-    assert again == doc
 
 
 def test_check_reports_unattainable(capsys):
@@ -244,6 +236,29 @@ def test_check_builds_adjugate_and_determinant_once(capsys, monkeypatch):
     assert code == 0 and report["is_trivial"]
     assert calls == {"adjoint": 1, "determinant": 1}
 
+
+
+def test_commands_are_looked_up_per_run(capsys, monkeypatch):
+    # The parser is built once per process; a command wrapped after that,
+    # as a tracer does, must still be the one that runs.
+    run_cli(capsys, ["bound", str(FIXTURES / "ex1.json")])
+    monkeypatch.setattr(cli, "_cmd_bound", lambda args: ({"stub": True}, cli.EXIT_OK))
+    report, code = run_cli(capsys, ["bound", str(FIXTURES / "ex1.json")])
+    assert code == cli.EXIT_OK and report["stub"] is True
+
+@pytest.mark.parametrize("name, expected", [("ex1.json", cli.EXIT_OK),
+                                            ("unattainable_C.json", cli.EXIT_UNATTAINABLE)])
+def test_snf_without_degree_analyses_once(capsys, monkeypatch, name, expected):
+    calls = []
+
+    def counted(*args, _fn=snf_opt.detect_unattainable):
+        calls.append(args)
+        return _fn(*args)
+
+    monkeypatch.setattr(snf_opt, "detect_unattainable", counted)
+    _, code = run_cli(capsys, ["snf", str(FIXTURES / name)])
+    assert code == expected
+    assert len(calls) == 1
 
 # Contract: every document, well formed or not, gives an exit code in
 # {0, 1, 2, 3, 4} and exactly one JSON object on stdout (file descriptor 1,

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from polysmith import cli
 from polysmith.detadj import adjoint
 from polysmith.errors import DegreeTooLarge
 from polysmith.gcdkit import (
+    _root_projection_score,
     approx_gcd,
+    approx_gcd_candidates,
     detect_unattainable,
     distance_lower_bound,
     local_invariant_structure,
@@ -16,7 +20,7 @@ from polysmith.gcdkit import (
 from polysmith.matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 
 from conftest import FIXTURES
-from oracles import grid_then_golden
+from oracles import diagonal_snf_instance, grid_then_golden
 
 UNIMODULAR = MatPoly.from_entries([[[0, 1], [-1, 1]], [[1, 1], [0, 1]]])
 EX1 = MatPoly.from_entries(
@@ -169,6 +173,59 @@ def test_approx_gcd_ex1_seed_converges_downstream():
     assert fit.residual < 0.1
     assert fit.h.coeffs[-1] == 1.0
 
+
+
+def test_root_projection_score_matches_per_entry_loop():
+    rng = np.random.default_rng(3)
+    entries = [rng.normal(size=size) for size in (1, 3, 2, 9, 5, 4, 1, 7, 3)]
+    real = rng.uniform(-3.0, 3.0, 40)
+    both = np.concatenate([real, rng.normal(size=40) + 1j * rng.normal(size=40)])
+    score = _root_projection_score(entries)
+    for points in (real, both, both[-2:]):
+        z = points.astype(complex)
+        expected = np.zeros(z.size)
+        for c in entries:
+            deg = max(int(Poly(c).degree()), 0)
+            vals = np.abs(np.polynomial.polynomial.polyval(z, c)) ** 2
+            basis = np.sum(np.abs(z)[None, :] ** (2 * np.arange(deg + 1)[:, None]), axis=0)
+            expected += vals / basis
+        assert np.array_equal(score(points), expected)
+
+
+# Every candidate's divisor and residual as float.hex, and a SHA-256 over the
+# float.hex strings of all cofactors, as the per-entry alternating fit
+# computed them.  The seed decides which local minimum a solve reaches, so it
+# must stay bitwise the same.
+SEED_GOLDEN = {
+    "ex1-1": ([(["0x1.9367b2ce33f5cp-5", "0x1.0000000000000p+0"], "0x1.8f192e2128af0p+1"),
+               (["0x1.936740f66cd41p-5", "0x1.0000000000000p+0"], "0x1.8f192e2128eaap+1"),
+               (["0x1.93672fd858329p-5", "0x1.0000000000000p+0"], "0x1.8f192e2128fdcp+1")],
+              "d9cce2c68ca6d9db12f2f53336d2feb9c18081f16f344c483c1f57950ca39fb0"),
+    "ex1-2": ([(["0x1.5104a0863c147p+0", "-0x1.418e75faaab77p-5", "0x1.0000000000000p+0"],
+                "0x1.d28041210b7bdp-6"),
+               (["0x1.10fe2b19c0420p+0", "0x1.f6497997dcbb0p-3", "0x1.0000000000000p+0"],
+                "0x1.05deb5f8a2c4ep-5")],
+              "9340db49ad1d7c780d0b6641042bdbe23a2fc539249fc1beba6665725e6f64b8"),
+    "diagonal-1": ([(["0x1.25d817261e2b6p-2", "0x1.0000000000000p+0"], "0x1.e308c949bdcbap-4"),
+                    (["0x1.25d81b031e4bbp-2", "0x1.0000000000000p+0"], "0x1.e308c949be8d8p-4"),
+                    (["0x1.25d81b2130ad7p-2", "0x1.0000000000000p+0"], "0x1.e308c949be996p-4"),
+                    (["0x1.25d80fd5943c6p-2", "0x1.0000000000000p+0"], "0x1.e308c949c0853p-4")],
+                   "a602e048dfda162c5f49ed6b4260d98d77dfa496245500952a331070e52320a5"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SEED_GOLDEN))
+def test_approx_gcd_candidates_bitwise_golden(case):
+    source, deg_h = case.split("-")
+    a = EX1 if source == "ex1" else diagonal_snf_instance(3)[0]
+    entries = adjoint(a).pvec()
+    fits = approx_gcd_candidates(entries, int(deg_h), [entries[0].declared_degree] * len(entries))
+    digest = hashlib.sha256()
+    for fit in fits:
+        for u in fit.cofactors:
+            digest.update(" ".join(float(x).hex() for x in u.coeffs).encode())
+    found = [([float(x).hex() for x in fit.h.coeffs], float(fit.residual).hex()) for fit in fits]
+    assert (found, digest.hexdigest()) == SEED_GOLDEN[case]
 
 def test_triviality_report_identity():
     eye = MatPoly.identity(3, 0)
