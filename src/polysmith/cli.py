@@ -8,8 +8,10 @@ Input documents are JSON with ascending-degree coefficient lists:
 
 Reports are JSON on standard output; diagnostics go to standard error.
 Exit codes: 0 success, 1 the library rejected the input or a numeric step
-failed, 2 solver stalled, 3 unattainable problem, 4 invalid input.  Every
-run prints exactly one JSON object on standard output.
+failed, 2 the solver ended short of --tol (Stalled, or Sublinear: at its
+observed rate it could not reach --tol within --max-iter), 3 unattainable
+problem, 4 invalid input.  Every run prints exactly one JSON object on
+standard output.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ EXIT_UNATTAINABLE = 3
 EXIT_INVALID = 4
 
 _FLOAT_MAX = sys.float_info.max
+# Terminations that end a solve short of --tol with EXIT_STALLED; MaxIter
+# keeps exit 0 and reports its termination.
+_SHORT_OF_TOL = (Termination.STALLED, Termination.SUBLINEAR)
 
 
 @dataclass
@@ -145,6 +150,8 @@ def _trace_summary(trace) -> dict:
         "rejected_trials": sum(trace.rejected),
         "final_grad_norm": trace.merits[-1],
         "termination": trace.termination.value,
+        "rate": trace.rate,
+        "shift": trace.nus[-1] if trace.nus else None,
         "merits": list(trace.merits),
     }
 
@@ -210,7 +217,7 @@ def _cmd_snf(args):
         "certified": report.certified,
         "trace": _trace_summary(report.trace),
     }
-    code = EXIT_STALLED if report.trace.termination == Termination.STALLED else EXIT_OK
+    code = EXIT_STALLED if report.trace.termination in _SHORT_OF_TOL else EXIT_OK
     return payload, code
 
 
@@ -228,7 +235,7 @@ def _cmd_mccoy(args):
         "delta": _matpoly_grid(report.delta_a),
         "trace": _trace_summary(report.trace),
     }
-    code = EXIT_STALLED if report.trace.termination == Termination.STALLED else EXIT_OK
+    code = EXIT_STALLED if report.trace.termination in _SHORT_OF_TOL else EXIT_OK
     return payload, code
 
 

@@ -7,6 +7,13 @@ adapted by the gain ratio of actual to predicted merit reduction (Nielsen,
 "Damping parameter in Marquardt's method", IMM DTU, 1999), so near a
 solution with a local error bound nu falls faster than the merit and the
 iteration turns quadratic; every step is a descent direction for the merit.
+
+Where no local error bound holds (a non-isolated or degenerate solution)
+the merit contracts only sublinearly, with a ratio per step near 1.  Once
+RATE_WINDOW steps are accepted, the run must be able to reach grad_tol
+within max_iter at the rate it has shown over the last RATE_WINDOW steps;
+if it cannot, it ends as Sublinear instead of spending its whole budget to
+end as MaxIter.
 """
 
 from __future__ import annotations
@@ -19,11 +26,31 @@ import numpy as np
 from .errors import LinearSolveFailure, RankDeficientInput
 
 
+# Accepted steps over which the merit's rate is measured.  Shorter windows
+# read a ratio near 1 on runs that follow the full-rank wall for a few dozen
+# steps and then converge.
+RATE_WINDOW = 50
+
+
 class Termination(str, enum.Enum):
+    """Why a run ended.
+
+    GradTol and StepTol are converged (CONVERGED).  Stalled rejected 21
+    trial steps in one iteration.  Sublinear stopped early: at the merit's
+    rate over the last RATE_WINDOW accepted steps, grad_tol was out of reach
+    within max_iter, so the run could only have ended as MaxIter.  MaxIter
+    used all max_iter iterations without that test firing; it needs
+    RATE_WINDOW accepted steps and does not judge the last iteration.
+    """
+
     GRAD_TOL = "GradTol"
     STEP_TOL = "StepTol"
     MAX_ITER = "MaxIter"
     STALLED = "Stalled"
+    SUBLINEAR = "Sublinear"
+
+
+CONVERGED = (Termination.GRAD_TOL, Termination.STEP_TOL)
 
 
 @dataclass
@@ -60,6 +87,15 @@ class LmTrace:
     def iterations(self) -> int:
         return len(self.step_norms)
 
+    @property
+    def rate(self) -> float | None:
+        """Geometric-mean merit ratio per step over the last
+        min(RATE_WINDOW, iterations) accepted steps; None before the first."""
+        window = min(RATE_WINDOW, self.iterations)
+        if not window:
+            return None
+        return (self.merits[-1] / self.merits[-1 - window]) ** (1.0 / window)
+
 
 def lm_step(g, h, nu: float) -> np.ndarray:
     """Solve the shifted normal equations (H^T H + nu I) dz = -H^T g."""
@@ -90,8 +126,10 @@ def lm_minimize(g_fn, h_fn, z0, cfg: LmConfig | None = None):
 
     Steps are accepted only when they strictly decrease ||g||; a rejected
     step raises mu and retries, giving up as Stalled after 21 trials in one
-    iteration.  A RankDeficientInput raised by g_fn during a trial step is
-    treated as a rejection, so the iterate backs away from the wall.
+    iteration.  A run whose observed rate cannot reach grad_tol within
+    max_iter ends as Sublinear (see the module docstring).  A
+    RankDeficientInput raised by g_fn during a trial step is treated as a
+    rejection, so the iterate backs away from the wall.
     """
     cfg = cfg or LmConfig()
     z = np.asarray(z0, dtype=float).copy()
@@ -136,6 +174,11 @@ def lm_minimize(g_fn, h_fn, z0, cfg: LmConfig | None = None):
             return z, trace
         if np.linalg.norm(dz) <= cfg.step_tol:
             trace.termination = Termination.STEP_TOL
+            return z, trace
+        left = cfg.max_iter - trace.iterations
+        if (trace.iterations >= RATE_WINDOW and left > 0
+                and merit * trace.rate**left > cfg.grad_tol):
+            trace.termination = Termination.SUBLINEAR
             return z, trace
 
     trace.termination = Termination.MAX_ITER

@@ -21,7 +21,7 @@ import numpy as np
 from .detadj import AdjugateNodes, adjoint, require_full_rank
 from .errors import DimensionMismatch, RankDeficientInput, UnattainableProblem
 from .gcdkit import approx_gcd_candidates, detect_unattainable, local_invariant_structure
-from .lmsolve import LmConfig, LmTrace, Termination, lm_minimize
+from .lmsolve import CONVERGED, LmConfig, LmTrace, lm_minimize
 from .matpoly import MatPoly, PerturbStructure, Poly
 from .structured import conv_matrix, numeric_rank
 
@@ -308,7 +308,7 @@ def _extract_report(ws: _Workspace, z, trace, cfg: LmConfig) -> SnfReport:
         trace=trace,
         z=np.asarray(z, dtype=float),
     )
-    if trace.termination in (Termination.GRAD_TOL, Termination.STEP_TOL):
+    if trace.termination in CONVERGED:
         report.certified = certify(problem, report, cfg)[0]
     return report
 
@@ -384,7 +384,6 @@ def solve_best_degree(a: MatPoly, structure: PerturbStructure, cfg: LmConfig | N
             errors.append(exc)
     if not reports:
         raise errors[0]
-    converged = [r for r in reports if r.trace.termination
-                 in (Termination.GRAD_TOL, Termination.STEP_TOL)]
+    converged = [r for r in reports if r.trace.termination in CONVERGED]
     pool = converged or reports
     return min(pool, key=lambda r: r.distance)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from polysmith import cli, gcdkit, snf_opt
 from polysmith.errors import ParseError, ValidationError
+from polysmith.lmsolve import LmTrace, Termination
 
 from conftest import FIXTURES
 
@@ -199,8 +200,9 @@ def test_mccoy_linearize_flag(capsys, tmp_path):
     assert on["distance"] == pytest.approx(off["distance"], abs=1e-6)
 
 
-def test_exit_code_stalled(capsys, monkeypatch, tmp_path):
-    from polysmith.lmsolve import LmTrace, Termination
+@pytest.mark.parametrize("termination", [Termination.STALLED, Termination.SUBLINEAR],
+                         ids=lambda t: t.value)
+def test_exit_code_stalled(capsys, monkeypatch, tmp_path, termination):
     from polysmith.matpoly import MatPoly, Poly
     from polysmith.snf_opt import SnfReport
 
@@ -214,14 +216,16 @@ def test_exit_code_stalled(capsys, monkeypatch, tmp_path):
         omega=0j,
         invariant_structure=[],
         certified=False,
-        trace=LmTrace(merits=[1.0], termination=Termination.STALLED),
+        trace=LmTrace(merits=[1.0], termination=termination),
     )
     monkeypatch.setattr(cli, "solve", lambda *a, **k: stub)
     doc = {"rows": 2, "cols": 2, "entries": [[[1.0, 1.0], [0.0]], [[0.0], [1.0, -1.0]]]}
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))
-    _, code = run_cli(capsys, ["snf", str(path), "--deg-h", "1"])
+    report, code = run_cli(capsys, ["snf", str(path), "--deg-h", "1"])
     assert code == cli.EXIT_STALLED
+    assert report["trace"]["termination"] == termination.value
+    assert report["trace"]["rate"] is None and report["trace"]["shift"] is None
 
 
 def test_check_builds_adjugate_and_determinant_once(capsys, monkeypatch):

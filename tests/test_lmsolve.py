@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polysmith.errors import LinearSolveFailure, RankDeficientInput
-from polysmith.lmsolve import LmConfig, Termination, lm_minimize, lm_step
+from polysmith.lmsolve import RATE_WINDOW, LmConfig, LmTrace, Termination, lm_minimize, lm_step
 
 
 def test_lm_step_zero_gradient():
@@ -113,3 +113,45 @@ def test_lm_minimize_counts_rejected_trials():
     assert trace.rejected[0] >= 1
     assert len(trace.rejected) == trace.iterations + (trace.termination == Termination.STALLED)
     assert z[0] < 0.5
+
+
+def test_lm_minimize_ends_sublinear_tail_early():
+    # g = 1/z has its root at infinity: the merit shrinks by a ratio near 1
+    # per step and could not reach grad_tol within max_iter.
+    def g(v):
+        return 1.0 / v
+
+    def h(v):
+        return np.array([[-1.0 / v[0] ** 2]])
+
+    _, trace = lm_minimize(g, h, np.array([1.0]), LmConfig())
+    assert trace.termination == Termination.SUBLINEAR
+    assert trace.iterations < 100
+    assert trace.rate == pytest.approx((trace.merits[-1] / trace.merits[-51]) ** (1 / 50))
+    assert 0.9 < trace.rate < 1.0
+    # The last iteration is not judged: a run that uses its budget is MaxIter.
+    _, trace = lm_minimize(g, h, np.array([1.0]), LmConfig(max_iter=RATE_WINDOW))
+    assert trace.termination == Termination.MAX_ITER
+
+
+def test_lm_minimize_keeps_slow_run_that_reaches_tolerance():
+    # A singular root: linear rate, but fast enough to reach grad_tol.
+    def g(v):
+        return np.array([(v[0] ** 2 + v[1] ** 2) ** 2])
+
+    def h(v):
+        r = v[0] ** 2 + v[1] ** 2
+        return np.array([[4.0 * v[0] * r, 4.0 * v[1] * r]])
+
+    _, trace = lm_minimize(g, h, np.array([1.0, 0.5]), LmConfig())
+    assert trace.termination == Termination.GRAD_TOL
+    assert trace.iterations > RATE_WINDOW
+
+
+def test_trace_rate_over_short_runs():
+    _, trace = lm_minimize(
+        lambda v: v.copy(), lambda v: np.eye(1), np.array([5.0]), LmConfig(max_iter=1)
+    )
+    assert trace.iterations == 1
+    assert trace.rate == trace.merits[1] / trace.merits[0]
+    assert LmTrace(merits=[1.0]).rate is None

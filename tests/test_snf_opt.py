@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,12 @@ from polysmith.snf_opt import (
 )
 
 from conftest import FIXTURES
-from oracles import diagonal_projection_distance, diagonal_snf_instance, fd_columns
+from oracles import (
+    diagonal_projection_distance,
+    diagonal_snf_instance,
+    fd_columns,
+    random_full_rank_matpoly,
+)
 
 
 def nontrivial_2x2():
@@ -214,3 +221,23 @@ def test_ex1_converges_in_few_iterations():
     assert report.trace.termination == Termination.GRAD_TOL
     assert report.iterations <= 30
     assert report.certified
+
+
+def test_sublinear_dense_tail_ends_early_and_uncertified(capsys, tmp_path):
+    # The fourth dense n=3 input drawn from seed 0 (d=2): with deg_h=2 the
+    # merit contracts by about 0.96 per step towards a degenerate point and
+    # used to run all 500 iterations to MaxIter.
+    rng = np.random.default_rng(0)
+    for k in range(4):
+        a = random_full_rank_matpoly(rng, 3, 1 + k % 2)
+    doc = {"rows": 3, "cols": 3, "structure": "support",
+           "entries": [[a.coeff[i, j].tolist() for j in range(3)] for i in range(3)]}
+    path = tmp_path / "dense3.json"
+    path.write_text(json.dumps(doc))
+    code = cli.run(["snf", str(path), "--deg-h", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == cli.EXIT_STALLED
+    assert report["trace"]["termination"] == Termination.SUBLINEAR.value
+    assert report["trace"]["iterations"] <= 60
+    assert report["certified"] is False
+    assert report["trace"]["rate"] > 0.95
