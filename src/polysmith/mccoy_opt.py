@@ -8,11 +8,20 @@ perturbation stays real by construction.
 
 State layout: z = (p, Re w, Im w, Re B, Im B, lam); the two eigenvalue
 coordinates are dropped when the problem pins omega (reversal mode).
+
+The residual and the Hessian share one linearization per iterate: the
+perturbed input, the operator M(omega), its derivative and the constraint
+Jacobian J.  The solver asks for the Hessian at the point whose residual it
+has just accepted, so caching the last linearization builds each of them
+once per iterate instead of twice.  J itself is assembled by scatters to
+positions fixed per problem, so its per-iterate cost does not loop over the
+parameters or the Gram pairs in Python.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +95,20 @@ class McCoyReport:
     z: np.ndarray = field(repr=False, default=None)
 
 
+@dataclass(frozen=True)
+class _Linearization:
+    """The iterate z unpacked, with the operator and constraint Jacobian at it."""
+
+    p: np.ndarray
+    omega: complex
+    bc: np.ndarray
+    lam: np.ndarray
+    a_pert: MatPoly
+    m: np.ndarray
+    dm: np.ndarray
+    jc: np.ndarray
+
+
 class _McCoyWorkspace:
     def __init__(self, problem: McCoyProblem):
         self.problem = problem
@@ -105,9 +128,12 @@ class _McCoyWorkspace:
         self.sl_br = slice(self.m_p + self.n_w, self.m_p + self.n_w + self.nr)
         self.sl_bi = slice(self.m_p + self.n_w + self.nr, self.n_x)
         self.sl_lam = slice(self.n_x, self.n_x + self.n_c)
-        self.triples = self._param_triples()
+        self._cache_key = None
+        self._cache = None
 
-    def _param_triples(self):
+    @cached_property
+    def triples(self):
+        """(row, column, coefficient) of each perturbation parameter."""
         n, width = self.n, self.problem.a.degree_bound + 1
         out = []
         for idx in self.problem.structure.param_indices():
@@ -138,6 +164,21 @@ class _McCoyWorkspace:
 
     def perturbed(self, p) -> MatPoly:
         return self.problem.structure.apply(self.problem.a, p)
+
+    def linearization_at(self, z) -> _Linearization:
+        """Linearization at z; one-slot cache shared by g and H, read-only."""
+        key = np.asarray(z, dtype=float).tobytes()
+        if self._cache_key != key:
+            p, omega, br, bi, lam = self.unpack(np.frombuffer(key))
+            bc = br + 1j * bi
+            a_pert = self.perturbed(p)
+            m, dm = self.operator(a_pert, omega)
+            jc = self.constraint_jacobian(m, dm, bc, omega)
+            for arr in (bc, a_pert.coeff, m, dm, jc):
+                arr.flags.writeable = False
+            self._cache_key = key
+            self._cache = _Linearization(p, omega, bc, lam, a_pert, m, dm, jc)
+        return self._cache
 
     def operator(self, a_pert: MatPoly, omega):
         """Evaluated constraint matrix and its omega derivative."""
@@ -171,43 +212,64 @@ class _McCoyWorkspace:
             ]
         )
 
+    @cached_property
+    def _scatter(self):
+        """Flat positions in J of the parameter columns, the kron(M, I_r)
+        blocks and the Gram rows; built on first use.
+
+        Gram entries come in the order of the loop over the pairs (a, b), so
+        with np.add.at a cell of a == b sums its two entries as the loop did.
+        """
+        size, r, nr, n_x = self.size, self.r, self.nr, self.n_x
+        br0, bi0 = self.sl_br.start, self.sl_bi.start
+        # Column k holds w * B[col] in the kernel rows of `row`, real then imaginary.
+        row, col = np.array([self._param_weight(i, j, c, 0j)[:2] for i, j, c in self.triples],
+                            dtype=int).reshape(-1, 2).T
+        coef = np.array([c for _, _, c in self.triples], dtype=int)
+        param = (row[:, None] * r + np.arange(r)) * n_x + np.arange(self.m_p)[:, None]
+        param = np.stack([param, param + nr * n_x])
+
+        # Entry (i, k) of each block of kron(M, I_r) sits on r diagonal cells.
+        i, k, a = np.ix_(np.arange(size), np.arange(size), np.arange(r))
+        block_rows = np.array([0, 0, nr, nr])[:, None, None, None]
+        block_cols = np.array([br0, bi0, br0, bi0])[:, None, None, None]
+        kron = (block_rows + i * r + a) * n_x + block_cols + k * r + a
+
+        # Gram rows of the pair (a, b), with sources in np.stack((Re B, Im B)).ravel().
+        a, b = np.arange(r)[:, None, None], np.arange(r)[None, :, None]
+        unit = np.arange(size) * r
+        row3 = (2 * nr + a * r + b) * n_x
+        row4 = row3 + r * r * n_x
+        terms = [  # (destination, source, sign) in the order of the loop body
+            (row3 + br0 + a, b, 1.0), (row3 + br0 + b, a, 1.0),
+            (row3 + bi0 + a, nr + b, 1.0), (row3 + bi0 + b, nr + a, 1.0),
+            (row4 + br0 + a, nr + b, 1.0), (row4 + br0 + b, nr + a, -1.0),
+            (row4 + bi0 + b, a, 1.0), (row4 + bi0 + a, b, -1.0),
+        ]
+        dst = np.stack(np.broadcast_arrays(*(t[0] + unit for t in terms)), axis=2)
+        src = np.stack(np.broadcast_arrays(*(t[1] + unit for t in terms)), axis=2)
+        sign = np.broadcast_to(np.array([t[2] for t in terms])[:, None], dst.shape)
+        arrays = (coef, col, param, kron, dst.ravel(), src.ravel(), sign.ravel())
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
+
     def constraint_jacobian(self, m, dm, bc, omega) -> np.ndarray:
-        size, r, nr = self.size, self.r, self.nr
+        coef, col, param, kron, dst, src, sign = self._scatter
         j = np.zeros((self.n_c, self.n_x))
-        cols = np.arange(r)
-        for k, (pi, pj, coef) in enumerate(self.triples):
-            row, col, w, _ = self._param_weight(pi, pj, coef, omega)
-            contrib = w * bc[col, :]
-            j[row * r + cols, k] = contrib.real
-            j[nr + row * r + cols, k] = contrib.imag
+        flat = j.reshape(-1)
+        weights = np.array([self._param_weight(0, 0, c, omega)[2] for c in range(self.d + 1)])
+        contrib = weights[coef, None] * bc[col]
+        flat[param] = np.stack([contrib.real, contrib.imag])
+        nr = self.nr
         if self.has_omega:
             dmb = dm @ bc
             j[:nr, self.sl_w.start] = dmb.real.ravel()
             j[nr : 2 * nr, self.sl_w.start] = dmb.imag.ravel()
             j[:nr, self.sl_w.start + 1] = -dmb.imag.ravel()
             j[nr : 2 * nr, self.sl_w.start + 1] = dmb.real.ravel()
-        eye_r = np.eye(r)
-        j[:nr, self.sl_br] = np.kron(m.real, eye_r)
-        j[:nr, self.sl_bi] = -np.kron(m.imag, eye_r)
-        j[nr : 2 * nr, self.sl_br] = np.kron(m.imag, eye_r)
-        j[nr : 2 * nr, self.sl_bi] = np.kron(m.real, eye_r)
-
-        br, bi = bc.real, bc.imag
-        off3 = 2 * nr
-        off4 = 2 * nr + r * r
-        unit = np.arange(size) * r
-        for a in range(r):
-            for b in range(r):
-                row3 = off3 + a * r + b
-                row4 = off4 + a * r + b
-                j[row3, self.sl_br.start + unit + a] += br[:, b]
-                j[row3, self.sl_br.start + unit + b] += br[:, a]
-                j[row3, self.sl_bi.start + unit + a] += bi[:, b]
-                j[row3, self.sl_bi.start + unit + b] += bi[:, a]
-                j[row4, self.sl_br.start + unit + a] += bi[:, b]
-                j[row4, self.sl_br.start + unit + b] -= bi[:, a]
-                j[row4, self.sl_bi.start + unit + b] += br[:, a]
-                j[row4, self.sl_bi.start + unit + a] -= br[:, b]
+        flat[kron] = np.stack([m.real, -m.imag, m.imag, m.real])[..., None]
+        np.add.at(flat, dst, sign * np.stack((bc.real, bc.imag)).ravel()[src])
         return j
 
 
@@ -217,13 +279,10 @@ def mccoy_residual(problem: McCoyProblem, z) -> np.ndarray:
 
 
 def _mccoy_residual(ws: _McCoyWorkspace, z) -> np.ndarray:
-    p, omega, br, bi, lam = ws.unpack(z)
-    bc = br + 1j * bi
-    m, dm = ws.operator(ws.perturbed(p), omega)
-    jc = ws.constraint_jacobian(m, dm, bc, omega)
-    grad_x = jc.T @ lam
-    grad_x[ws.sl_p] += 2.0 * p
-    return np.concatenate([grad_x, ws.constraint(m, bc)])
+    lin = ws.linearization_at(z)
+    grad_x = lin.jc.T @ lin.lam
+    grad_x[ws.sl_p] += 2.0 * lin.p
+    return np.concatenate([grad_x, ws.constraint(lin.m, lin.bc)])
 
 
 def mccoy_hessian(problem: McCoyProblem, z) -> np.ndarray:
@@ -238,11 +297,8 @@ def _mccoy_hessian(ws: _McCoyWorkspace, z) -> np.ndarray:
     analytic in omega = x + iy, so d/dy = i d/dx.  The Gram rows add the
     constant blocks kron(I, Q1 + Q1^T) and kron(I, Q2 - Q2^T).
     """
-    p, omega, br, bi, lam = ws.unpack(z)
-    bc = br + 1j * bi
-    a_pert = ws.perturbed(p)
-    m, dm = ws.operator(a_pert, omega)
-    jc = ws.constraint_jacobian(m, dm, bc, omega)
+    lin = ws.linearization_at(z)
+    omega, bc, lam, dm, jc = lin.omega, lin.bc, lin.lam, lin.dm, lin.jc
     size, r, nr = ws.size, ws.r, ws.nr
     wc = (lam[:nr] - 1j * lam[nr : 2 * nr]).reshape(size, r)
     q1, q2 = lam[2 * nr :].reshape(2, r, r)
@@ -268,7 +324,7 @@ def _mccoy_hessian(ws: _McCoyWorkspace, z) -> np.ndarray:
     h_xx[ws.sl_p, ws.sl_p] = 2.0 * np.eye(ws.m_p)
     h_xx[ws.sl_br, ws.sl_br] = h_xx[ws.sl_bi, ws.sl_bi] = np.kron(np.eye(size), q1 + q1.T)
     if ws.has_omega and not ws.linearized:
-        d2m = MatPoly(np.polynomial.polynomial.polyder(a_pert.coeff, 2, axis=2)).evaluate(omega)
+        d2m = MatPoly(np.polynomial.polynomial.polyder(lin.a_pert.coeff, 2, axis=2)).evaluate(omega)
         s = np.sum(wc * (d2m @ bc))
         h_xx[w0 : w0 + 2, w0 : w0 + 2] = [[s.real, -s.imag], [-s.imag, -s.real]]
 

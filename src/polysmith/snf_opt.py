@@ -346,11 +346,9 @@ def certify(problem: SnfProblem, report: SnfReport, cfg: LmConfig | None = None)
     ws = _Workspace(problem)
     if report.z is None:
         raise DimensionMismatch("the report carries no solver state to certify")
-    z = report.z
-    p, f_vec, h, lam = ws.unpack(z)
-    j = ws.constraint_jacobian(ws.system_at(p), f_vec, h)
-    h_full = _kkt_hessian(ws, z)
+    h_full = _kkt_hessian(ws, report.z)
     h_xx = h_full[: ws.n_x, : ws.n_x]
+    j = h_full[ws.n_x :, : ws.n_x]  # 0.5 * (J + J) is J exactly
 
     u, s, vt = np.linalg.svd(j)
     rank = int(np.count_nonzero(s > s[0] * max(j.shape) * 1e-12)) if s.size and s[0] else 0

@@ -99,3 +99,47 @@ def mccoy_all_entries_distance(a):
 
     _, val = grid_then_golden(cost, -5.0, 5.0, 20001)
     return float(np.sqrt(val))
+
+
+def mccoy_constraint_jacobian_loop(ws, m, dm, bc, omega):
+    """Constraint Jacobian of a McCoy workspace, assembled in Python loops over
+    the parameters and the Gram pairs (a, b): the reference for the scatter
+    assembly, which must match it bit for bit.  It reads the workspace's
+    parameter triples and weights; only the assembly is independent."""
+    size, r, nr = ws.size, ws.r, ws.nr
+    j = np.zeros((ws.n_c, ws.n_x))
+    cols = np.arange(r)
+    for k, (pi, pj, coef) in enumerate(ws.triples):
+        row, col, w, _ = ws._param_weight(pi, pj, coef, omega)
+        contrib = w * bc[col, :]
+        j[row * r + cols, k] = contrib.real
+        j[nr + row * r + cols, k] = contrib.imag
+    if ws.has_omega:
+        dmb = dm @ bc
+        j[:nr, ws.sl_w.start] = dmb.real.ravel()
+        j[nr : 2 * nr, ws.sl_w.start] = dmb.imag.ravel()
+        j[:nr, ws.sl_w.start + 1] = -dmb.imag.ravel()
+        j[nr : 2 * nr, ws.sl_w.start + 1] = dmb.real.ravel()
+    eye_r = np.eye(r)
+    j[:nr, ws.sl_br] = np.kron(m.real, eye_r)
+    j[:nr, ws.sl_bi] = -np.kron(m.imag, eye_r)
+    j[nr : 2 * nr, ws.sl_br] = np.kron(m.imag, eye_r)
+    j[nr : 2 * nr, ws.sl_bi] = np.kron(m.real, eye_r)
+
+    br, bi = bc.real, bc.imag
+    off3 = 2 * nr
+    off4 = 2 * nr + r * r
+    unit = np.arange(size) * r
+    for a in range(r):
+        for b in range(r):
+            row3 = off3 + a * r + b
+            row4 = off4 + a * r + b
+            j[row3, ws.sl_br.start + unit + a] += br[:, b]
+            j[row3, ws.sl_br.start + unit + b] += br[:, a]
+            j[row3, ws.sl_bi.start + unit + a] += bi[:, b]
+            j[row3, ws.sl_bi.start + unit + b] += bi[:, a]
+            j[row4, ws.sl_br.start + unit + a] += bi[:, b]
+            j[row4, ws.sl_br.start + unit + b] -= bi[:, a]
+            j[row4, ws.sl_bi.start + unit + b] += br[:, a]
+            j[row4, ws.sl_bi.start + unit + a] -= br[:, b]
+    return j

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polysmith import cli
+from polysmith import cli, mccoy_opt
 from polysmith.detadj import determinant
 from polysmith.errors import UnattainableProblem
 from polysmith.gcdkit import local_invariant_structure
@@ -20,7 +20,12 @@ from polysmith.mccoy_opt import (
 from polysmith.structured import numeric_rank
 
 from conftest import FIXTURES
-from oracles import fd_columns, mccoy_all_entries_distance, mccoy_rank2_instance
+from oracles import (
+    fd_columns,
+    mccoy_all_entries_distance,
+    mccoy_constraint_jacobian_loop,
+    mccoy_rank2_instance,
+)
 
 
 def pencil_as_matpoly(pencil):
@@ -93,14 +98,27 @@ def test_residual_matches_finite_differences():
     assert np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(fd)) <= 1e-5
 
 
+def sparse_cubic(rng, n):
+    """Random n x n cubic with about a third of its coefficients zeroed, so a
+    support mask leaves gaps in every coefficient block, as in ex1."""
+    coeff = rng.normal(size=(n, n, 4))
+    coeff[rng.random(coeff.shape) < 0.35] = 0.0
+    coeff[:, :, 3] += np.eye(n)
+    return MatPoly(coeff)
+
+
 def test_hessian_matches_finite_differences():
     rng = np.random.default_rng(7)
     quad = MatPoly(rng.normal(size=(2, 2, 3)))
     pinned = mccoy_rank2_instance(4)
+    quad3 = MatPoly(rng.normal(size=(3, 3, 3)))
+    cubic = sparse_cubic(rng, 3)
     problems = [
         McCoyProblem(quad, PerturbStructure.full(quad), r=2),
         McCoyProblem(quad, PerturbStructure.full(quad), r=2, use_linearization=False),
         reversed_problem(McCoyProblem(pinned, PerturbStructure.full(pinned), r=2)),
+        McCoyProblem(quad3, PerturbStructure.full(quad3), r=3, use_linearization=False),
+        McCoyProblem(cubic, PerturbStructure.support(cubic), r=2),
     ]
     for problem in problems:
         ws = _McCoyWorkspace(problem)
@@ -109,6 +127,64 @@ def test_hessian_matches_finite_differences():
         assert np.array_equal(h_full, h_full.T)
         fd = fd_columns(lambda v: mccoy_residual(problem, v), z, eps=1e-6)
         assert np.linalg.norm(h_full - fd) / np.linalg.norm(fd) <= 1e-8
+
+
+def _jacobian_case(kind, r):
+    rng = np.random.default_rng(40 + r)
+    if kind == "linearized":
+        a = sparse_cubic(rng, 3)
+        return McCoyProblem(a, PerturbStructure.support(a), r=r)
+    a = MatPoly(rng.normal(size=(3, 3, 3)))
+    if kind == "plain":
+        return McCoyProblem(a, PerturbStructure.full(a), r=r, use_linearization=False)
+    return reversed_problem(McCoyProblem(a, PerturbStructure.support(a), r=r))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("kind", ["linearized", "plain", "pinned"])
+def test_constraint_jacobian_matches_loop_bitwise(kind, r):
+    problem = _jacobian_case(kind, r)
+    ws = _McCoyWorkspace(problem)
+    assert ws.linearized == (kind != "plain") and ws.has_omega == (kind != "pinned")
+    rng = np.random.default_rng(50 + r)
+    for _ in range(3):
+        z = rng.normal(size=ws.n_x + ws.n_c)
+        p, omega, br, bi, _ = ws.unpack(z)
+        bc = br + 1j * bi
+        m, dm = ws.operator(ws.perturbed(p), omega)
+        want = mccoy_constraint_jacobian_loop(ws, m, dm, bc, omega)
+        assert np.array_equal(ws.constraint_jacobian(m, dm, bc, omega), want)
+        assert np.array_equal(ws.linearization_at(z).jc, want)
+
+
+def test_residual_and_hessian_share_one_linearization(monkeypatch):
+    # One linearization for the seed plus one per residual; every Hessian is
+    # taken at the point whose residual was just accepted, so it reuses it.
+    calls = []
+    original = mccoy_opt.companion_linearization
+
+    def counted(a):
+        calls.append(1)
+        return original(a)
+
+    monkeypatch.setattr(mccoy_opt, "companion_linearization", counted)
+    a = cli.parse(str(FIXTURES / "ex1.json")).to_matpoly()
+    report = solve_mccoy(McCoyProblem(a, PerturbStructure.support(a), r=4), LmConfig())
+    residuals = report.trace.iterations + 1 + sum(report.trace.rejected)
+    assert report.trace.iterations == 11
+    assert len(calls) == 1 + residuals == 13
+
+
+def test_linearization_cache_is_read_only():
+    a = mccoy_rank2_instance(0)
+    ws = _McCoyWorkspace(McCoyProblem(a, PerturbStructure.full(a), r=2))
+    z = initial_guess_mccoy(ws.problem)
+    lin = ws.linearization_at(z)
+    assert ws.linearization_at(z.copy()) is lin
+    for arr in (lin.p, lin.bc, lin.lam, lin.m, lin.dm, lin.jc):
+        assert not arr.flags.writeable
+    z[0] += 1.0
+    assert ws.linearization_at(z) is not lin
 
 
 def test_initial_guess_candidates_and_orthonormal_kernel():
@@ -148,7 +224,7 @@ def _assert_mccoy_invariants(a, report):
         assert np.linalg.norm(m @ bc) <= 1e-7 * (1.0 + np.linalg.norm(m))
     s = np.linalg.svd(m, compute_uv=False)
     assert s[-bc.shape[1]] <= 1e-8 * max(1.0, s[0])
-    assert np.all(report.delta_a.coeff[~np.isfinite(report.delta_a.coeff)] == 0) or True
+    assert np.all(np.isfinite(report.delta_a.coeff))
     merits = report.trace.merits
     assert all(b < a_ for a_, b in zip(merits, merits[1:]))
 
