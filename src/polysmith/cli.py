@@ -10,8 +10,8 @@ Reports are JSON on standard output; diagnostics go to standard error.
 Exit codes: 0 success, 1 the library rejected the input or a numeric step
 failed, 2 the solver ended short of --tol (Stalled, or Sublinear: at its
 observed rate it could not reach --tol within --max-iter), 3 unattainable
-problem, 4 invalid input.  Every run prints exactly one JSON object on
-standard output.
+problem, 4 invalid input or usage.  Every run prints exactly one JSON object
+on standard output.
 """
 
 from __future__ import annotations
@@ -226,7 +226,7 @@ def _cmd_mccoy(args):
     _require_square(doc)
     a = doc.to_matpoly()
     structure = doc.to_structure(a, args.structure)
-    problem = McCoyProblem(a, structure, r=args.rank_drop, use_linearization=args.linearize)
+    problem = McCoyProblem(a, structure, r=args.rank_drop)
     report = solve_mccoy(problem, _lm_config(args))
     payload = {
         "distance": report.distance,
@@ -256,10 +256,18 @@ def _matpoly_grid(a: MatPoly) -> list:
     return [[a.coeff[i, j].tolist() for j in range(a.cols)] for i in range(a.rows)]
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ValidationError; argparse's own exit status 2
+    would read as a solve that ended short of --tol."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing does not change it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="polysmith",
         description="Nearby non-trivial Smith forms of matrix polynomials",
     )
@@ -293,8 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mccoy = sub.add_parser("mccoy", help="nearest matrix polynomial with a rank-r eigenvalue")
     add_common(p_mccoy, with_solver=True)
     p_mccoy.add_argument("--rank-drop", type=int, required=True)
-    p_mccoy.add_argument("--linearize", type=lambda s: s.lower() not in ("0", "false", "no"),
-                         default=None, help="use the companion pencil (default: degree > 1)")
 
     p_self = sub.add_parser("selftest", help="run the built-in oracle suite")
     p_self.add_argument("--seed", type=int, default=0)
@@ -303,7 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None):
     """Parse arguments, dispatch, and print the report document."""
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except ValidationError as exc:
+        return _fail(argv[0] if argv else None, exc, EXIT_INVALID)
     # Looked up on every call, not bound into the cached parser, so that a
     # command wrapped or replaced after the first run is the one that runs.
     commands = {"check": _cmd_check, "bound": _cmd_bound, "snf": _cmd_snf,
@@ -312,23 +322,23 @@ def run(argv=None):
     try:
         payload, code = commands[args.command](args)
     except (ParseError, ValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(json.dumps({"command": args.command, "error": str(exc)}))
-        return EXIT_INVALID
+        return _fail(args.command, exc, EXIT_INVALID)
     except UnattainableProblem as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(json.dumps({"command": args.command, "error": str(exc)}))
-        return EXIT_UNATTAINABLE
+        return _fail(args.command, exc, EXIT_UNATTAINABLE)
     except PolysmithError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(json.dumps({"command": args.command, "error": str(exc)}))
-        return 1
+        return _fail(args.command, exc, 1)
     report = {"command": args.command}
     if hasattr(args, "input"):
         report["input_digest"] = _digest(args.input)
     report.update(payload)
     report["wall_seconds"] = time.perf_counter() - started
     print(json.dumps(report))
+    return code
+
+
+def _fail(command, exc, code: int) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    print(json.dumps({"command": command, "error": str(exc)}))
     return code
 
 

@@ -29,6 +29,9 @@ TRIM_TOL = 1e-10
 # must sit well above that.
 EIGEN_RANK_TOL = 1e-6
 
+# Divisor seeds refined by the alternating fit.
+SEED_SHORTLIST = 4
+
 
 @dataclass
 class TrivialityReport:
@@ -55,11 +58,11 @@ class ApproxGcdResult:
     residual: float
 
 
-def rank_at_point(a: MatPoly, omega, rel_tol: float = EIGEN_RANK_TOL) -> int:
+def rank_at_point(a: MatPoly, omega) -> int:
     """Rank of A(omega) with a tolerance suited to approximate eigenvalues."""
     values = a.evaluate(omega)
     s = np.linalg.svd(values, compute_uv=False)
-    return int(np.count_nonzero(s > rel_tol * max(1.0, s[0] if s.size else 0.0)))
+    return int(np.count_nonzero(s > EIGEN_RANK_TOL * max(1.0, s[0] if s.size else 0.0)))
 
 
 # Fixed generic sample point for rank questions about singular inputs.
@@ -242,7 +245,7 @@ def mccoy_rank(a: MatPoly) -> int:
     return Analysis(a).mccoy_rank
 
 
-def local_invariant_structure(a: MatPoly, omega, rel_tol: float = EIGEN_RANK_TOL):
+def local_invariant_structure(a: MatPoly, omega):
     """Partial multiplicities of the invariant factors at an eigenvalue.
 
     Returns (degree, multiplicity) pairs, degrees ascending and summing the
@@ -272,7 +275,7 @@ def local_invariant_structure(a: MatPoly, omega, rel_tol: float = EIGEN_RANK_TOL
                 if block is not None:
                     t_k[i * n : (i + 1) * n, j * n : (j + 1) * n] = block
         s = np.linalg.svd(t_k, compute_uv=False)
-        rank = int(np.count_nonzero(s > rel_tol * max(1.0, s[0])))
+        rank = int(np.count_nonzero(s > EIGEN_RANK_TOL * max(1.0, s[0])))
         kernel = k * n - rank
         count = kernel - prev_kernel
         if count <= 0:
@@ -346,7 +349,7 @@ def approx_gcd(f, deg_h: int, dprime) -> ApproxGcdResult:
     return approx_gcd_candidates(f, deg_h, dprime)[0]
 
 
-def approx_gcd_candidates(f, deg_h: int, dprime, shortlist: int = 4) -> list:
+def approx_gcd_candidates(f, deg_h: int, dprime) -> list:
     """Alternating-fit results from the top divisor seeds, best residual first."""
     dprime = [int(x) for x in dprime]
     if deg_h < 1:
@@ -358,7 +361,7 @@ def approx_gcd_candidates(f, deg_h: int, dprime, shortlist: int = 4) -> list:
     if not active:
         raise RankDeficientInput("every entry vanishes after trimming; no divisor to fit")
     targets = [trimmed[i].padded(dprime[i]).coeffs for i in active]
-    seeds = _initial_divisors([trimmed[i].coeffs for i in active], deg_h, shortlist)
+    seeds = _initial_divisors([trimmed[i].coeffs for i in active], deg_h)
     unique = {}
     for fit in _alternating_fits(seeds, targets, deg_h):
         key = tuple(np.round(fit[0], 9))
@@ -473,12 +476,12 @@ def _real_candidate_roots(score, radius):
     return list(0.5 * (lo + hi))
 
 
-def _initial_divisors(entries, deg_h: int, shortlist: int = 4) -> list:
+def _initial_divisors(entries, deg_h: int) -> list:
     """Monic seed divisors (coefficient vectors) from the best-scoring conjugate-closed root sets.
 
     Candidates pool the roots of the individual entries with real-line
     minimizers of the projection score, filtered to the radius where a
-    near-common root can exist.  The top few seeds are all returned; the
+    near-common root can exist.  The top SEED_SHORTLIST seeds are returned; the
     alternating fit downstream keeps whichever refines best.
     """
     radius = _common_root_radius(entries)
@@ -501,7 +504,7 @@ def _initial_divisors(entries, deg_h: int, shortlist: int = 4) -> list:
         real_idx = [i for i in range(candidates.size) if real_like(candidates[i])]
         pool = real_idx if real_idx else list(range(candidates.size))
         pool.sort(key=lambda i: scores[i])
-        return [np.array([-candidates[i].real, 1.0]) for i in pool[:shortlist]]
+        return [np.array([-candidates[i].real, 1.0]) for i in pool[:SEED_SHORTLIST]]
 
     if deg_h == 2:
         # A real polynomial vanishing at z also vanishes at conj(z), so a
@@ -525,7 +528,7 @@ def _initial_divisors(entries, deg_h: int, shortlist: int = 4) -> list:
             scored_pairs.append((float(scores[int(np.argmin(scores))]), (z, np.conj(z))))
         scored_pairs.sort(key=lambda item: item[0])
         return [np.array([float((r1 * r2).real), float(-(r1 + r2).real), 1.0])
-                for _, (r1, r2) in scored_pairs[:shortlist]]
+                for _, (r1, r2) in scored_pairs[:SEED_SHORTLIST]]
 
     order = np.argsort(scores)
     roots, used = [], np.zeros(candidates.size, dtype=bool)

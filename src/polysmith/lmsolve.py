@@ -23,13 +23,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LinearSolveFailure, RankDeficientInput
+from .errors import LinearSolveFailure, RankDeficientInput, ValidationError
 
 
 # Accepted steps over which the merit's rate is measured.  Shorter windows
 # read a ratio near 1 on runs that follow the full-rank wall for a few dozen
 # steps and then converge.
 RATE_WINDOW = 50
+# A step no longer than this ends the run as StepTol.
+STEP_TOL = 1e-14
+# The shift nu = mu ||g|| never falls below NU_FLOOR; mu starts at NU_SCALE.
+NU_FLOOR = 1e-14
+NU_SCALE = 1.0
 
 
 class Termination(str, enum.Enum):
@@ -57,16 +62,13 @@ CONVERGED = (Termination.GRAD_TOL, Termination.STEP_TOL)
 class LmConfig:
     max_iter: int = 500
     grad_tol: float = 1e-12
-    step_tol: float = 1e-14
-    nu_floor: float = 1e-14
-    nu_scale: float = 1.0  # initial multiplier mu in nu = mu ||g||
 
     def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-        for name in ("grad_tol", "step_tol", "nu_floor", "nu_scale"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        if not self.max_iter >= 1:
+            raise ValidationError(f"max_iter must be at least 1, got {self.max_iter}")
+        # Written so that NaN fails too.
+        if not self.grad_tol > 0:
+            raise ValidationError(f"grad_tol must be positive, got {self.grad_tol}")
 
 
 @dataclass
@@ -136,7 +138,7 @@ def lm_minimize(g_fn, h_fn, z0, cfg: LmConfig | None = None):
     g = np.asarray(g_fn(z), dtype=float)
     merit = float(np.linalg.norm(g))
     trace = LmTrace(merits=[merit])
-    mu, growth = cfg.nu_scale, 2.0
+    mu, growth = NU_SCALE, 2.0
 
     for _ in range(cfg.max_iter):
         if merit <= cfg.grad_tol:
@@ -145,7 +147,7 @@ def lm_minimize(g_fn, h_fn, z0, cfg: LmConfig | None = None):
         h = np.asarray(h_fn(z), dtype=float)
         rejected = 0
         while True:
-            nu = max(cfg.nu_floor, mu * merit)
+            nu = max(NU_FLOOR, mu * merit)
             dz = lm_step(g, h, nu)
             z_trial = z + dz
             try:
@@ -172,7 +174,7 @@ def lm_minimize(g_fn, h_fn, z0, cfg: LmConfig | None = None):
         if merit <= cfg.grad_tol:
             trace.termination = Termination.GRAD_TOL
             return z, trace
-        if np.linalg.norm(dz) <= cfg.step_tol:
+        if np.linalg.norm(dz) <= STEP_TOL:
             trace.termination = Termination.STEP_TOL
             return z, trace
         left = cfg.max_iter - trace.iterations

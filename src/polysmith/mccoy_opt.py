@@ -1,10 +1,11 @@
 """Lower McCoy rank approximation through an eigenvalue kernel formulation.
 
 A rank drop of r at some omega is enforced as (P + dP)(omega) B = 0 with
-B'B = I_r, where P is the companion pencil of the matrix polynomial (or the
-matrix polynomial itself when linearization is off).  Complex quantities are
-split into real and imaginary parts so the whole state is real and the
-perturbation stays real by construction.
+B'B = I_r, where P is the companion pencil of the matrix polynomial; for
+degree one the pencil is the input itself.  A constant input A_0 is padded to
+the pencil 0 t + A_0, whose zero leading coefficient is not perturbed.
+Complex quantities are split into real and imaginary parts so the whole state
+is real and the perturbation stays real by construction.
 
 State layout: z = (p, Re w, Im w, Re B, Im B, lam); the two eigenvalue
 coordinates are dropped when the problem pins omega (reversal mode).
@@ -68,7 +69,6 @@ class McCoyProblem:
     a: MatPoly
     structure: PerturbStructure
     r: int = 2
-    use_linearization: bool | None = None
     pinned_omega: complex | None = None
 
     def __post_init__(self):
@@ -78,8 +78,6 @@ class McCoyProblem:
             raise DimensionMismatch("perturbation mask does not match the matrix")
         if not 2 <= self.r <= self.a.rows:
             raise DimensionMismatch(f"rank drop {self.r} is out of range for n={self.a.rows}")
-        if self.use_linearization is None:
-            self.use_linearization = self.a.degree_bound > 1
 
 
 @dataclass
@@ -103,7 +101,6 @@ class _Linearization:
     omega: complex
     bc: np.ndarray
     lam: np.ndarray
-    a_pert: MatPoly
     m: np.ndarray
     dm: np.ndarray
     jc: np.ndarray
@@ -112,12 +109,18 @@ class _Linearization:
 class _McCoyWorkspace:
     def __init__(self, problem: McCoyProblem):
         self.problem = problem
-        a = problem.a
+        # A constant input becomes the pencil 0 t + A_0; the zero leading
+        # coefficient stays out of the mask, so p and the report keep the
+        # input's shape.
+        a, mask = problem.a, problem.structure.mask
+        if a.degree_bound == 0:
+            a = a.with_degree_bound(1)
+            mask = np.concatenate([mask, np.zeros_like(mask)], axis=2)
+        self.a, self.structure = a, PerturbStructure(mask)
         self.n, self.d = a.rows, a.degree_bound
         self.r = problem.r
-        self.linearized = bool(problem.use_linearization) and self.d >= 1
-        self.size = self.n * self.d if self.linearized else self.n
-        self.m_p = problem.structure.num_params
+        self.size = self.n * self.d
+        self.m_p = self.structure.num_params
         self.has_omega = problem.pinned_omega is None
         self.n_w = 2 if self.has_omega else 0
         self.nr = self.size * self.r
@@ -134,9 +137,9 @@ class _McCoyWorkspace:
     @cached_property
     def triples(self):
         """(row, column, coefficient) of each perturbation parameter."""
-        n, width = self.n, self.problem.a.degree_bound + 1
+        n, width = self.n, self.d + 1
         out = []
-        for idx in self.problem.structure.param_indices():
+        for idx in self.structure.param_indices():
             entry, coef = divmod(int(idx), width)
             j, i = divmod(entry, n)
             out.append((i, j, coef))
@@ -163,7 +166,7 @@ class _McCoyWorkspace:
         return np.concatenate(parts)
 
     def perturbed(self, p) -> MatPoly:
-        return self.problem.structure.apply(self.problem.a, p)
+        return self.structure.apply(self.a, p)
 
     def linearization_at(self, z) -> _Linearization:
         """Linearization at z; one-slot cache shared by g and H, read-only."""
@@ -171,30 +174,21 @@ class _McCoyWorkspace:
         if self._cache_key != key:
             p, omega, br, bi, lam = self.unpack(np.frombuffer(key))
             bc = br + 1j * bi
-            a_pert = self.perturbed(p)
-            m, dm = self.operator(a_pert, omega)
+            m, dm = self.operator(self.perturbed(p), omega)
             jc = self.constraint_jacobian(m, dm, bc, omega)
-            for arr in (bc, a_pert.coeff, m, dm, jc):
+            for arr in (bc, m, dm, jc):
                 arr.flags.writeable = False
             self._cache_key = key
-            self._cache = _Linearization(p, omega, bc, lam, a_pert, m, dm, jc)
+            self._cache = _Linearization(p, omega, bc, lam, m, dm, jc)
         return self._cache
 
     def operator(self, a_pert: MatPoly, omega):
-        """Evaluated constraint matrix and its omega derivative."""
-        if self.linearized:
-            pencil = companion_linearization(a_pert)
-            return pencil.evaluate(omega), pencil.e.astype(complex)
-        powers = np.array([omega**k for k in range(self.d + 1)])
-        m = np.tensordot(a_pert.coeff, powers, axes=([2], [0]))
-        dpowers = np.array([k * omega ** (k - 1) if k else 0.0 for k in range(self.d + 1)])
-        dm = np.tensordot(a_pert.coeff, dpowers, axes=([2], [0]))
-        return m, dm
+        """Companion pencil at omega and its omega derivative."""
+        pencil = companion_linearization(a_pert)
+        return pencil.evaluate(omega), pencil.e.astype(complex)
 
     def _param_weight(self, i, j, coef, omega):
-        """Row, column, weight and its omega derivative for a unit perturbation."""
-        if not self.linearized:
-            return i, j, omega**coef, coef * omega ** (coef - 1) if coef else 0.0
+        """Pencil row, column, weight and its omega derivative for a unit perturbation."""
         base = (self.d - 1) * self.n
         if coef < self.d:
             return base + i, coef * self.n + j, 1.0 + 0.0j, 0.0
@@ -293,9 +287,10 @@ def _mccoy_hessian(ws: _McCoyWorkspace, z) -> np.ndarray:
     """Exact Hessian of the Lagrangian, bordered by the constraint Jacobian.
 
     With W = lam_1 + i lam_2 the multipliers of the kernel rows, those rows
-    add Re sum(conj(W) * M B) to the Lagrangian: linear in p and in B and
-    analytic in omega = x + iy, so d/dy = i d/dx.  The Gram rows add the
-    constant blocks kron(I, Q1 + Q1^T) and kron(I, Q2 - Q2^T).
+    add Re sum(conj(W) * M B) to the Lagrangian: linear in p, in B and in
+    omega = x + iy (M is the pencil E omega - F), so d/dy = i d/dx and the
+    (omega, omega) block is zero.  The Gram rows add the constant blocks
+    kron(I, Q1 + Q1^T) and kron(I, Q2 - Q2^T).
     """
     lin = ws.linearization_at(z)
     omega, bc, lam, dm, jc = lin.omega, lin.bc, lin.lam, lin.dm, lin.jc
@@ -323,10 +318,6 @@ def _mccoy_hessian(ws: _McCoyWorkspace, z) -> np.ndarray:
 
     h_xx[ws.sl_p, ws.sl_p] = 2.0 * np.eye(ws.m_p)
     h_xx[ws.sl_br, ws.sl_br] = h_xx[ws.sl_bi, ws.sl_bi] = np.kron(np.eye(size), q1 + q1.T)
-    if ws.has_omega and not ws.linearized:
-        d2m = MatPoly(np.polynomial.polynomial.polyder(lin.a_pert.coeff, 2, axis=2)).evaluate(omega)
-        s = np.sum(wc * (d2m @ bc))
-        h_xx[w0 : w0 + 2, w0 : w0 + 2] = [[s.real, -s.imag], [-s.imag, -s.real]]
 
     return np.block([[h_xx, jc.T], [jc, np.zeros((ws.n_c, ws.n_c))]])
 
@@ -359,7 +350,7 @@ def initial_guess_mccoy(problem: McCoyProblem) -> np.ndarray:
             if score < best_score:
                 best, best_score = complex(cand), score
         omega = best
-    m, _ = ws.operator(a, omega)
+    m, _ = ws.operator(ws.a, omega)
     _, _, vh = np.linalg.svd(m)
     bc = vh[-problem.r :, :].conj().T
     p = np.zeros(ws.m_p)

@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 
 from .detadj import adjoint, determinant, jacobian_adj, jacobian_det
-from .gcdkit import approx_gcd
 from .lmsolve import LmConfig, lm_minimize
 from .matpoly import MatPoly, PerturbStructure, Poly
 from .mccoy_opt import McCoyProblem, initial_guess_mccoy, mccoy_hessian, mccoy_residual

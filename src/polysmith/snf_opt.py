@@ -10,6 +10,11 @@ parameters, F is the cofactor matrix (degree bound (n-1)d - deg_h), h holds
 all deg_h + 1 coefficients (the monic normalization is a constraint), and
 lam stacks one multiplier per adjoint coefficient plus one for the
 normalization row.
+
+With use_reversal the problem is solved on the reversed input rev A(t) =
+t^d A(1/t) and the reversed mask: Adj(rev A) = rev Adj(A) at the declared
+degrees, so a divisor root at zero is an eigenvalue at infinity of A.  Only
+the report maps back: omega is inverted and dA reversed.
 """
 
 from __future__ import annotations
@@ -31,7 +36,6 @@ class SnfProblem:
     a: MatPoly
     structure: PerturbStructure
     deg_h: int = 2
-    deg_cofactor: int | None = None
     use_reversal: bool = False
 
     def __post_init__(self):
@@ -40,9 +44,7 @@ class SnfProblem:
         if not self.structure.matches(self.a):
             raise DimensionMismatch("perturbation mask does not match the matrix")
         n, d = self.a.rows, self.a.degree_bound
-        if self.deg_cofactor is None:
-            self.deg_cofactor = (n - 1) * d - self.deg_h
-        if self.deg_h < 1 or self.deg_cofactor < 0:
+        if self.deg_h < 1 or self.deg_h > (n - 1) * d:
             raise DimensionMismatch(
                 f"divisor degree {self.deg_h} is infeasible for n={n}, d={d}"
             )
@@ -64,22 +66,21 @@ class SnfReport:
 
 
 class _Workspace:
-    """Index bookkeeping and constant blocks for one problem instance."""
+    """Index bookkeeping and constant blocks for one problem instance; holds
+    the reversed input and mask under use_reversal."""
 
     def __init__(self, problem: SnfProblem):
         self.problem = problem
-        a = problem.a
+        a, structure = problem.a, problem.structure
+        if problem.use_reversal:
+            a, structure = a.reversed(), PerturbStructure(structure.mask[:, :, ::-1])
+        self.a, self.structure = a, structure
         self.n = a.rows
         self.d = a.degree_bound
         self.dadj = (self.n - 1) * self.d
-        self.deg_f = problem.deg_cofactor
         self.deg_h = problem.deg_h
-        if self.deg_f + self.deg_h != self.dadj:
-            # Cofactor and divisor degrees must tile the adjoint degree bound.
-            raise DimensionMismatch(
-                f"deg_cofactor {self.deg_f} + deg_h {self.deg_h} != {self.dadj}"
-            )
-        self.m_p = problem.structure.num_params
+        self.deg_f = self.dadj - self.deg_h
+        self.m_p = structure.num_params
         self.n_entries = self.n * self.n
         self.n_f = self.n_entries * (self.deg_f + 1)
         self.n_h = self.deg_h + 1
@@ -89,7 +90,7 @@ class _Workspace:
         self.sl_f = slice(self.m_p, self.m_p + self.n_f)
         self.sl_h = slice(self.m_p + self.n_f, self.n_x)
         self.sl_lam = slice(self.n_x, self.n_x + self.n_c)
-        self.param_idx = problem.structure.param_indices()
+        self.param_idx = structure.param_indices()
         self._cache_key = None
         self._cache = None
 
@@ -103,18 +104,7 @@ class _Workspace:
         return z[self.sl_p], z[self.sl_f], z[self.sl_h], z[self.sl_lam]
 
     def perturbed(self, p) -> MatPoly:
-        return self.problem.structure.apply(self.problem.a, p)
-
-    def _maybe_reverse_vec(self, v):
-        if not self.problem.use_reversal:
-            return v
-        return v.reshape(self.n_entries, self.dadj + 1)[:, ::-1].reshape(-1)
-
-    def _maybe_reverse_rows(self, m):
-        if not self.problem.use_reversal:
-            return m
-        shape = m.shape
-        return m.reshape(self.n_entries, self.dadj + 1, shape[1])[:, ::-1, :].reshape(shape)
+        return self.structure.apply(self.a, p)
 
     def system_at(self, p) -> AdjugateNodes:
         """Adjugate kernel at A + delta(p); one-slot cache shared by g and H.
@@ -130,14 +120,14 @@ class _Workspace:
 
     def adjoint_vec(self, system: AdjugateNodes) -> np.ndarray:
         # vec(dadj) without MatPoly.vec's degree scan: the bound is exactly dadj.
-        return self._maybe_reverse_vec(system.adjoint().coeff.transpose(1, 0, 2).reshape(-1))
+        return system.adjoint().coeff.transpose(1, 0, 2).reshape(-1)
 
     def adjoint_jacobian(self, system: AdjugateNodes) -> np.ndarray:
-        return self._maybe_reverse_rows(system.jacobian()[:, self.param_idx])
+        return system.jacobian()[:, self.param_idx]
 
     def adjoint_gradient(self, system: AdjugateNodes, lam_c) -> np.ndarray:
         """(R J_adj E)^T lam without forming the Jacobian."""
-        return system.gradient(self._maybe_reverse_vec(lam_c))[self.param_idx]
+        return system.gradient(lam_c)[self.param_idx]
 
     def product_vec(self, f_vec, h) -> np.ndarray:
         conv = conv_matrix(Poly(h), self.deg_f)
@@ -202,7 +192,7 @@ def _kkt_hessian(ws: _Workspace, z) -> np.ndarray:
     j = ws.constraint_jacobian(system, f_vec, h)
 
     h_xx = np.zeros((ws.n_x, ws.n_x))
-    curvature = system.curvature(ws._maybe_reverse_vec(lam_c))
+    curvature = system.curvature(lam_c)
     h_xx[ws.sl_p, ws.sl_p] = 2.0 * np.eye(ws.m_p) + curvature[np.ix_(ws.param_idx, ws.param_idx)]
 
     # Cross block between cofactors and divisor: bilinear, hence exact.
@@ -224,10 +214,7 @@ def initial_guess(problem: SnfProblem) -> np.ndarray:
     second-smallest singular value of A at the candidate root.
     """
     ws = _Workspace(problem)
-    adj = adjoint(problem.a)
-    entries = adj.pvec()
-    if problem.use_reversal:
-        entries = [q.reversed(ws.dadj) for q in entries]
+    entries = adjoint(ws.a).pvec()
     fits = approx_gcd_candidates(entries, problem.deg_h, [ws.dadj] * len(entries))
     fit = min(fits, key=lambda cand: _rank_drop_score(ws, cand))
     f_vec = np.concatenate([u.padded(ws.deg_f).coeffs for u in fit.cofactors])
@@ -241,19 +228,14 @@ def initial_guess(problem: SnfProblem) -> np.ndarray:
 
 
 def _rank_drop_score(ws: _Workspace, fit) -> float:
-    """Second-smallest singular value at the divisor roots (min over roots).
-
-    In reversal mode the reversed matrix polynomial is evaluated at the raw
-    roots, so a root at zero scores the eigenvalue at infinity.
-    """
+    """Second-smallest singular value at the divisor roots (min over roots)."""
     h = fit.h.trimmed(1e-12)
     if h.degree() < 1:
         return np.inf
     roots = np.roots(h.coeffs[::-1])
-    target = ws.problem.a.reversed() if ws.problem.use_reversal else ws.problem.a
     best = np.inf
     for root in roots:
-        s = np.linalg.svd(target.evaluate(root), compute_uv=False)
+        s = np.linalg.svd(ws.a.evaluate(root), compute_uv=False)
         score = s[-2] if s.size >= 2 else s[-1]
         best = min(best, float(score))
     return best
@@ -282,19 +264,25 @@ def _minimize(problem: SnfProblem, cfg: LmConfig) -> SnfReport:
 def _extract_report(ws: _Workspace, z, trace, cfg: LmConfig) -> SnfReport:
     problem = ws.problem
     p, f_vec, h_coeffs, _ = ws.unpack(z)
-    delta = problem.structure.delta(p)
+    delta = ws.structure.delta(p)
     h = Poly(h_coeffs)
     if abs(h.coeffs[-1]) > 1e-8:
         h = Poly(h.coeffs / h.coeffs[-1])
     cofactors = MatPoly.unvec(f_vec, ws.n, ws.n, ws.deg_f)
-    omega = _divisor_root(ws, h, problem.a + delta)
-    a_solved = problem.a + delta
-    target = a_solved.reversed(problem.a.degree_bound) if problem.use_reversal else a_solved
-    probe = omega if not problem.use_reversal else (0.0 if omega == np.inf else 1.0 / omega)
+    a_solved = ws.a + delta
+    root = _divisor_root(h, a_solved)
+    if problem.use_reversal and abs(root) < 1e-6:
+        # A double root at zero is only accurate to sqrt(eps), so anything
+        # below that is the eigenvalue at infinity.
+        root = 0j
     try:
-        structure = local_invariant_structure(target, probe)
+        structure = local_invariant_structure(a_solved, root)
     except (ValueError, np.linalg.LinAlgError):
         structure = []
+    omega = root
+    if problem.use_reversal:
+        delta = delta.reversed()
+        omega = np.inf if root == 0 else 1.0 / root
     report = SnfReport(
         delta_a=delta,
         distance=float(np.linalg.norm(p)),
@@ -313,26 +301,21 @@ def _extract_report(ws: _Workspace, z, trace, cfg: LmConfig) -> SnfReport:
     return report
 
 
-def _divisor_root(ws: _Workspace, h: Poly, a_solved: MatPoly):
+def _divisor_root(h: Poly, a_solved: MatPoly):
+    """The root of h to report, for a_solved in the same (maybe reversed) coordinates."""
     trimmed = h.trimmed(1e-12)
     roots = np.roots(trimmed.coeffs[::-1]) if trimmed.degree() >= 1 else np.array([])
     if roots.size == 0:
         return complex(0.0)
     complex_roots = roots[np.abs(roots.imag) > 1e-10]
     if complex_roots.size:
-        root = complex_roots[np.argmax(complex_roots.imag)]
-    else:
-        # Several real roots: report the one where the rank actually drops.
-        scores = []
-        for r in roots:
-            s = np.linalg.svd(a_solved.evaluate(r.real), compute_uv=False)
-            scores.append(s[-2] if s.size >= 2 else s[-1])
-        root = complex(roots[int(np.argmin(scores))].real)
-    if ws.problem.use_reversal:
-        # A double root at zero is only accurate to sqrt(eps), so anything
-        # below that maps to the eigenvalue at infinity.
-        return np.inf if abs(root) < 1e-6 else 1.0 / root
-    return root
+        return complex_roots[np.argmax(complex_roots.imag)]
+    # Several real roots: report the one where the rank actually drops.
+    scores = []
+    for r in roots:
+        s = np.linalg.svd(a_solved.evaluate(r.real), compute_uv=False)
+        scores.append(s[-2] if s.size >= 2 else s[-1])
+    return complex(roots[int(np.argmin(scores))].real)
 
 
 def certify(problem: SnfProblem, report: SnfReport, cfg: LmConfig | None = None):

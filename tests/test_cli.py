@@ -182,22 +182,25 @@ def test_snf_reversal_flag(capsys):
     assert report["distance"] <= 1e-8
 
 
-def test_mccoy_linearize_flag(capsys, tmp_path):
-    doc = {
-        "rows": 2,
-        "cols": 2,
-        "entries": [
-            [[0.9, -0.2, 1.0], [0.1]],
-            [[0.2], [1.2, 0.3, 0.8]],
-        ],
-        "structure": "full",
-    }
-    path = tmp_path / "deg2.json"
-    path.write_text(json.dumps(doc))
-    on, code_on = run_cli(capsys, ["mccoy", str(path), "--rank-drop", "2", "--linearize", "true"])
-    off, code_off = run_cli(capsys, ["mccoy", str(path), "--rank-drop", "2", "--linearize", "false"])
-    assert code_on == 0 and code_off == 0
-    assert on["distance"] == pytest.approx(off["distance"], abs=1e-6)
+def test_usage_error_exits_invalid(capsys):
+    # argparse alone would exit 2, which reads as a solve short of --tol.
+    ex1 = str(FIXTURES / "ex1.json")
+    for argv in (["mccoy", ex1, "--rank-drop", "4", "--bogus"],
+                 ["mccoy", ex1, "--rank-drop", "4", "--linearize", "true"],
+                 ["mccoy", ex1]):
+        code = cli.run(argv)
+        out = capsys.readouterr().out.strip().splitlines()
+        assert code == cli.EXIT_INVALID and len(out) == 1
+        report = json.loads(out[0])
+        assert report["command"] == "mccoy" and report["error"]
+
+
+@pytest.mark.parametrize("flags", [["--max-iter", "0"], ["--tol", "0"], ["--tol", "-1"]],
+                         ids=["max-iter-0", "tol-0", "tol-negative"])
+def test_bad_solver_settings_exit_invalid(capsys, flags):
+    argv = ["mccoy", str(FIXTURES / "ex1.json"), "--rank-drop", "4", *flags]
+    report, code = run_cli(capsys, argv)
+    assert code == cli.EXIT_INVALID and report["command"] == "mccoy" and report["error"]
 
 
 @pytest.mark.parametrize("termination", [Termination.STALLED, Termination.SUBLINEAR],

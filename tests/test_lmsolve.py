@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polysmith.errors import LinearSolveFailure, RankDeficientInput
+from polysmith.errors import LinearSolveFailure, RankDeficientInput, ValidationError
 from polysmith.lmsolve import RATE_WINDOW, LmConfig, LmTrace, Termination, lm_minimize, lm_step
 
 
@@ -84,10 +84,12 @@ def test_lm_minimize_stalls_on_constant_residual():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         LmConfig(max_iter=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValidationError):
         LmConfig(grad_tol=0.0)
+    with pytest.raises(ValidationError):
+        LmConfig(grad_tol=float("nan"))
 
 
 def test_lm_minimize_adaptive_shift_on_ill_conditioned_linear():

@@ -113,12 +113,13 @@ def test_hessian_matches_finite_differences():
     pinned = mccoy_rank2_instance(4)
     quad3 = MatPoly(rng.normal(size=(3, 3, 3)))
     cubic = sparse_cubic(rng, 3)
+    constant = MatPoly(rng.normal(size=(3, 3, 1)))
     problems = [
         McCoyProblem(quad, PerturbStructure.full(quad), r=2),
-        McCoyProblem(quad, PerturbStructure.full(quad), r=2, use_linearization=False),
         reversed_problem(McCoyProblem(pinned, PerturbStructure.full(pinned), r=2)),
-        McCoyProblem(quad3, PerturbStructure.full(quad3), r=3, use_linearization=False),
+        McCoyProblem(quad3, PerturbStructure.full(quad3), r=3),
         McCoyProblem(cubic, PerturbStructure.support(cubic), r=2),
+        McCoyProblem(constant, PerturbStructure.full(constant), r=2),
     ]
     for problem in problems:
         ws = _McCoyWorkspace(problem)
@@ -131,21 +132,24 @@ def test_hessian_matches_finite_differences():
 
 def _jacobian_case(kind, r):
     rng = np.random.default_rng(40 + r)
-    if kind == "linearized":
+    if kind == "linearized":  # the masked cubic: gaps in every coefficient block
         a = sparse_cubic(rng, 3)
         return McCoyProblem(a, PerturbStructure.support(a), r=r)
-    a = MatPoly(rng.normal(size=(3, 3, 3)))
-    if kind == "plain":
-        return McCoyProblem(a, PerturbStructure.full(a), r=r, use_linearization=False)
+    if kind == "constant":
+        a = MatPoly(rng.normal(size=(3, 3, 1)))
+        return McCoyProblem(a, PerturbStructure.full(a), r=r)
+    a = MatPoly(rng.normal(size=(3, 3, 4)))
+    if kind == "dense":
+        return McCoyProblem(a, PerturbStructure.full(a), r=r)
     return reversed_problem(McCoyProblem(a, PerturbStructure.support(a), r=r))
 
 
 @pytest.mark.parametrize("r", [2, 3])
-@pytest.mark.parametrize("kind", ["linearized", "plain", "pinned"])
+@pytest.mark.parametrize("kind", ["linearized", "dense", "pinned", "constant"])
 def test_constraint_jacobian_matches_loop_bitwise(kind, r):
     problem = _jacobian_case(kind, r)
     ws = _McCoyWorkspace(problem)
-    assert ws.linearized == (kind != "plain") and ws.has_omega == (kind != "pinned")
+    assert ws.has_omega == (kind != "pinned")
     rng = np.random.default_rng(50 + r)
     for _ in range(3):
         z = rng.normal(size=ws.n_x + ws.n_c)
@@ -185,6 +189,23 @@ def test_linearization_cache_is_read_only():
         assert not arr.flags.writeable
     z[0] += 1.0
     assert ws.linearization_at(z) is not lin
+
+
+@pytest.mark.parametrize("seed", [
+    0,
+    pytest.param(8, marks=pytest.mark.xfail(strict=True, reason=(
+        "one kernel column shrinks to zero and the Gram residual sticks at 1: "
+        "the run ends Stalled below the Eckart-Young distance"))),
+])
+def test_constant_input_reaches_eckart_young_distance(seed):
+    # The nearest matrix of rank 1 drops the rank by 2 at every omega.
+    a = MatPoly(np.random.default_rng(seed).normal(size=(3, 3, 1)))
+    report = solve_mccoy(McCoyProblem(a, PerturbStructure.full(a), r=2), LmConfig())
+    assert report.trace.termination in (Termination.GRAD_TOL, Termination.STEP_TOL)
+    s = np.linalg.svd(a.coeff[:, :, 0], compute_uv=False)
+    assert report.distance == pytest.approx(np.hypot(s[1], s[2]), rel=1e-10)
+    assert report.delta_a.coeff.shape == a.coeff.shape
+    assert numeric_rank((a + report.delta_a).coeff[:, :, 0]) == 1
 
 
 def test_initial_guess_candidates_and_orthonormal_kernel():

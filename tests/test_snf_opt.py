@@ -193,6 +193,21 @@ def test_solve_reversal_mode_on_unattainable_input():
     assert report.omega == np.inf
 
 
+def test_reversal_is_the_plain_problem_on_the_reversed_input():
+    c = cli.parse(str(FIXTURES / "unattainable_C.json")).to_matpoly()
+    mask = PerturbStructure.support(c).mask
+    rev = solve(SnfProblem(c, PerturbStructure(mask), deg_h=2, use_reversal=True), LmConfig())
+    plain = solve(SnfProblem(c.reversed(), PerturbStructure(mask[:, :, ::-1]), deg_h=2),
+                  LmConfig())
+    assert np.array_equal(rev.z, plain.z)
+    assert rev.trace.merits == plain.trace.merits
+    assert np.array_equal(rev.h.coeffs, plain.h.coeffs)
+    assert np.array_equal(rev.delta_a.coeff, plain.delta_a.reversed().coeff)
+    assert rev.invariant_structure == plain.invariant_structure
+    assert rev.certified == plain.certified
+    assert rev.omega == (np.inf if abs(plain.omega) < 1e-6 else 1.0 / plain.omega)
+
+
 def test_solve_support_mask_respects_zero_coefficients():
     rng = np.random.default_rng(15)
     mat, _, _ = diagonal_snf_instance(8)
