@@ -108,7 +108,8 @@ def lm_step(g, h, nu: float) -> np.ndarray:
     if nu <= 0:
         raise LinearSolveFailure("the shift must be positive")
     rhs = -(h.T @ g)
-    m = h.T @ h + nu * np.eye(h.shape[1])
+    m = h.T @ h
+    m.flat[:: m.shape[0] + 1] += nu
     try:
         dz = np.linalg.solve(m, rhs)
         residual = m @ dz - rhs

@@ -9,6 +9,7 @@ on declared, not actual, degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -287,9 +288,11 @@ class PerturbStructure:
     mask: np.ndarray
 
     def __post_init__(self):
-        self.mask = np.asarray(self.mask, dtype=bool)
+        # A read-only copy, so the slot table built on first use stays valid.
+        self.mask = np.array(self.mask, dtype=bool)
         if self.mask.ndim != 3:
             raise DimensionMismatch("mask must have shape (rows, cols, degree_bound+1)")
+        self.mask.flags.writeable = False
 
     @classmethod
     def full(cls, a: MatPoly) -> "PerturbStructure":
@@ -321,23 +324,30 @@ class PerturbStructure:
         # Flattened in the same column-major entry order as MatPoly.vec.
         return np.nonzero(self.mask.transpose(1, 0, 2).reshape(-1))[0]
 
+    @cached_property
+    def _slots(self) -> np.ndarray:
+        """Flat positions in the coefficient array of the params, in order."""
+        flat = np.arange(self.mask.size).reshape(self.mask.shape)
+        return flat.transpose(1, 0, 2)[self.mask.transpose(1, 0, 2)]
+
+    def _params(self, params) -> np.ndarray:
+        params = np.asarray(params, dtype=float).reshape(-1)
+        if params.size != self._slots.size:
+            raise DimensionMismatch(
+                f"expected {self._slots.size} parameters, got {params.size}"
+            )
+        return params
+
     def delta(self, params) -> MatPoly:
         """Perturbation matrix with params scattered into the masked slots."""
-        params = np.asarray(params, dtype=float)
-        if params.size != self.num_params:
-            raise DimensionMismatch(
-                f"expected {self.num_params} parameters, got {params.size}"
-            )
-        rows, cols, width = self.mask.shape
-        v = np.zeros(rows * cols * width)
-        v[self.param_indices()] = params
-        return MatPoly.unvec(v, rows, cols, width - 1)
+        out = np.zeros(self.mask.shape)
+        out.reshape(-1)[self._slots] = self._params(params)
+        return MatPoly(out)
 
     def apply(self, a: MatPoly, params) -> MatPoly:
         """a with params added at masked slots; unmasked coefficients unchanged."""
         if not self.matches(a):
             raise DimensionMismatch("mask shape does not match the matrix")
         out = a.coeff.copy()
-        delta = self.delta(params)
-        out[self.mask] += delta.coeff[self.mask]
+        out.reshape(-1)[self._slots] += self._params(params)
         return MatPoly(out)

@@ -14,9 +14,9 @@ The residual and the Hessian share one linearization per iterate: the
 perturbed input, the operator M(omega), its derivative and the constraint
 Jacobian J.  The solver asks for the Hessian at the point whose residual it
 has just accepted, so caching the last linearization builds each of them
-once per iterate instead of twice.  J itself is assembled by scatters to
-positions fixed per problem, so its per-iterate cost does not loop over the
-parameters or the Gram pairs in Python.
+once per iterate instead of twice.  J and the bordered Hessian are assembled
+by scatters to positions fixed per problem, so their per-iterate cost does
+not loop over the parameters or the Gram pairs in Python.
 """
 
 from __future__ import annotations
@@ -134,17 +134,6 @@ class _McCoyWorkspace:
         self._cache_key = None
         self._cache = None
 
-    @cached_property
-    def triples(self):
-        """(row, column, coefficient) of each perturbation parameter."""
-        n, width = self.n, self.d + 1
-        out = []
-        for idx in self.structure.param_indices():
-            entry, coef = divmod(int(idx), width)
-            j, i = divmod(entry, n)
-            out.append((i, j, coef))
-        return out
-
     def unpack(self, z):
         z = np.asarray(z, dtype=float)
         if z.size != self.n_x + self.n_c:
@@ -187,13 +176,6 @@ class _McCoyWorkspace:
         pencil = companion_linearization(a_pert)
         return pencil.evaluate(omega), pencil.e.astype(complex)
 
-    def _param_weight(self, i, j, coef, omega):
-        """Pencil row, column, weight and its omega derivative for a unit perturbation."""
-        base = (self.d - 1) * self.n
-        if coef < self.d:
-            return base + i, coef * self.n + j, 1.0 + 0.0j, 0.0
-        return base + i, base + j, complex(omega), 1.0
-
     def constraint(self, m, bc) -> np.ndarray:
         mb = m @ bc
         gram = bc.conj().T @ bc
@@ -206,6 +188,20 @@ class _McCoyWorkspace:
             ]
         )
 
+    def _weights(self, omega):
+        """Weight in M = E omega - F of a unit perturbation, and its omega derivative."""
+        w, dw = np.ones(self.d + 1, dtype=complex), np.zeros(self.d + 1)
+        w[-1], dw[-1] = omega, 1.0
+        return w, dw
+
+    @cached_property
+    def _cells(self):
+        """Pencil row and column (in F below degree d, else E) and coefficient of each param."""
+        entry, coef = np.divmod(self.structure.param_indices(), self.d + 1)
+        j, i = np.divmod(entry, self.n)
+        base = (self.d - 1) * self.n
+        return base + i, np.where(coef < self.d, coef * self.n, base) + j, coef
+
     @cached_property
     def _scatter(self):
         """Flat positions in J of the parameter columns, the kron(M, I_r)
@@ -217,9 +213,7 @@ class _McCoyWorkspace:
         size, r, nr, n_x = self.size, self.r, self.nr, self.n_x
         br0, bi0 = self.sl_br.start, self.sl_bi.start
         # Column k holds w * B[col] in the kernel rows of `row`, real then imaginary.
-        row, col = np.array([self._param_weight(i, j, c, 0j)[:2] for i, j, c in self.triples],
-                            dtype=int).reshape(-1, 2).T
-        coef = np.array([c for _, _, c in self.triples], dtype=int)
+        row, col, coef = self._cells
         param = (row[:, None] * r + np.arange(r)) * n_x + np.arange(self.m_p)[:, None]
         param = np.stack([param, param + nr * n_x])
 
@@ -243,16 +237,33 @@ class _McCoyWorkspace:
         dst = np.stack(np.broadcast_arrays(*(t[0] + unit for t in terms)), axis=2)
         src = np.stack(np.broadcast_arrays(*(t[1] + unit for t in terms)), axis=2)
         sign = np.broadcast_to(np.array([t[2] for t in terms])[:, None], dst.shape)
-        arrays = (coef, col, param, kron, dst.ravel(), src.ravel(), sign.ravel())
+        arrays = (param, kron, dst.ravel(), src.ravel(), sign.ravel())
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
+
+    @cached_property
+    def _hessian_scatter(self):
+        """Flat positions in the bordered Hessian of the parameter rows' B and omega
+        entries and of the kron(I, Q) diagonals at (Re B, Re B), (Im B, Im B), (Re B, Im B)."""
+        size, r, width = self.size, self.r, self.n_x + self.n_c
+        br0, bi0 = self.sl_br.start, self.sl_bi.start
+        k = np.arange(self.m_p)[:, None] * width
+        param_b = k + br0 + self._cells[1][:, None] * r + np.arange(r)
+        i, a, b = np.ix_(np.arange(size), np.arange(r), np.arange(r))
+        corners = np.array([br0 * width + br0, bi0 * width + bi0, br0 * width + bi0])
+        diag = corners[:, None, None, None] + (i * r + a) * width + i * r + b
+        arrays = (param_b, k[:, 0] + self.sl_w.start, diag)
         for arr in arrays:
             arr.flags.writeable = False
         return arrays
 
     def constraint_jacobian(self, m, dm, bc, omega) -> np.ndarray:
-        coef, col, param, kron, dst, src, sign = self._scatter
+        param, kron, dst, src, sign = self._scatter
+        _, col, coef = self._cells
         j = np.zeros((self.n_c, self.n_x))
         flat = j.reshape(-1)
-        weights = np.array([self._param_weight(0, 0, c, omega)[2] for c in range(self.d + 1)])
+        weights, _ = self._weights(omega)
         contrib = weights[coef, None] * bc[col]
         flat[param] = np.stack([contrib.real, contrib.imag])
         nr = self.nr
@@ -290,52 +301,59 @@ def _mccoy_hessian(ws: _McCoyWorkspace, z) -> np.ndarray:
     add Re sum(conj(W) * M B) to the Lagrangian: linear in p, in B and in
     omega = x + iy (M is the pencil E omega - F), so d/dy = i d/dx and the
     (omega, omega) block is zero.  The Gram rows add the constant blocks
-    kron(I, Q1 + Q1^T) and kron(I, Q2 - Q2^T).
+    kron(I, Q1 + Q1^T) and kron(I, Q2 - Q2^T).  Blocks are written into one
+    zeroed matrix at positions fixed per problem.
     """
     lin = ws.linearization_at(z)
-    omega, bc, lam, dm, jc = lin.omega, lin.bc, lin.lam, lin.dm, lin.jc
-    size, r, nr = ws.size, ws.r, ws.nr
+    bc, lam, jc = lin.bc, lin.lam, lin.jc
+    size, r, nr, n_x = ws.size, ws.r, ws.nr, ws.n_x
     wc = (lam[:nr] - 1j * lam[nr : 2 * nr]).reshape(size, r)
     q1, q2 = lam[2 * nr :].reshape(2, r, r)
-    br0, bi0, w0 = ws.sl_br.start, ws.sl_bi.start, ws.sl_w.start
+    w0 = ws.sl_w.start
+    row, col, coef = ws._cells
+    param_b, param_w, diag = ws._hessian_scatter
 
-    # Upper off-diagonal blocks first; the lower ones are their transposes.
-    h_xx = np.zeros((ws.n_x, ws.n_x))
-    cols = np.arange(r)
-    for k, (pi, pj, coef) in enumerate(ws.triples):
-        row, col, w, dw = ws._param_weight(pi, pj, coef, omega)
-        h_xx[k, br0 + col * r + cols] = (w * wc[row]).real
-        h_xx[k, bi0 + col * r + cols] = -(w * wc[row]).imag
-        if ws.has_omega:
-            s = dw * (wc[row] @ bc[col])
-            h_xx[k, w0 : w0 + 2] = s.real, -s.imag
+    full = np.zeros((n_x + ws.n_c, n_x + ws.n_c))
+    flat = full.reshape(-1)
+    # Upper off-diagonal blocks of H_xx first; the lower ones are their transposes.
+    weights, d_weights = ws._weights(lin.omega)
+    w_rows = wc[row]
+    wb = weights[coef, None] * w_rows
+    flat[param_b] = wb.real
+    flat[param_b + nr] = -wb.imag
     if ws.has_omega:
-        t = (dm.T @ wc).ravel()
-        h_xx[w0, ws.sl_br], h_xx[w0, ws.sl_bi] = t.real, -t.imag
-        h_xx[w0 + 1, ws.sl_br], h_xx[w0 + 1, ws.sl_bi] = -t.imag, -t.real
-    h_xx[ws.sl_br, ws.sl_bi] = np.kron(np.eye(size), q2 - q2.T)
+        s = d_weights[coef] * (w_rows[:, None, :] @ bc[col][:, :, None])[:, 0, 0]
+        flat[param_w], flat[param_w + 1] = s.real, -s.imag
+        t = (lin.dm.T @ wc).ravel()
+        full[w0, ws.sl_br], full[w0, ws.sl_bi] = t.real, -t.imag
+        full[w0 + 1, ws.sl_br], full[w0 + 1, ws.sl_bi] = -t.imag, -t.real
+    flat[diag[2]] = q2 - q2.T
+    h_xx = full[:n_x, :n_x]
     h_xx += h_xx.T
 
-    h_xx[ws.sl_p, ws.sl_p] = 2.0 * np.eye(ws.m_p)
-    h_xx[ws.sl_br, ws.sl_br] = h_xx[ws.sl_bi, ws.sl_bi] = np.kron(np.eye(size), q1 + q1.T)
+    np.fill_diagonal(h_xx[ws.sl_p, ws.sl_p], 2.0)
+    flat[diag[:2]] = q1 + q1.T
+    full[n_x:, :n_x] = jc
+    full[:n_x, n_x:] = jc.T
+    return full
 
-    return np.block([[h_xx, jc.T], [jc, np.zeros((ws.n_c, ws.n_c))]])
 
-
-def initial_guess_mccoy(problem: McCoyProblem) -> np.ndarray:
+def initial_guess_mccoy(problem: McCoyProblem, ws: _McCoyWorkspace | None = None,
+                        analysis: Analysis | None = None) -> np.ndarray:
     """Eigenvalue candidate scoring plus singular vectors of the pencil.
 
     Candidates are the numeric roots of the determinant together with local
     minima of |det| on a Chebyshev grid; the winner minimizes the singular
     value that must vanish for the requested rank drop.  The kernel block
-    comes out orthonormal by construction.
+    comes out orthonormal by construction.  The solver passes its own
+    workspace and analysis.
     """
-    ws = _McCoyWorkspace(problem)
+    ws = ws or _McCoyWorkspace(problem)
     a = problem.a
     if problem.pinned_omega is not None:
         omega = complex(problem.pinned_omega)
     else:
-        analysis = Analysis(a)
+        analysis = analysis or Analysis(a)
         candidates = list(analysis.eigenvalues)
         candidates.extend(_grid_extrema(analysis))
         drop_idx = a.rows - problem.r
@@ -374,10 +392,11 @@ def _grid_extrema(analysis: Analysis):
 def solve_mccoy(problem: McCoyProblem, cfg: LmConfig | None = None, z0=None) -> McCoyReport:
     """Drive the rank-drop system to stationarity and extract the record."""
     cfg = cfg or LmConfig()
-    Analysis(problem.a).require_nonsingular()
+    analysis = Analysis(problem.a)
+    analysis.require_nonsingular()
     ws = _McCoyWorkspace(problem)
     if z0 is None:
-        z0 = initial_guess_mccoy(problem)
+        z0 = initial_guess_mccoy(problem, ws, analysis)
 
     def guarded_residual(z):
         if ws.has_omega:

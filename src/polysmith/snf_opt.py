@@ -20,6 +20,7 @@ the report maps back: omega is inverted and dA reversed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .errors import DimensionMismatch, RankDeficientInput, UnattainableProblem
 from .gcdkit import approx_gcd_candidates, detect_unattainable, local_invariant_structure
 from .lmsolve import CONVERGED, LmConfig, LmTrace, lm_minimize
 from .matpoly import MatPoly, PerturbStructure, Poly
-from .structured import conv_matrix, numeric_rank
 
 
 @dataclass
@@ -129,28 +129,43 @@ class _Workspace:
         """(R J_adj E)^T lam without forming the Jacobian."""
         return system.gradient(lam_c)[self.param_idx]
 
-    def product_vec(self, f_vec, h) -> np.ndarray:
-        conv = conv_matrix(Poly(h), self.deg_f)
-        blocks = f_vec.reshape(self.n_entries, self.deg_f + 1)
-        return (blocks @ conv.T).reshape(-1)
+    @cached_property
+    def _bands(self):
+        """Flat positions of the convolution bands: of conv(h) on one cofactor,
+        of the stacked conv(F_e) on h, and of -kron(I, conv(h)) in J."""
+        rows, width_f = self.dadj + 1, self.deg_f + 1
+        # Entry e, cofactor coefficient j, divisor coefficient t: F_e[j] h[t]
+        # lands in row e * rows + j + t of vec(F h).
+        e, j, t = np.ix_(np.arange(self.n_entries), np.arange(width_f), np.arange(self.n_h))
+        divisor = (j + t) * width_f + j
+        cofactor = (e * rows + j + t) * self.n_h + t
+        jacobian = (e * rows + j + t) * self.n_x + self.sl_f.start + e * width_f + j
+        arrays = (divisor[0], cofactor, jacobian)
+        for arr in arrays:
+            arr.flags.writeable = False
+        return arrays
 
-    def divisor_blocks(self, h) -> np.ndarray:
-        """Block diagonal matrix mapping vec(F) to vec(F h)."""
-        return np.kron(np.eye(self.n_entries), conv_matrix(Poly(h), self.deg_f))
+    def divisor_matrix(self, h) -> np.ndarray:
+        """conv(h), acting on the coefficients of one cofactor."""
+        out = np.zeros((self.dadj + 1, self.deg_f + 1))
+        out.reshape(-1)[self._bands[0]] = h
+        return out
 
     def cofactor_blocks(self, f_vec) -> np.ndarray:
         """Stacked matrix mapping h to vec(F h)."""
-        blocks = f_vec.reshape(self.n_entries, self.deg_f + 1)
-        return np.vstack([conv_matrix(Poly(b), self.deg_h) for b in blocks])
+        out = np.zeros((self.n_entries * (self.dadj + 1), self.n_h))
+        out.reshape(-1)[self._bands[1]] = f_vec.reshape(self.n_entries, self.deg_f + 1, 1)
+        return out
 
     def constraint(self, system, f_vec, h) -> np.ndarray:
-        residual = self.adjoint_vec(system) - self.product_vec(f_vec, h)
+        blocks = f_vec.reshape(self.n_entries, self.deg_f + 1)
+        residual = self.adjoint_vec(system) - (blocks @ self.divisor_matrix(h).T).reshape(-1)
         return np.concatenate([residual, [h[-1] - 1.0]])
 
     def constraint_jacobian(self, system, f_vec, h) -> np.ndarray:
         j = np.zeros((self.n_c, self.n_x))
         j[:-1, self.sl_p] = self.adjoint_jacobian(system)
-        j[:-1, self.sl_f] = -self.divisor_blocks(h)
+        j.reshape(-1)[self._bands[2]] = -h
         j[:-1, self.sl_h] = -self.cofactor_blocks(f_vec)
         j[-1, self.n_x - 1] = 1.0
         return j
@@ -167,8 +182,7 @@ def _kkt_residual(ws: _Workspace, z) -> np.ndarray:
     lam_c, lam_n = lam[:-1], lam[-1]
     grad_p = 2.0 * p + ws.adjoint_gradient(system, lam_c)
     lam_blocks = lam_c.reshape(ws.n_entries, ws.dadj + 1)
-    conv_h = conv_matrix(Poly(h), ws.deg_f)
-    grad_f = -(lam_blocks @ conv_h).reshape(-1)
+    grad_f = -(lam_blocks @ ws.divisor_matrix(h)).reshape(-1)
     grad_h = -(ws.cofactor_blocks(f_vec).T @ lam_c)
     grad_h[-1] += lam_n
     c = ws.constraint(system, f_vec, h)
@@ -183,37 +197,41 @@ def _kkt_hessian(ws: _Workspace, z) -> np.ndarray:
     """Exact Hessian of the Lagrangian, bordered by the constraint Jacobian.
 
     The (p, p) block is the quadratic objective plus the adjoint curvature
-    from (n-3)-minors; the F h coupling is bilinear.  The result is
-    symmetrized.
+    from (n-3)-minors, symmetrized; the F h coupling is bilinear.  Every
+    block is written into one zeroed matrix; the others are exact mirrors.
     """
     p, f_vec, h, lam = ws.unpack(z)
     system = ws.system_at(p)
     lam_c = lam[:-1]
-    j = ws.constraint_jacobian(system, f_vec, h)
+    n_x = ws.n_x
+    full = np.zeros((n_x + ws.n_c, n_x + ws.n_c))
 
-    h_xx = np.zeros((ws.n_x, ws.n_x))
     curvature = system.curvature(lam_c)
-    h_xx[ws.sl_p, ws.sl_p] = 2.0 * np.eye(ws.m_p) + curvature[np.ix_(ws.param_idx, ws.param_idx)]
+    pp = 2.0 * np.eye(ws.m_p) + curvature[np.ix_(ws.param_idx, ws.param_idx)]
+    full[ws.sl_p, ws.sl_p] = 0.5 * (pp + pp.T)
 
     # Cross block between cofactors and divisor: bilinear, hence exact.
     lam_blocks = lam_c.reshape(ws.n_entries, ws.dadj + 1)
     windows = np.lib.stride_tricks.sliding_window_view(lam_blocks, ws.n_h, axis=1)
     cross = -windows.reshape(ws.n_f, ws.n_h)
-    h_xx[ws.sl_f, ws.sl_h] = cross
-    h_xx[ws.sl_h, ws.sl_f] = cross.T
+    full[ws.sl_f, ws.sl_h] = cross
+    full[ws.sl_h, ws.sl_f] = cross.T
 
-    full = np.block([[h_xx, j.T], [j, np.zeros((ws.n_c, ws.n_c))]])
-    return 0.5 * (full + full.T)
+    j = ws.constraint_jacobian(system, f_vec, h)
+    full[n_x:, :n_x] = j
+    full[:n_x, n_x:] = j.T
+    return full
 
 
-def initial_guess(problem: SnfProblem) -> np.ndarray:
+def initial_guess(problem: SnfProblem, ws: _Workspace | None = None) -> np.ndarray:
     """Zero perturbation, divisor and cofactors from an approximate GCD.
 
     Among the candidate divisor fits, the one whose root comes closest to
     dropping the rank of A by two wins: the selection score is the
-    second-smallest singular value of A at the candidate root.
+    second-smallest singular value of A at the candidate root.  The solver
+    passes its workspace, so the first residual reuses the adjugate at p = 0.
     """
-    ws = _Workspace(problem)
+    ws = ws or _Workspace(problem)
     entries = adjoint(ws.a).pvec()
     fits = approx_gcd_candidates(entries, problem.deg_h, [ws.dadj] * len(entries))
     fit = min(fits, key=lambda cand: _rank_drop_score(ws, cand))
@@ -256,7 +274,7 @@ def _require_attainable(problem: SnfProblem):
 
 def _minimize(problem: SnfProblem, cfg: LmConfig) -> SnfReport:
     ws = _Workspace(problem)
-    z0 = initial_guess(problem)
+    z0 = initial_guess(problem, ws)
     z, trace = lm_minimize(lambda v: _kkt_residual(ws, v), lambda v: _kkt_hessian(ws, v), z0, cfg)
     return _extract_report(ws, z, trace, cfg)
 
@@ -297,7 +315,7 @@ def _extract_report(ws: _Workspace, z, trace, cfg: LmConfig) -> SnfReport:
         z=np.asarray(z, dtype=float),
     )
     if trace.termination in CONVERGED:
-        report.certified = certify(problem, report, cfg)[0]
+        report.certified = certify(problem, report, cfg, ws)
     return report
 
 
@@ -318,20 +336,18 @@ def _divisor_root(h: Poly, a_solved: MatPoly):
     return complex(roots[int(np.argmin(scores))].real)
 
 
-def certify(problem: SnfProblem, report: SnfReport, cfg: LmConfig | None = None):
-    """Second-order check: Hessian positive semidefinite on the constraint kernel.
-
-    Returns (certified, sigma_min) where sigma_min is the smallest singular
-    value of the stacked [H_xx; J], the computable part of the local error
-    bound constant.
-    """
+def certify(problem: SnfProblem, report: SnfReport, cfg: LmConfig | None = None,
+            ws: _Workspace | None = None) -> bool:
+    """Second-order check at a point within the gradient tolerance: Hessian
+    positive semidefinite on the constraint kernel.  The solver passes its
+    workspace, which holds the adjugate at the final iterate."""
     cfg = cfg or LmConfig()
-    ws = _Workspace(problem)
+    ws = ws or _Workspace(problem)
     if report.z is None:
         raise DimensionMismatch("the report carries no solver state to certify")
     h_full = _kkt_hessian(ws, report.z)
     h_xx = h_full[: ws.n_x, : ws.n_x]
-    j = h_full[ws.n_x :, : ws.n_x]  # 0.5 * (J + J) is J exactly
+    j = h_full[ws.n_x :, : ws.n_x]
 
     u, s, vt = np.linalg.svd(j)
     rank = int(np.count_nonzero(s > s[0] * max(j.shape) * 1e-12)) if s.size and s[0] else 0
@@ -341,9 +357,7 @@ def certify(problem: SnfProblem, report: SnfReport, cfg: LmConfig | None = None)
         kernel_ok = bool(eigs.min() > -1e-8)
     else:
         kernel_ok = True
-    grad_ok = report.final_grad_norm <= cfg.grad_tol
-    sigma_min = float(np.linalg.svd(np.vstack([h_xx, j]), compute_uv=False)[-1])
-    return bool(kernel_ok and grad_ok), sigma_min
+    return bool(kernel_ok and report.final_grad_norm <= cfg.grad_tol)
 
 
 def solve_best_degree(a: MatPoly, structure: PerturbStructure, cfg: LmConfig | None = None,

@@ -68,6 +68,18 @@ def test_check_determinism(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("argv", [["mccoy", "--rank-drop", "4"], ["snf", "--deg-h", "2"]])
+def test_solver_reports_repeat_in_one_process(capsys, argv):
+    # Per-workspace scatter tables and caches must not leak between runs.
+    docs = []
+    for _ in range(2):
+        report, code = run_cli(capsys, [argv[0], str(FIXTURES / "ex1.json"), *argv[1:]])
+        assert code == 0
+        report.pop("wall_seconds")
+        docs.append(json.dumps(report, sort_keys=True))
+    assert docs[0] == docs[1]
+
+
 def test_exit_code_validation_error(capsys, tmp_path):
     path = tmp_path / "rect.json"
     path.write_text('{"rows":1,"cols":2,"entries":[[[1.0],[2.0]]]}')

@@ -26,6 +26,30 @@ def test_lm_step_matches_normal_equations():
     assert np.allclose(dz, expected, atol=1e-10)
 
 
+def lm_step_eye_form(g, h, nu):
+    """lm_step with the shift added as nu * np.eye(n), refinement included."""
+    rhs = -(h.T @ g)
+    m = h.T @ h + nu * np.eye(h.shape[1])
+    dz = np.linalg.solve(m, rhs)
+    residual = m @ dz - rhs
+    if np.linalg.norm(residual) > 1e-10 * (1.0 + np.linalg.norm(rhs)):
+        dz = dz - np.linalg.solve(m, residual)
+    return dz
+
+
+@pytest.mark.parametrize("n", [3, 17, 60])
+def test_lm_step_matches_eye_form_bitwise_and_keeps_inputs(n):
+    rng = np.random.default_rng(n)
+    for nu in (1e-14, 1e-6, 0.37, 25.0):
+        a = rng.normal(size=(n, n))
+        h = a + a.T
+        g = rng.normal(size=n)
+        h0, g0 = h.copy(), g.copy()
+        dz = lm_step(g, h, nu)
+        assert np.array_equal(h, h0) and np.array_equal(g, g0)
+        assert dz.tobytes() == lm_step_eye_form(g, h, nu).tobytes()
+
+
 def test_lm_step_rejects_bad_shift():
     with pytest.raises(LinearSolveFailure):
         lm_step(np.ones(2), np.eye(2), 0.0)

@@ -4,6 +4,8 @@ import pytest
 from polysmith.errors import DimensionMismatch, PadTooSmall
 from polysmith.matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 
+from oracles import perturb_apply_via_delta, perturb_delta_via_vec
+
 EXAMPLE = MatPoly.from_entries([[[0, 1], [-1, 1]], [[1, 1], [0, 1]]])  # [[t, t-1], [t+1, t]]
 
 
@@ -122,6 +124,31 @@ def test_apply_perturbation_dimension_mismatch():
     structure = PerturbStructure.full(EXAMPLE)
     with pytest.raises(DimensionMismatch):
         structure.apply(EXAMPLE, np.zeros(structure.num_params + 1))
+
+
+@pytest.mark.parametrize("kind", ["full", "support", "degree"])
+def test_apply_matches_delta_route_bitwise(kind):
+    rng = np.random.default_rng(9)
+    coeff = rng.normal(size=(3, 3, 4))
+    coeff[rng.random(coeff.shape) < 0.3] = 0.0
+    coeff[0, 0, 0] = -0.0
+    a = MatPoly(coeff)
+    structure = getattr(PerturbStructure, kind)(a)
+    for params in (rng.normal(size=structure.num_params), np.zeros(structure.num_params)):
+        want = perturb_apply_via_delta(structure, a, params)
+        got = structure.apply(a, params)
+        assert np.array_equal(got.coeff, want.coeff)
+        assert got.coeff.tobytes() == want.coeff.tobytes()
+        delta = structure.delta(params).coeff
+        assert delta.tobytes() == perturb_delta_via_vec(structure, params).coeff.tobytes()
+
+
+def test_structure_holds_a_read_only_copy_of_the_mask():
+    mask = np.ones((2, 2, 2), dtype=bool)
+    structure = PerturbStructure(mask)
+    mask[0, 0, 0] = False
+    assert structure.num_params == 8
+    assert not structure.mask.flags.writeable
 
 
 def test_perturbation_isometry():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polysmith import cli, mccoy_opt
+from polysmith import cli, gcdkit, mccoy_opt
 from polysmith.detadj import determinant
 from polysmith.errors import UnattainableProblem
 from polysmith.gcdkit import local_invariant_structure
@@ -9,6 +9,7 @@ from polysmith.lmsolve import LmConfig, Termination
 from polysmith.matpoly import MatPoly, PerturbStructure
 from polysmith.mccoy_opt import (
     McCoyProblem,
+    _mccoy_hessian,
     _McCoyWorkspace,
     companion_linearization,
     initial_guess_mccoy,
@@ -24,6 +25,7 @@ from oracles import (
     fd_columns,
     mccoy_all_entries_distance,
     mccoy_constraint_jacobian_loop,
+    mccoy_hessian_loop,
     mccoy_rank2_instance,
 )
 
@@ -161,6 +163,18 @@ def test_constraint_jacobian_matches_loop_bitwise(kind, r):
         assert np.array_equal(ws.linearization_at(z).jc, want)
 
 
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("kind", ["linearized", "dense", "pinned", "constant"])
+def test_hessian_matches_loop_bitwise(kind, r):
+    ws = _McCoyWorkspace(_jacobian_case(kind, r))
+    rng = np.random.default_rng(60 + r)
+    for _ in range(3):
+        z = rng.normal(size=ws.n_x + ws.n_c)
+        got = _mccoy_hessian(ws, z)
+        assert np.array_equal(got, mccoy_hessian_loop(ws, z))
+        assert np.array_equal(got, got.T)
+
+
 def test_residual_and_hessian_share_one_linearization(monkeypatch):
     # One linearization for the seed plus one per residual; every Hessian is
     # taken at the point whose residual was just accepted, so it reuses it.
@@ -177,6 +191,20 @@ def test_residual_and_hessian_share_one_linearization(monkeypatch):
     residuals = report.trace.iterations + 1 + sum(report.trace.rejected)
     assert report.trace.iterations == 11
     assert len(calls) == 1 + residuals == 13
+
+
+def test_solve_interpolates_the_determinant_once(monkeypatch):
+    # The nonsingularity check and the eigenvalue seed share one Analysis.
+    calls = []
+
+    def counted(a, _fn=gcdkit.determinant):
+        calls.append(1)
+        return _fn(a)
+
+    monkeypatch.setattr(gcdkit, "determinant", counted)
+    a = mccoy_rank2_instance(0)
+    solve_mccoy(McCoyProblem(a, PerturbStructure.full(a), r=2), LmConfig())
+    assert len(calls) == 1
 
 
 def test_linearization_cache_is_read_only():

@@ -3,13 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from polysmith import cli
+from polysmith import cli, snf_opt
 from polysmith.detadj import adjoint
 from polysmith.gcdkit import distance_lower_bound
 from polysmith.lmsolve import LmConfig, Termination
 from polysmith.matpoly import MatPoly, PerturbStructure, Poly
 from polysmith.snf_opt import (
     SnfProblem,
+    _kkt_hessian,
     _Workspace,
     certify,
     initial_guess,
@@ -18,6 +19,7 @@ from polysmith.snf_opt import (
     solve,
     solve_best_degree,
 )
+from polysmith.structured import conv_matrix
 
 from conftest import FIXTURES
 from oracles import (
@@ -25,6 +27,7 @@ from oracles import (
     diagonal_snf_instance,
     fd_columns,
     random_full_rank_matpoly,
+    snf_kkt_hessian_block,
 )
 
 
@@ -70,6 +73,33 @@ def test_kkt_hessian_blocks_and_symmetry():
     block = h_full[: ws.m_p, : ws.m_p]
     assert np.allclose(block, 2.0 * np.eye(ws.m_p), atol=1e-7)
     assert np.array_equal(h_full, h_full.T)
+
+
+def _hessian_case(kind):
+    if kind.startswith("ex1"):
+        a = cli.parse(str(FIXTURES / "ex1.json")).to_matpoly()
+        return a, PerturbStructure.support(a), int(kind[-1])
+    mat, _, _ = diagonal_snf_instance(9)
+    return mat, PerturbStructure.degree(mat), 1
+
+
+@pytest.mark.parametrize("use_reversal", [False, True])
+@pytest.mark.parametrize("kind", ["ex1-deg1", "ex1-deg2", "diagonal"])
+def test_kkt_hessian_matches_block_assembly_bitwise(kind, use_reversal):
+    a, structure, deg_h = _hessian_case(kind)
+    ws = _Workspace(SnfProblem(a, structure, deg_h=deg_h, use_reversal=use_reversal))
+    rng = np.random.default_rng(17)
+    for _ in range(2):
+        z = rng.normal(size=ws.n_x + ws.n_c)
+        z[ws.sl_p] *= 1e-2
+        got = _kkt_hessian(ws, z)
+        assert np.array_equal(got, snf_kkt_hessian_block(ws, z))
+        assert np.array_equal(got, got.T)
+        _, f_vec, h, _ = ws.unpack(z)
+        blocks = f_vec.reshape(ws.n_entries, ws.deg_f + 1)
+        assert np.array_equal(ws.divisor_matrix(h), conv_matrix(Poly(h), ws.deg_f))
+        assert np.array_equal(ws.cofactor_blocks(f_vec),
+                              np.vstack([conv_matrix(Poly(b), ws.deg_h) for b in blocks]))
 
 
 def singular_at_one_3x3(seed):
@@ -166,8 +196,7 @@ def test_certify_rejects_non_stationary_point():
     rng = np.random.default_rng(14)
     report.final_grad_norm = 1.0
     report.z = report.z + 0.5 * rng.normal(size=report.z.size)
-    certified, _ = certify(problem, report)
-    assert not certified
+    assert certify(problem, report) is False
 
 
 def test_solve_reversal_mode_on_unattainable_input():
@@ -227,6 +256,22 @@ def test_solve_best_degree_picks_smaller_distance():
     report = solve_best_degree(mat, PerturbStructure.degree(mat))
     direct = solve(SnfProblem(mat, PerturbStructure.degree(mat), deg_h=1), LmConfig())
     assert report.distance <= direct.distance + 1e-9
+
+
+def test_solve_builds_one_adjugate_per_residual(monkeypatch):
+    # The seed, the first residual and the certificate share the solver's
+    # workspace: the adjugate at p = 0 and at the final iterate is built once.
+    built = []
+
+    def counted(a, _cls=snf_opt.AdjugateNodes):
+        built.append(1)
+        return _cls(a)
+
+    monkeypatch.setattr(snf_opt, "AdjugateNodes", counted)
+    a = cli.parse(str(FIXTURES / "ex1.json")).to_matpoly()
+    report = solve(SnfProblem(a, PerturbStructure.support(a), deg_h=2), LmConfig())
+    assert report.certified and report.trace.iterations == 19
+    assert len(built) == report.trace.iterations + 1 + sum(report.trace.rejected)
 
 
 def test_ex1_converges_in_few_iterations():
