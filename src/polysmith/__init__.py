@@ -43,7 +43,6 @@ from .lmsolve import LmConfig, LmTrace, Termination, lm_minimize, lm_step
 from .snf_opt import (
     SnfProblem,
     SnfReport,
-    certify,
     initial_guess,
     kkt_hessian,
     kkt_residual,

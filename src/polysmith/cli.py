@@ -11,7 +11,9 @@ Exit codes: 0 success, 1 the library rejected the input or a numeric step
 failed, 2 the solver ended short of --tol (Stalled, or Sublinear: at its
 observed rate it could not reach --tol within --max-iter), 3 unattainable
 problem, 4 invalid input or usage.  Every run prints exactly one JSON object
-on standard output.
+on standard output.  `snf` and `mccoy` report `certified`: the run converged
+within --tol and the Hessian of the Lagrangian is positive semidefinite on
+the constraint kernel.  An uncertified result does not change the exit code.
 """
 
 from __future__ import annotations
@@ -233,6 +235,7 @@ def _cmd_mccoy(args):
         "omega": _complex_field(report.omega),
         "invariant_factor": report.invariant_factor.coeffs.tolist(),
         "delta": _matpoly_grid(report.delta_a),
+        "certified": report.certified,
         "trace": _trace_summary(report.trace),
     }
     code = EXIT_STALLED if report.trace.termination in _SHORT_OF_TOL else EXIT_OK

@@ -159,12 +159,6 @@ class AdjugateNodes:
             jac[:, k : k + deg + 1, :, k] = blocks
         return jac.reshape(n * n * (self.dadj + 1), n * n * (d + 1))
 
-    def gradient(self, lam) -> np.ndarray:
-        """Gradient of lam . vec Adj(A) with respect to vec(A), i.e. J^T lam."""
-        first = self._derivative(2, self._node_weight(lam))  # (x, r, s)
-        powers = self.nodes[:, None] ** np.arange(self.d + 1)
-        return np.einsum("xrs,xk->srk", first, powers).real.reshape(-1)
-
     def curvature(self, lam) -> np.ndarray:
         """Hessian of lam . vec Adj(A) with respect to vec(A), from (n-3)-minors."""
         size = self.n * self.n * (self.d + 1)

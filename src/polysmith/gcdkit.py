@@ -339,7 +339,7 @@ def distance_lower_bound(a: MatPoly):
 
 
 def approx_gcd(f, deg_h: int, dprime) -> ApproxGcdResult:
-    """Monic degree-deg_h near-common divisor by alternating least squares.
+    """Monic near-common divisor of degree deg_h, 1 or 2, by alternating least squares.
 
     Root candidates pooled from the entries seed the divisor; the refinement
     then alternates between solving for cofactors with the divisor fixed and
@@ -352,8 +352,8 @@ def approx_gcd(f, deg_h: int, dprime) -> ApproxGcdResult:
 def approx_gcd_candidates(f, deg_h: int, dprime) -> list:
     """Alternating-fit results from the top divisor seeds, best residual first."""
     dprime = [int(x) for x in dprime]
-    if deg_h < 1:
-        raise DegreeTooLarge("the common divisor must have degree at least 1")
+    if deg_h not in (1, 2):
+        raise DegreeTooLarge("the common divisor must have degree 1 or 2")
     if deg_h > min(dprime):
         raise DegreeTooLarge(f"degree {deg_h} exceeds a declared degree bound")
     trimmed = [p.trimmed(TRIM_TOL) for p in f]
@@ -506,45 +506,29 @@ def _initial_divisors(entries, deg_h: int) -> list:
         pool.sort(key=lambda i: scores[i])
         return [np.array([-candidates[i].real, 1.0]) for i in pool[:SEED_SHORTLIST]]
 
-    if deg_h == 2:
-        # A real polynomial vanishing at z also vanishes at conj(z), so a
-        # conjugate pair costs one projection while two real roots cost two.
-        scored_pairs = []
-        for i, z in enumerate(candidates):
-            if not real_like(z):
-                scored_pairs.append((float(scores[i]), (z, np.conj(z))))
-        reals = sorted(
-            (i for i in range(candidates.size) if real_like(candidates[i])),
-            key=lambda i: scores[i],
-        )
-        for a in range(min(len(reals), 3)):
-            for b in range(a, min(len(reals), 3)):
-                i, j = reals[a], reals[b]
-                scored_pairs.append(
-                    (float(scores[i] + scores[j]), (candidates[i].real, candidates[j].real))
-                )
-        if not scored_pairs:
-            z = candidates[int(np.argmin(scores))]
-            scored_pairs.append((float(scores[int(np.argmin(scores))]), (z, np.conj(z))))
-        scored_pairs.sort(key=lambda item: item[0])
-        return [np.array([float((r1 * r2).real), float(-(r1 + r2).real), 1.0])
-                for _, (r1, r2) in scored_pairs[:SEED_SHORTLIST]]
-
-    order = np.argsort(scores)
-    roots, used = [], np.zeros(candidates.size, dtype=bool)
-    for i in order:
-        if used[i] or len(roots) + (1 if real_like(candidates[i]) else 2) > deg_h:
-            continue
-        if real_like(candidates[i]):
-            roots.append(candidates[i].real)
-        else:
-            roots.extend([candidates[i], np.conj(candidates[i])])
-        used[i] = True
-        if len(roots) == deg_h:
-            break
-    while len(roots) < deg_h:
-        roots.append(0.0)
-    return [np.polynomial.polynomial.polyfromroots(roots).real]
+    # deg_h == 2.  A real polynomial vanishing at z also vanishes at
+    # conj(z), so a conjugate pair costs one projection while two real roots
+    # cost two.
+    scored_pairs = []
+    for i, z in enumerate(candidates):
+        if not real_like(z):
+            scored_pairs.append((float(scores[i]), (z, np.conj(z))))
+    reals = sorted(
+        (i for i in range(candidates.size) if real_like(candidates[i])),
+        key=lambda i: scores[i],
+    )
+    for a in range(min(len(reals), 3)):
+        for b in range(a, min(len(reals), 3)):
+            i, j = reals[a], reals[b]
+            scored_pairs.append(
+                (float(scores[i] + scores[j]), (candidates[i].real, candidates[j].real))
+            )
+    if not scored_pairs:
+        z = candidates[int(np.argmin(scores))]
+        scored_pairs.append((float(scores[int(np.argmin(scores))]), (z, np.conj(z))))
+    scored_pairs.sort(key=lambda item: item[0])
+    return [np.array([float((r1 * r2).real), float(-(r1 + r2).real), 1.0])
+            for _, (r1, r2) in scored_pairs[:SEED_SHORTLIST]]
 
 
 def triviality_report(a: MatPoly, structure: PerturbStructure) -> TrivialityReport:

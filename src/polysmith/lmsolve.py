@@ -14,6 +14,10 @@ RATE_WINDOW steps are accepted, the run must be able to reach grad_tol
 within max_iter at the rate it has shown over the last RATE_WINDOW steps;
 if it cannot, it ends as Sublinear instead of spending its whole budget to
 end as MaxIter.
+
+Both solvers minimize ||p||^2 subject to c(x) = 0, p leading the state x,
+and share the Lagrangian's pieces below: the residual [J^T lam + 2p; c],
+the KKT matrix [[H_xx, J^T], [J, 0]] and the certificate read from it.
 """
 
 from __future__ import annotations
@@ -186,3 +190,39 @@ def lm_minimize(g_fn, h_fn, z0, cfg: LmConfig | None = None):
 
     trace.termination = Termination.MAX_ITER
     return z, trace
+
+
+def lagrangian_gradient(p, lam, c, jac) -> np.ndarray:
+    """Gradient of ||p||^2 + lam . c(x) in (x, lam): [J^T lam + 2p; c], with
+    J = dc/dx and p the leading entries of x."""
+    grad_x = jac.T @ lam
+    grad_x[: p.size] += 2.0 * p
+    return np.concatenate([grad_x, c])
+
+
+def bordered_hessian(jac) -> np.ndarray:
+    """The KKT matrix [[0, J^T], [J, 0]]; the solver writes H_xx into its
+    leading block, which has one row and column per column of J."""
+    n_x = jac.shape[1]
+    full = np.zeros((n_x + jac.shape[0],) * 2)
+    full[n_x:, :n_x] = jac
+    full[:n_x, n_x:] = jac.T
+    return full
+
+
+def certify(g_fn, h_fn, z, n_x: int, trace: LmTrace, cfg: LmConfig | None = None) -> bool:
+    """Second-order certificate of a local minimizer at z.
+
+    The run converged, the merit ||g(z)|| is within grad_tol, and H_xx is
+    positive semidefinite on ker J, both read from the bordered Hessian
+    h_fn(z) whose leading n_x x n_x block is H_xx.
+    """
+    cfg = cfg or LmConfig()
+    if trace.termination not in CONVERGED or not np.linalg.norm(g_fn(z)) <= cfg.grad_tol:
+        return False
+    full = h_fn(z)
+    h_xx, j = full[:n_x, :n_x], full[n_x:, :n_x]
+    _, s, vt = np.linalg.svd(j)
+    rank = int(np.count_nonzero(s > s[0] * max(j.shape) * 1e-12)) if s.size and s[0] else 0
+    kernel = vt[rank:].T
+    return not kernel.shape[1] or bool(np.linalg.eigvalsh(kernel.T @ h_xx @ kernel).min() > -1e-8)

@@ -22,13 +22,14 @@ not loop over the parameters or the Gram pairs in Python.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import DimensionMismatch, UnattainableProblem
 from .gcdkit import Analysis
-from .lmsolve import LmConfig, LmTrace, lm_minimize
+from .lmsolve import (LmConfig, LmTrace, bordered_hessian, certify, lagrangian_gradient,
+                      lm_minimize)
 from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 
 # |omega| beyond this means the eigenvalue is running off to infinity.
@@ -89,6 +90,7 @@ class McCoyReport:
     iterations: int
     final_grad_norm: float
     invariant_factor: Poly
+    certified: bool
     trace: LmTrace
     z: np.ndarray = field(repr=False, default=None)
 
@@ -285,9 +287,7 @@ def mccoy_residual(problem: McCoyProblem, z) -> np.ndarray:
 
 def _mccoy_residual(ws: _McCoyWorkspace, z) -> np.ndarray:
     lin = ws.linearization_at(z)
-    grad_x = lin.jc.T @ lin.lam
-    grad_x[ws.sl_p] += 2.0 * lin.p
-    return np.concatenate([grad_x, ws.constraint(lin.m, lin.bc)])
+    return lagrangian_gradient(lin.p, lin.lam, ws.constraint(lin.m, lin.bc), lin.jc)
 
 
 def mccoy_hessian(problem: McCoyProblem, z) -> np.ndarray:
@@ -301,8 +301,8 @@ def _mccoy_hessian(ws: _McCoyWorkspace, z) -> np.ndarray:
     add Re sum(conj(W) * M B) to the Lagrangian: linear in p, in B and in
     omega = x + iy (M is the pencil E omega - F), so d/dy = i d/dx and the
     (omega, omega) block is zero.  The Gram rows add the constant blocks
-    kron(I, Q1 + Q1^T) and kron(I, Q2 - Q2^T).  Blocks are written into one
-    zeroed matrix at positions fixed per problem.
+    kron(I, Q1 + Q1^T) and kron(I, Q2 - Q2^T).  Blocks are written into the
+    bordered frame at positions fixed per problem.
     """
     lin = ws.linearization_at(z)
     bc, lam, jc = lin.bc, lin.lam, lin.jc
@@ -313,7 +313,7 @@ def _mccoy_hessian(ws: _McCoyWorkspace, z) -> np.ndarray:
     row, col, coef = ws._cells
     param_b, param_w, diag = ws._hessian_scatter
 
-    full = np.zeros((n_x + ws.n_c, n_x + ws.n_c))
+    full = bordered_hessian(jc)
     flat = full.reshape(-1)
     # Upper off-diagonal blocks of H_xx first; the lower ones are their transposes.
     weights, d_weights = ws._weights(lin.omega)
@@ -333,8 +333,6 @@ def _mccoy_hessian(ws: _McCoyWorkspace, z) -> np.ndarray:
 
     np.fill_diagonal(h_xx[ws.sl_p, ws.sl_p], 2.0)
     flat[diag[:2]] = q1 + q1.T
-    full[n_x:, :n_x] = jc
-    full[:n_x, n_x:] = jc.T
     return full
 
 
@@ -407,11 +405,13 @@ def solve_mccoy(problem: McCoyProblem, cfg: LmConfig | None = None, z0=None) -> 
                 )
         return _mccoy_residual(ws, z)
 
-    z, trace = lm_minimize(guarded_residual, lambda v: _mccoy_hessian(ws, v), z0, cfg)
-    return _extract_mccoy_report(ws, z, trace)
+    hessian = partial(_mccoy_hessian, ws)
+    z, trace = lm_minimize(guarded_residual, hessian, z0, cfg)
+    certified = certify(guarded_residual, hessian, z, ws.n_x, trace, cfg)
+    return _extract_mccoy_report(ws, z, trace, certified)
 
 
-def _extract_mccoy_report(ws: _McCoyWorkspace, z, trace) -> McCoyReport:
+def _extract_mccoy_report(ws: _McCoyWorkspace, z, trace, certified: bool) -> McCoyReport:
     p, omega, br, bi, _ = ws.unpack(z)
     delta = ws.problem.structure.delta(p)
     if abs(omega.imag) <= 1e-8 * (1.0 + abs(omega.real)):
@@ -426,6 +426,7 @@ def _extract_mccoy_report(ws: _McCoyWorkspace, z, trace) -> McCoyReport:
         iterations=trace.iterations,
         final_grad_norm=trace.merits[-1],
         invariant_factor=factor,
+        certified=certified,
         trace=trace,
         z=np.asarray(z, dtype=float),
     )

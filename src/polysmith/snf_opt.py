@@ -15,19 +15,24 @@ With use_reversal the problem is solved on the reversed input rev A(t) =
 t^d A(1/t) and the reversed mask: Adj(rev A) = rev Adj(A) at the declared
 degrees, so a divisor root at zero is an eigenvalue at infinity of A.  Only
 the report maps back: omega is inverted and dA reversed.
+
+The residual [J^T lam + 2p; c] and the Hessian share one linearization per
+iterate, so the adjugate's derivatives all come from the one Jacobian J.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .detadj import AdjugateNodes, adjoint, require_full_rank
 from .errors import DimensionMismatch, RankDeficientInput, UnattainableProblem
-from .gcdkit import approx_gcd_candidates, detect_unattainable, local_invariant_structure
-from .lmsolve import CONVERGED, LmConfig, LmTrace, lm_minimize
+from .gcdkit import (approx_gcd_candidates, detect_unattainable, local_invariant_structure,
+                     rank_at_point)
+from .lmsolve import (CONVERGED, LmConfig, LmTrace, bordered_hessian, certify,
+                      lagrangian_gradient, lm_minimize)
 from .matpoly import MatPoly, PerturbStructure, Poly
 
 
@@ -43,8 +48,10 @@ class SnfProblem:
             raise DimensionMismatch("the input matrix polynomial must be square")
         if not self.structure.matches(self.a):
             raise DimensionMismatch("perturbation mask does not match the matrix")
+        # A real divisor of degree 3 or more has a real factor of degree 1
+        # or 2, so higher degrees never give a smaller distance.
         n, d = self.a.rows, self.a.degree_bound
-        if self.deg_h < 1 or self.deg_h > (n - 1) * d:
+        if self.deg_h not in (1, 2) or self.deg_h > (n - 1) * d:
             raise DimensionMismatch(
                 f"divisor degree {self.deg_h} is infeasible for n={n}, d={d}"
             )
@@ -63,6 +70,18 @@ class SnfReport:
     certified: bool
     trace: LmTrace
     z: np.ndarray = field(repr=False, default=None)
+
+
+@dataclass(frozen=True)
+class _Linearization:
+    """Parameters and multipliers of the iterate z, with the adjugate kernel,
+    constraint and constraint Jacobian at it."""
+
+    p: np.ndarray
+    lam: np.ndarray
+    system: AdjugateNodes
+    c: np.ndarray
+    jac: np.ndarray
 
 
 class _Workspace:
@@ -89,7 +108,6 @@ class _Workspace:
         self.sl_p = slice(0, self.m_p)
         self.sl_f = slice(self.m_p, self.m_p + self.n_f)
         self.sl_h = slice(self.m_p + self.n_f, self.n_x)
-        self.sl_lam = slice(self.n_x, self.n_x + self.n_c)
         self.param_idx = structure.param_indices()
         self._cache_key = None
         self._cache = None
@@ -101,33 +119,30 @@ class _Workspace:
         z = np.asarray(z, dtype=float)
         if z.size != self.n_x + self.n_c:
             raise DimensionMismatch(f"state has size {z.size}, expected {self.n_x + self.n_c}")
-        return z[self.sl_p], z[self.sl_f], z[self.sl_h], z[self.sl_lam]
+        return z[self.sl_p], z[self.sl_f], z[self.sl_h], z[self.n_x :]
 
     def perturbed(self, p) -> MatPoly:
         return self.structure.apply(self.a, p)
 
-    def system_at(self, p) -> AdjugateNodes:
-        """Adjugate kernel at A + delta(p); one-slot cache shared by g and H.
+    def linearization_at(self, z) -> _Linearization:
+        """Linearization at z; one-slot cache shared by g and H, read-only.
 
         Raises RankDeficientInput at the full-rank wall, so trial steps there are rejected."""
-        key = np.asarray(p, dtype=float).tobytes()
+        key = np.asarray(z, dtype=float).tobytes()
         if self._cache_key != key:
+            p, f_vec, h, lam = self.unpack(np.frombuffer(key))
             a = self.perturbed(p)
             require_full_rank(a)
+            system = AdjugateNodes(a)
+            c = self.constraint(system, f_vec, h)
+            jac = self.constraint_jacobian(system, f_vec, h)
+            c.flags.writeable = jac.flags.writeable = False
             self._cache_key = key
-            self._cache = AdjugateNodes(a)
+            self._cache = _Linearization(p, lam, system, c, jac)
         return self._cache
-
-    def adjoint_vec(self, system: AdjugateNodes) -> np.ndarray:
-        # vec(dadj) without MatPoly.vec's degree scan: the bound is exactly dadj.
-        return system.adjoint().coeff.transpose(1, 0, 2).reshape(-1)
 
     def adjoint_jacobian(self, system: AdjugateNodes) -> np.ndarray:
         return system.jacobian()[:, self.param_idx]
-
-    def adjoint_gradient(self, system: AdjugateNodes, lam_c) -> np.ndarray:
-        """(R J_adj E)^T lam without forming the Jacobian."""
-        return system.gradient(lam_c)[self.param_idx]
 
     @cached_property
     def _bands(self):
@@ -158,8 +173,10 @@ class _Workspace:
         return out
 
     def constraint(self, system, f_vec, h) -> np.ndarray:
+        # vec(Adj) without MatPoly.vec's degree scan: the bound is exactly dadj.
+        adj = system.adjoint().coeff.transpose(1, 0, 2).reshape(-1)
         blocks = f_vec.reshape(self.n_entries, self.deg_f + 1)
-        residual = self.adjoint_vec(system) - (blocks @ self.divisor_matrix(h).T).reshape(-1)
+        residual = adj - (blocks @ self.divisor_matrix(h).T).reshape(-1)
         return np.concatenate([residual, [h[-1] - 1.0]])
 
     def constraint_jacobian(self, system, f_vec, h) -> np.ndarray:
@@ -177,16 +194,8 @@ def kkt_residual(problem: SnfProblem, z) -> np.ndarray:
 
 
 def _kkt_residual(ws: _Workspace, z) -> np.ndarray:
-    p, f_vec, h, lam = ws.unpack(z)
-    system = ws.system_at(p)
-    lam_c, lam_n = lam[:-1], lam[-1]
-    grad_p = 2.0 * p + ws.adjoint_gradient(system, lam_c)
-    lam_blocks = lam_c.reshape(ws.n_entries, ws.dadj + 1)
-    grad_f = -(lam_blocks @ ws.divisor_matrix(h)).reshape(-1)
-    grad_h = -(ws.cofactor_blocks(f_vec).T @ lam_c)
-    grad_h[-1] += lam_n
-    c = ws.constraint(system, f_vec, h)
-    return np.concatenate([grad_p, grad_f, grad_h, c])
+    lin = ws.linearization_at(z)
+    return lagrangian_gradient(lin.p, lin.lam, lin.c, lin.jac)
 
 
 def kkt_hessian(problem: SnfProblem, z) -> np.ndarray:
@@ -198,15 +207,13 @@ def _kkt_hessian(ws: _Workspace, z) -> np.ndarray:
 
     The (p, p) block is the quadratic objective plus the adjoint curvature
     from (n-3)-minors, symmetrized; the F h coupling is bilinear.  Every
-    block is written into one zeroed matrix; the others are exact mirrors.
+    block is written into the bordered frame; the others are exact mirrors.
     """
-    p, f_vec, h, lam = ws.unpack(z)
-    system = ws.system_at(p)
-    lam_c = lam[:-1]
-    n_x = ws.n_x
-    full = np.zeros((n_x + ws.n_c, n_x + ws.n_c))
+    lin = ws.linearization_at(z)
+    lam_c = lin.lam[:-1]
+    full = bordered_hessian(lin.jac)
 
-    curvature = system.curvature(lam_c)
+    curvature = lin.system.curvature(lam_c)
     pp = 2.0 * np.eye(ws.m_p) + curvature[np.ix_(ws.param_idx, ws.param_idx)]
     full[ws.sl_p, ws.sl_p] = 0.5 * (pp + pp.T)
 
@@ -216,20 +223,15 @@ def _kkt_hessian(ws: _Workspace, z) -> np.ndarray:
     cross = -windows.reshape(ws.n_f, ws.n_h)
     full[ws.sl_f, ws.sl_h] = cross
     full[ws.sl_h, ws.sl_f] = cross.T
-
-    j = ws.constraint_jacobian(system, f_vec, h)
-    full[n_x:, :n_x] = j
-    full[:n_x, n_x:] = j.T
     return full
 
 
 def initial_guess(problem: SnfProblem, ws: _Workspace | None = None) -> np.ndarray:
-    """Zero perturbation, divisor and cofactors from an approximate GCD.
+    """Zero perturbation and multipliers, divisor and cofactors from an approximate GCD.
 
-    Among the candidate divisor fits, the one whose root comes closest to
-    dropping the rank of A by two wins: the selection score is the
-    second-smallest singular value of A at the candidate root.  The solver
-    passes its workspace, so the first residual reuses the adjugate at p = 0.
+    Among the candidate divisor fits, the one whose root A is closest to
+    dropping rank by two at wins (see _rank_drop_score).  The solver passes
+    its workspace, which holds the (maybe reversed) input and mask.
     """
     ws = ws or _Workspace(problem)
     entries = adjoint(ws.a).pvec()
@@ -237,25 +239,26 @@ def initial_guess(problem: SnfProblem, ws: _Workspace | None = None) -> np.ndarr
     fit = min(fits, key=lambda cand: _rank_drop_score(ws, cand))
     f_vec = np.concatenate([u.padded(ws.deg_f).coeffs for u in fit.cofactors])
     h = fit.h.padded(ws.deg_h).coeffs
-    p = np.zeros(ws.m_p)
-    j = ws.constraint_jacobian(ws.system_at(p), f_vec, h)
-    rhs = np.zeros(ws.n_x)
-    rhs[ws.sl_p] = 2.0 * p
-    lam, *_ = np.linalg.lstsq(j.T, -rhs, rcond=None)
-    return ws.pack(p, f_vec, h, lam)
+    return ws.pack(np.zeros(ws.m_p), f_vec, h, np.zeros(ws.n_c))
 
 
 def _rank_drop_score(ws: _Workspace, fit) -> float:
-    """Second-smallest singular value at the divisor roots (min over roots)."""
+    """First-order distance to rank n-2 at the divisor roots (min over roots).
+
+    A perturbation p moves A_ij(omega) by at most ||p|| w_ij(omega), with
+    w_ij(omega)^2 = sum_k mask_ijk |omega|^(2k); so the two smallest singular
+    values of A(omega), in 2-norm, over the largest weight estimate it.
+    """
     h = fit.h.trimmed(1e-12)
     if h.degree() < 1:
         return np.inf
-    roots = np.roots(h.coeffs[::-1])
     best = np.inf
-    for root in roots:
+    for root in np.roots(h.coeffs[::-1]):
         s = np.linalg.svd(ws.a.evaluate(root), compute_uv=False)
-        score = s[-2] if s.size >= 2 else s[-1]
-        best = min(best, float(score))
+        powers = np.abs(root) ** (2 * np.arange(ws.d + 1))
+        weight = np.sqrt(np.max(ws.structure.mask @ powers))
+        if weight > 0:
+            best = min(best, float(np.hypot(s[-2], s[-1]) / weight))
     return best
 
 
@@ -275,11 +278,12 @@ def _require_attainable(problem: SnfProblem):
 def _minimize(problem: SnfProblem, cfg: LmConfig) -> SnfReport:
     ws = _Workspace(problem)
     z0 = initial_guess(problem, ws)
-    z, trace = lm_minimize(lambda v: _kkt_residual(ws, v), lambda v: _kkt_hessian(ws, v), z0, cfg)
-    return _extract_report(ws, z, trace, cfg)
+    residual, hessian = partial(_kkt_residual, ws), partial(_kkt_hessian, ws)
+    z, trace = lm_minimize(residual, hessian, z0, cfg)
+    return _extract_report(ws, z, trace, certify(residual, hessian, z, ws.n_x, trace, cfg))
 
 
-def _extract_report(ws: _Workspace, z, trace, cfg: LmConfig) -> SnfReport:
+def _extract_report(ws: _Workspace, z, trace, certified: bool) -> SnfReport:
     problem = ws.problem
     p, f_vec, h_coeffs, _ = ws.unpack(z)
     delta = ws.structure.delta(p)
@@ -288,11 +292,12 @@ def _extract_report(ws: _Workspace, z, trace, cfg: LmConfig) -> SnfReport:
         h = Poly(h.coeffs / h.coeffs[-1])
     cofactors = MatPoly.unvec(f_vec, ws.n, ws.n, ws.deg_f)
     a_solved = ws.a + delta
-    root = _divisor_root(h, a_solved)
-    if problem.use_reversal and abs(root) < 1e-6:
-        # A double root at zero is only accurate to sqrt(eps), so anything
-        # below that is the eigenvalue at infinity.
+    if problem.use_reversal and rank_at_point(a_solved, 0) <= ws.n - 2:
+        # The eigenvalue is at infinity.  A root of multiplicity m is only
+        # accurate to eps^(1/m), so the divisor's root cannot tell.
         root = 0j
+    else:
+        root = _divisor_root(h, a_solved)
     try:
         structure = local_invariant_structure(a_solved, root)
     except (ValueError, np.linalg.LinAlgError):
@@ -301,7 +306,7 @@ def _extract_report(ws: _Workspace, z, trace, cfg: LmConfig) -> SnfReport:
     if problem.use_reversal:
         delta = delta.reversed()
         omega = np.inf if root == 0 else 1.0 / root
-    report = SnfReport(
+    return SnfReport(
         delta_a=delta,
         distance=float(np.linalg.norm(p)),
         h=h,
@@ -310,13 +315,10 @@ def _extract_report(ws: _Workspace, z, trace, cfg: LmConfig) -> SnfReport:
         final_grad_norm=trace.merits[-1],
         omega=omega,
         invariant_structure=structure,
-        certified=False,
+        certified=certified,
         trace=trace,
         z=np.asarray(z, dtype=float),
     )
-    if trace.termination in CONVERGED:
-        report.certified = certify(problem, report, cfg, ws)
-    return report
 
 
 def _divisor_root(h: Poly, a_solved: MatPoly):
@@ -329,35 +331,8 @@ def _divisor_root(h: Poly, a_solved: MatPoly):
     if complex_roots.size:
         return complex_roots[np.argmax(complex_roots.imag)]
     # Several real roots: report the one where the rank actually drops.
-    scores = []
-    for r in roots:
-        s = np.linalg.svd(a_solved.evaluate(r.real), compute_uv=False)
-        scores.append(s[-2] if s.size >= 2 else s[-1])
+    scores = [np.linalg.svd(a_solved.evaluate(r.real), compute_uv=False)[-2] for r in roots]
     return complex(roots[int(np.argmin(scores))].real)
-
-
-def certify(problem: SnfProblem, report: SnfReport, cfg: LmConfig | None = None,
-            ws: _Workspace | None = None) -> bool:
-    """Second-order check at a point within the gradient tolerance: Hessian
-    positive semidefinite on the constraint kernel.  The solver passes its
-    workspace, which holds the adjugate at the final iterate."""
-    cfg = cfg or LmConfig()
-    ws = ws or _Workspace(problem)
-    if report.z is None:
-        raise DimensionMismatch("the report carries no solver state to certify")
-    h_full = _kkt_hessian(ws, report.z)
-    h_xx = h_full[: ws.n_x, : ws.n_x]
-    j = h_full[ws.n_x :, : ws.n_x]
-
-    u, s, vt = np.linalg.svd(j)
-    rank = int(np.count_nonzero(s > s[0] * max(j.shape) * 1e-12)) if s.size and s[0] else 0
-    kernel = vt[rank:].T
-    if kernel.shape[1]:
-        eigs = np.linalg.eigvalsh(kernel.T @ h_xx @ kernel)
-        kernel_ok = bool(eigs.min() > -1e-8)
-    else:
-        kernel_ok = True
-    return bool(kernel_ok and report.final_grad_norm <= cfg.grad_tol)
 
 
 def solve_best_degree(a: MatPoly, structure: PerturbStructure, cfg: LmConfig | None = None,

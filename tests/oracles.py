@@ -8,6 +8,7 @@ polysmith.selftest, which the CLI's selftest runs too, and are re-exported.
 
 import numpy as np
 
+from polysmith.detadj import AdjugateNodes
 from polysmith.matpoly import MatPoly, Poly
 from polysmith.selftest import (  # noqa: F401
     exact_determinant,
@@ -200,7 +201,7 @@ def snf_kkt_hessian_block(ws, z):
     the band-scatter assembly, which must match it bit for bit.  It reads the
     workspace's adjugate kernel and parameter indices."""
     p, f_vec, h, lam = ws.unpack(z)
-    system = ws.system_at(p)
+    system = AdjugateNodes(ws.perturbed(p))
     lam_c = lam[:-1]
     j = np.zeros((ws.n_c, ws.n_x))
     j[:-1, ws.sl_p] = ws.adjoint_jacobian(system)

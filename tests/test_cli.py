@@ -6,10 +6,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polysmith import cli, gcdkit, snf_opt
-from polysmith.errors import ParseError, ValidationError
+from polysmith.errors import DimensionMismatch, ParseError, ValidationError
 from polysmith.lmsolve import LmTrace, Termination
+from polysmith.matpoly import PerturbStructure
+from polysmith.snf_opt import SnfProblem
 
 from conftest import FIXTURES
+from oracles import random_full_rank_matpoly
 
 
 def run_cli(capsys, argv):
@@ -94,6 +97,14 @@ def test_exit_code_validation_error(capsys, tmp_path):
     path.write_text(json.dumps({"rows": 3, "cols": 3, "entries": grid}))
     report, code = run_cli(capsys, ["snf", str(path), "--deg-h", "1"])
     assert code == cli.EXIT_INVALID and "infeasible" in report["error"]
+    # Degree 3 fits under (n-1)d = 4 but is never nearer than degree 1 or 2.
+    a = random_full_rank_matpoly(np.random.default_rng(0), 3, 2)
+    with pytest.raises(DimensionMismatch, match="infeasible"):
+        SnfProblem(a, PerturbStructure.support(a), deg_h=3)
+    path.write_text(json.dumps({"rows": 3, "cols": 3, "entries": [
+        [a.coeff[i, j].tolist() for j in range(3)] for i in range(3)]}))
+    _, code = run_cli(capsys, ["snf", str(path), "--deg-h", "3"])
+    assert code == cli.EXIT_INVALID
 
 
 # Reversed-adjoint approximate GCD inputs that used to escape as tracebacks:
@@ -162,6 +173,29 @@ def test_mccoy_small_instance_through_cli(capsys, tmp_path):
     assert code == 0
     assert report["distance"] < 0.1
     assert len(report["invariant_factor"]) in (2, 3)
+
+
+def test_mccoy_reports_certificate(capsys, tmp_path):
+    # ex2 is a certified minimizer.  The third dense n=3 input drawn from
+    # seed 0 (d=1) converges to a saddle, uncertified with exit 0, above the
+    # distance snf --deg-h 1 reaches on it.
+    report, code = run_cli(capsys, ["mccoy", str(FIXTURES / "ex1.json"), "--rank-drop", "4"])
+    assert code == cli.EXIT_OK and report["certified"] is True
+    assert report["trace"]["iterations"] == 11
+    rng = np.random.default_rng(0)
+    for k in range(3):
+        a = random_full_rank_matpoly(rng, 3, 1 + k % 2)
+    doc = {"rows": 3, "cols": 3, "entries": [[a.coeff[i, j].tolist() for j in range(3)]
+                                             for i in range(3)]}
+    path = tmp_path / "dense2.json"
+    path.write_text(json.dumps(doc))
+    report, code = run_cli(capsys, ["mccoy", str(path), "--rank-drop", "2"])
+    assert code == cli.EXIT_OK and report["certified"] is False
+    assert report["trace"]["termination"] == "GradTol" and report["trace"]["iterations"] == 10
+    assert report["distance"] == pytest.approx(1.238155, abs=1e-6)
+    report, code = run_cli(capsys, ["snf", str(path), "--deg-h", "1"])
+    assert code == cli.EXIT_OK and report["certified"] is True
+    assert report["distance"] == pytest.approx(1.117725, abs=1e-6)
 
 
 def test_mask_file_structure(capsys, tmp_path):
