@@ -35,7 +35,6 @@ from .gcdkit import (
     detect_unattainable,
     distance_lower_bound,
     local_invariant_structure,
-    mccoy_rank,
     reachable_adjoint_degrees,
     triviality_report,
 )
@@ -52,7 +51,6 @@ from .snf_opt import (
 from .mccoy_opt import (
     McCoyProblem,
     McCoyReport,
-    Pencil,
     companion_linearization,
     initial_guess_mccoy,
     mccoy_residual,

@@ -240,11 +240,6 @@ class Analysis:
                                 unattainable, e, sigma, profile)
 
 
-def mccoy_rank(a: MatPoly) -> int:
-    """Minimum rank of A(omega) over candidate eigenvalues; see Analysis.mccoy_rank."""
-    return Analysis(a).mccoy_rank
-
-
 def local_invariant_structure(a: MatPoly, omega):
     """Partial multiplicities of the invariant factors at an eigenvalue.
 

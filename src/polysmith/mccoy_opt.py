@@ -7,8 +7,7 @@ the pencil 0 t + A_0, whose zero leading coefficient is not perturbed.
 Complex quantities are split into real and imaginary parts so the whole state
 is real and the perturbation stays real by construction.
 
-State layout: z = (p, Re w, Im w, Re B, Im B, lam); the two eigenvalue
-coordinates are dropped when the problem pins omega (reversal mode).
+State layout: z = (p, Re w, Im w, Re B, Im B, lam).
 
 The residual and the Hessian share one linearization per iterate: the
 perturbed input, the operator M(omega), its derivative and the constraint
@@ -36,19 +35,8 @@ from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 _OMEGA_DIVERGENCE = 1e8
 
 
-@dataclass
-class Pencil:
-    """Degree-one form P(t) = E t - F encoding the finite spectral structure."""
-
-    e: np.ndarray
-    f: np.ndarray
-
-    def evaluate(self, omega) -> np.ndarray:
-        return self.e * complex(omega) - self.f
-
-
-def companion_linearization(a: MatPoly) -> Pencil:
-    """Block companion pencil; for degree one this is the input itself."""
+def companion_linearization(a: MatPoly) -> tuple[np.ndarray, np.ndarray]:
+    """Block companion pencil E t - F as (E, F); for degree one this is the input itself."""
     if a.rows != a.cols:
         raise DimensionMismatch("the matrix polynomial must be square")
     n, d = a.rows, a.degree_bound
@@ -62,7 +50,7 @@ def companion_linearization(a: MatPoly) -> Pencil:
         f[i * n : (i + 1) * n, (i + 1) * n : (i + 2) * n] = np.eye(n)
     for j in range(d):
         f[(d - 1) * n :, j * n : (j + 1) * n] = -a.coeff[:, :, j]
-    return Pencil(e=e, f=f)
+    return e, f
 
 
 @dataclass
@@ -70,7 +58,6 @@ class McCoyProblem:
     a: MatPoly
     structure: PerturbStructure
     r: int = 2
-    pinned_omega: complex | None = None
 
     def __post_init__(self):
         if self.a.rows != self.a.cols:
@@ -123,15 +110,13 @@ class _McCoyWorkspace:
         self.r = problem.r
         self.size = self.n * self.d
         self.m_p = self.structure.num_params
-        self.has_omega = problem.pinned_omega is None
-        self.n_w = 2 if self.has_omega else 0
         self.nr = self.size * self.r
-        self.n_x = self.m_p + self.n_w + 2 * self.nr
+        self.n_x = self.m_p + 2 + 2 * self.nr
         self.n_c = 2 * self.nr + 2 * self.r * self.r
         self.sl_p = slice(0, self.m_p)
-        self.sl_w = slice(self.m_p, self.m_p + self.n_w)
-        self.sl_br = slice(self.m_p + self.n_w, self.m_p + self.n_w + self.nr)
-        self.sl_bi = slice(self.m_p + self.n_w + self.nr, self.n_x)
+        self.sl_w = slice(self.m_p, self.m_p + 2)
+        self.sl_br = slice(self.m_p + 2, self.m_p + 2 + self.nr)
+        self.sl_bi = slice(self.m_p + 2 + self.nr, self.n_x)
         self.sl_lam = slice(self.n_x, self.n_x + self.n_c)
         self._cache_key = None
         self._cache = None
@@ -140,21 +125,13 @@ class _McCoyWorkspace:
         z = np.asarray(z, dtype=float)
         if z.size != self.n_x + self.n_c:
             raise DimensionMismatch(f"state has size {z.size}, expected {self.n_x + self.n_c}")
-        p = z[self.sl_p]
-        if self.has_omega:
-            omega = complex(z[self.sl_w][0], z[self.sl_w][1])
-        else:
-            omega = complex(self.problem.pinned_omega)
+        omega = complex(*z[self.sl_w])
         br = z[self.sl_br].reshape(self.size, self.r)
         bi = z[self.sl_bi].reshape(self.size, self.r)
-        return p, omega, br, bi, z[self.sl_lam]
+        return z[self.sl_p], omega, br, bi, z[self.sl_lam]
 
     def pack(self, p, omega, br, bi, lam):
-        parts = [p]
-        if self.has_omega:
-            parts.append(np.array([omega.real, omega.imag]))
-        parts.extend([br.ravel(), bi.ravel(), lam])
-        return np.concatenate(parts)
+        return np.concatenate([p, [omega.real, omega.imag], br.ravel(), bi.ravel(), lam])
 
     def perturbed(self, p) -> MatPoly:
         return self.structure.apply(self.a, p)
@@ -175,8 +152,8 @@ class _McCoyWorkspace:
 
     def operator(self, a_pert: MatPoly, omega):
         """Companion pencil at omega and its omega derivative."""
-        pencil = companion_linearization(a_pert)
-        return pencil.evaluate(omega), pencil.e.astype(complex)
+        e, f = companion_linearization(a_pert)
+        return e * complex(omega) - f, e.astype(complex)
 
     def constraint(self, m, bc) -> np.ndarray:
         mb = m @ bc
@@ -268,13 +245,10 @@ class _McCoyWorkspace:
         weights, _ = self._weights(omega)
         contrib = weights[coef, None] * bc[col]
         flat[param] = np.stack([contrib.real, contrib.imag])
-        nr = self.nr
-        if self.has_omega:
-            dmb = dm @ bc
-            j[:nr, self.sl_w.start] = dmb.real.ravel()
-            j[nr : 2 * nr, self.sl_w.start] = dmb.imag.ravel()
-            j[:nr, self.sl_w.start + 1] = -dmb.imag.ravel()
-            j[nr : 2 * nr, self.sl_w.start + 1] = dmb.real.ravel()
+        nr, w0 = self.nr, self.sl_w.start
+        dmb = (dm @ bc).ravel()
+        j[:nr, w0], j[nr : 2 * nr, w0] = dmb.real, dmb.imag
+        j[:nr, w0 + 1], j[nr : 2 * nr, w0 + 1] = -dmb.imag, dmb.real
         flat[kron] = np.stack([m.real, -m.imag, m.imag, m.real])[..., None]
         np.add.at(flat, dst, sign * np.stack((bc.real, bc.imag)).ravel()[src])
         return j
@@ -321,12 +295,11 @@ def _mccoy_hessian(ws: _McCoyWorkspace, z) -> np.ndarray:
     wb = weights[coef, None] * w_rows
     flat[param_b] = wb.real
     flat[param_b + nr] = -wb.imag
-    if ws.has_omega:
-        s = d_weights[coef] * (w_rows[:, None, :] @ bc[col][:, :, None])[:, 0, 0]
-        flat[param_w], flat[param_w + 1] = s.real, -s.imag
-        t = (lin.dm.T @ wc).ravel()
-        full[w0, ws.sl_br], full[w0, ws.sl_bi] = t.real, -t.imag
-        full[w0 + 1, ws.sl_br], full[w0 + 1, ws.sl_bi] = -t.imag, -t.real
+    s = d_weights[coef] * (w_rows[:, None, :] @ bc[col][:, :, None])[:, 0, 0]
+    flat[param_w], flat[param_w + 1] = s.real, -s.imag
+    t = (lin.dm.T @ wc).ravel()
+    full[w0, ws.sl_br], full[w0, ws.sl_bi] = t.real, -t.imag
+    full[w0 + 1, ws.sl_br], full[w0 + 1, ws.sl_bi] = -t.imag, -t.real
     flat[diag[2]] = q2 - q2.T
     h_xx = full[:n_x, :n_x]
     h_xx += h_xx.T
@@ -348,24 +321,20 @@ def initial_guess_mccoy(problem: McCoyProblem, ws: _McCoyWorkspace | None = None
     """
     ws = ws or _McCoyWorkspace(problem)
     a = problem.a
-    if problem.pinned_omega is not None:
-        omega = complex(problem.pinned_omega)
-    else:
-        analysis = analysis or Analysis(a)
-        candidates = list(analysis.eigenvalues)
-        candidates.extend(_grid_extrema(analysis))
-        drop_idx = a.rows - problem.r
-        # A(0) is the constant coefficient, finite for any input.
-        best, best_score = 0.0 + 0.0j, np.inf
-        for cand in candidates:
-            values = a.evaluate(cand)
-            if not np.all(np.isfinite(values)):
-                continue  # A overflows this far out
-            s = np.linalg.svd(values, compute_uv=False)
-            score = s[drop_idx] if drop_idx >= 0 else s[0]
-            if score < best_score:
-                best, best_score = complex(cand), score
-        omega = best
+    analysis = analysis or Analysis(a)
+    candidates = list(analysis.eigenvalues)
+    candidates.extend(_grid_extrema(analysis))
+    drop_idx = a.rows - problem.r
+    # A(0) is the constant coefficient, finite for any input.
+    omega, best_score = 0.0 + 0.0j, np.inf
+    for cand in candidates:
+        values = a.evaluate(cand)
+        if not np.all(np.isfinite(values)):
+            continue  # A overflows this far out
+        s = np.linalg.svd(values, compute_uv=False)
+        score = s[drop_idx] if drop_idx >= 0 else s[0]
+        if score < best_score:
+            omega, best_score = complex(cand), score
     m, _ = ws.operator(ws.a, omega)
     _, _, vh = np.linalg.svd(m)
     bc = vh[-problem.r :, :].conj().T
@@ -397,12 +366,8 @@ def solve_mccoy(problem: McCoyProblem, cfg: LmConfig | None = None, z0=None) -> 
         z0 = initial_guess_mccoy(problem, ws, analysis)
 
     def guarded_residual(z):
-        if ws.has_omega:
-            w = z[ws.sl_w]
-            if np.hypot(w[0], w[1]) > _OMEGA_DIVERGENCE:
-                raise UnattainableProblem(
-                    "the eigenvalue is diverging; rerun on the reversed problem"
-                )
+        if np.hypot(*z[ws.sl_w]) > _OMEGA_DIVERGENCE:
+            raise UnattainableProblem("the eigenvalue is diverging; rerun on the reversed problem")
         return _mccoy_residual(ws, z)
 
     hessian = partial(_mccoy_hessian, ws)
@@ -433,11 +398,12 @@ def _extract_mccoy_report(ws: _McCoyWorkspace, z, trace, certified: bool) -> McC
 
 
 def reversed_problem(problem: McCoyProblem) -> McCoyProblem:
-    """Same search on the coefficient-reversed input with omega pinned to zero."""
-    d = problem.a.degree_bound
+    """Same search on the coefficient-reversed input and mask.
+
+    An eigenvalue at zero of the reversal is one at infinity of the input.
+    """
     return replace(
         problem,
-        a=problem.a.reversed(d),
+        a=problem.a.reversed(problem.a.degree_bound),
         structure=PerturbStructure(problem.structure.mask[:, :, ::-1].copy()),
-        pinned_omega=0.0 + 0.0j,
     )

@@ -116,13 +116,6 @@ def run_selftest(seed: int = 0):
     rhs = np.convolve(a.coeffs, b.coeffs)
     yield "convolution matrix vs direct product", np.allclose(lhs, rhs, atol=1e-12), ""
 
-    x = rng.normal(size=(2, 3))
-    y = rng.normal(size=(3, 2))
-    m = rng.normal(size=(2, 2))
-    lhs = np.kron(y.T, m) @ x.reshape(-1, order="F")
-    rhs = (m @ x @ y).reshape(-1, order="F")
-    yield "kronecker vec identity", np.allclose(lhs, rhs, atol=1e-12), ""
-
     mat, grid = random_integer_matpoly(rng, 3, 2)
     exact = np.array([float(c) for c in exact_determinant(grid)])
     got = determinant(mat).coeffs

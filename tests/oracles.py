@@ -133,12 +133,11 @@ def mccoy_constraint_jacobian_loop(ws, m, dm, bc, omega):
         contrib = w * bc[col, :]
         j[row * r + cols, k] = contrib.real
         j[nr + row * r + cols, k] = contrib.imag
-    if ws.has_omega:
-        dmb = dm @ bc
-        j[:nr, ws.sl_w.start] = dmb.real.ravel()
-        j[nr : 2 * nr, ws.sl_w.start] = dmb.imag.ravel()
-        j[:nr, ws.sl_w.start + 1] = -dmb.imag.ravel()
-        j[nr : 2 * nr, ws.sl_w.start + 1] = dmb.real.ravel()
+    dmb = dm @ bc
+    j[:nr, ws.sl_w.start] = dmb.real.ravel()
+    j[nr : 2 * nr, ws.sl_w.start] = dmb.imag.ravel()
+    j[:nr, ws.sl_w.start + 1] = -dmb.imag.ravel()
+    j[nr : 2 * nr, ws.sl_w.start + 1] = dmb.real.ravel()
     eye_r = np.eye(r)
     j[:nr, ws.sl_br] = np.kron(m.real, eye_r)
     j[:nr, ws.sl_bi] = -np.kron(m.imag, eye_r)
@@ -181,13 +180,11 @@ def mccoy_hessian_loop(ws, z):
     for k, (row, col, w, dw) in enumerate(mccoy_param_cells(ws, omega)):
         h_xx[k, br0 + col * r + cols] = (w * wc[row]).real
         h_xx[k, bi0 + col * r + cols] = -(w * wc[row]).imag
-        if ws.has_omega:
-            s = dw * (wc[row] @ bc[col])
-            h_xx[k, w0 : w0 + 2] = s.real, -s.imag
-    if ws.has_omega:
-        t = (dm.T @ wc).ravel()
-        h_xx[w0, ws.sl_br], h_xx[w0, ws.sl_bi] = t.real, -t.imag
-        h_xx[w0 + 1, ws.sl_br], h_xx[w0 + 1, ws.sl_bi] = -t.imag, -t.real
+        s = dw * (wc[row] @ bc[col])
+        h_xx[k, w0 : w0 + 2] = s.real, -s.imag
+    t = (dm.T @ wc).ravel()
+    h_xx[w0, ws.sl_br], h_xx[w0, ws.sl_bi] = t.real, -t.imag
+    h_xx[w0 + 1, ws.sl_br], h_xx[w0 + 1, ws.sl_bi] = -t.imag, -t.real
     h_xx[ws.sl_br, ws.sl_bi] = np.kron(np.eye(size), q2 - q2.T)
     h_xx += h_xx.T
     h_xx[ws.sl_p, ws.sl_p] = 2.0 * np.eye(ws.m_p)

@@ -7,13 +7,13 @@ from polysmith import cli
 from polysmith.detadj import adjoint
 from polysmith.errors import DegreeTooLarge
 from polysmith.gcdkit import (
+    Analysis,
     _root_projection_score,
     approx_gcd,
     approx_gcd_candidates,
     detect_unattainable,
     distance_lower_bound,
     local_invariant_structure,
-    mccoy_rank,
     reachable_adjoint_degrees,
     triviality_report,
 )
@@ -250,9 +250,9 @@ def test_triviality_report_ex1():
 
 
 def test_mccoy_rank_cases():
-    assert mccoy_rank(MatPoly.identity(4, 0)) == 4
+    assert Analysis(MatPoly.identity(4, 0)).mccoy_rank == 4
     a = MatPoly.from_entries([[[-1, 1], [0]], [[0], [-2, 1]]])
-    assert mccoy_rank(a) == 1
+    assert Analysis(a).mccoy_rank == 1
 
 
 def test_local_invariant_structure_reversed_block_diag():

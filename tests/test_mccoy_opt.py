@@ -30,27 +30,26 @@ from oracles import (
 )
 
 
-def pencil_as_matpoly(pencil):
-    size = pencil.e.shape[0]
-    arr = np.zeros((size, size, 2))
-    arr[:, :, 0] = -pencil.f
-    arr[:, :, 1] = pencil.e
+def pencil_as_matpoly(e, f):
+    arr = np.zeros((*e.shape, 2))
+    arr[:, :, 0] = -f
+    arr[:, :, 1] = e
     return MatPoly(arr)
 
 
 def test_linearization_degree_one_is_input():
     rng = np.random.default_rng(0)
     a = MatPoly(rng.normal(size=(2, 2, 2)))
-    pencil = companion_linearization(a)
-    assert np.allclose(pencil.e, a.coeff[:, :, 1])
-    assert np.allclose(pencil.f, -a.coeff[:, :, 0])
+    e, f = companion_linearization(a)
+    assert np.allclose(e, a.coeff[:, :, 1])
+    assert np.allclose(f, -a.coeff[:, :, 0])
 
 
 def test_linearization_preserves_determinant():
     rng = np.random.default_rng(1)
     a = MatPoly(rng.normal(size=(2, 2, 3)))
     det_a = determinant(a).trimmed(1e-10).coeffs
-    det_p = determinant(pencil_as_matpoly(companion_linearization(a))).trimmed(1e-10).coeffs
+    det_p = determinant(pencil_as_matpoly(*companion_linearization(a))).trimmed(1e-10).coeffs
     same = np.allclose(det_p, det_a, atol=1e-9)
     flipped = np.allclose(det_p, -det_a, atol=1e-9)
     assert same or flipped
@@ -59,9 +58,9 @@ def test_linearization_preserves_determinant():
 def test_linearization_rank_bookkeeping():
     rng = np.random.default_rng(2)
     a = MatPoly(rng.normal(size=(3, 3, 3)))
-    pencil = companion_linearization(a)
+    e, f = companion_linearization(a)
     for omega in (0.37, -1.1, 0.2 + 0.8j):
-        lhs = numeric_rank(pencil.evaluate(omega))
+        lhs = numeric_rank(e * omega - f)
         rhs = a.rows * (a.degree_bound - 1) + numeric_rank(a.evaluate(omega))
         assert lhs == rhs
 
@@ -112,13 +111,13 @@ def sparse_cubic(rng, n):
 def test_hessian_matches_finite_differences():
     rng = np.random.default_rng(7)
     quad = MatPoly(rng.normal(size=(2, 2, 3)))
-    pinned = mccoy_rank2_instance(4)
+    rev = mccoy_rank2_instance(4)
     quad3 = MatPoly(rng.normal(size=(3, 3, 3)))
     cubic = sparse_cubic(rng, 3)
     constant = MatPoly(rng.normal(size=(3, 3, 1)))
     problems = [
         McCoyProblem(quad, PerturbStructure.full(quad), r=2),
-        reversed_problem(McCoyProblem(pinned, PerturbStructure.full(pinned), r=2)),
+        reversed_problem(McCoyProblem(rev, PerturbStructure.full(rev), r=2)),
         McCoyProblem(quad3, PerturbStructure.full(quad3), r=3),
         McCoyProblem(cubic, PerturbStructure.support(cubic), r=2),
         McCoyProblem(constant, PerturbStructure.full(constant), r=2),
@@ -141,17 +140,14 @@ def _jacobian_case(kind, r):
         a = MatPoly(rng.normal(size=(3, 3, 1)))
         return McCoyProblem(a, PerturbStructure.full(a), r=r)
     a = MatPoly(rng.normal(size=(3, 3, 4)))
-    if kind == "dense":
-        return McCoyProblem(a, PerturbStructure.full(a), r=r)
-    return reversed_problem(McCoyProblem(a, PerturbStructure.support(a), r=r))
+    return McCoyProblem(a, PerturbStructure.full(a), r=r)
 
 
 @pytest.mark.parametrize("r", [2, 3])
-@pytest.mark.parametrize("kind", ["linearized", "dense", "pinned", "constant"])
+@pytest.mark.parametrize("kind", ["linearized", "dense", "constant"])
 def test_constraint_jacobian_matches_loop_bitwise(kind, r):
     problem = _jacobian_case(kind, r)
     ws = _McCoyWorkspace(problem)
-    assert ws.has_omega == (kind != "pinned")
     rng = np.random.default_rng(50 + r)
     for _ in range(3):
         z = rng.normal(size=ws.n_x + ws.n_c)
@@ -164,7 +160,7 @@ def test_constraint_jacobian_matches_loop_bitwise(kind, r):
 
 
 @pytest.mark.parametrize("r", [2, 3])
-@pytest.mark.parametrize("kind", ["linearized", "dense", "pinned", "constant"])
+@pytest.mark.parametrize("kind", ["linearized", "dense", "constant"])
 def test_hessian_matches_loop_bitwise(kind, r):
     ws = _McCoyWorkspace(_jacobian_case(kind, r))
     rng = np.random.default_rng(60 + r)
@@ -314,7 +310,6 @@ def test_reversed_problem_round_trip_and_profile():
     )
     problem = McCoyProblem(c, PerturbStructure.support(c), r=2)
     rev = reversed_problem(problem)
-    assert rev.pinned_omega == 0.0
     assert np.array_equal(rev.structure.mask, problem.structure.mask[:, :, ::-1])
     back = reversed_problem(rev)
     assert np.allclose(back.a.coeff, c.coeff)
@@ -322,14 +317,21 @@ def test_reversed_problem_round_trip_and_profile():
     assert profile == [(0, 2), (2, 2)]
 
 
-def test_reversed_solve_pins_omega():
-    a = mccoy_rank2_instance(4)
-    problem = reversed_problem(McCoyProblem(a, PerturbStructure.full(a), r=2))
-    report = solve_mccoy(problem, LmConfig())
-    assert report.omega == 0.0
-    # Generic instance: making t=0 an eigenvalue of the reversal costs about
-    # as much as zeroing the leading coefficients.
-    assert report.distance > 1e-4
+def test_reversed_solve_reaches_infimum_at_infinity():
+    # A = C + E t with <C, E> = 0 and |E| < |C|: |C + w E|^2 / (1 + |w|^2)
+    # falls towards |E|^2 as |w| grows, so the plain solve cannot converge,
+    # while on the reversal E + C t zeroing E puts the eigenvalue at 0.
+    rng = np.random.default_rng(1)
+    c, e = rng.normal(size=(2, 2, 2))
+    e = 0.2 * (e - np.sum(c * e) / np.sum(c * c) * c)
+    a = MatPoly(np.stack([c, e], axis=2))
+    problem = McCoyProblem(a, PerturbStructure.full(a), r=2)
+    assert solve_mccoy(problem, LmConfig()).trace.termination == Termination.SUBLINEAR
+    report = solve_mccoy(reversed_problem(problem), LmConfig())
+    assert abs(report.omega) <= 1e-8
+    assert report.distance == pytest.approx(np.linalg.norm(e), rel=1e-10)
+    assert report.distance == pytest.approx(0.2545527, abs=1e-7)
+    assert report.certified
 
 
 def test_linearized_kernel_maps_back_to_matrix_kernel():
