@@ -228,6 +228,8 @@ def _cmd_mccoy(args):
     _require_square(doc)
     a = doc.to_matpoly()
     structure = doc.to_structure(a, args.structure)
+    if not 2 <= args.rank_drop <= a.rows:
+        raise ValidationError(f"--rank-drop {args.rank_drop} is out of range 2..{a.rows}")
     problem = McCoyProblem(a, structure, r=args.rank_drop)
     report = solve_mccoy(problem, _lm_config(args))
     payload = {

@@ -311,12 +311,15 @@ def _mccoy_hessian(ws: _McCoyWorkspace, z) -> np.ndarray:
 
 def initial_guess_mccoy(problem: McCoyProblem, ws: _McCoyWorkspace | None = None,
                         analysis: Analysis | None = None) -> np.ndarray:
-    """Eigenvalue candidate scoring plus singular vectors of the pencil.
+    """Eigenvalue candidate scoring, a least-norm perturbation and the kernel.
 
     Candidates are the numeric roots of the determinant together with local
     minima of |det| on a Chebyshev grid; the winner minimizes the singular
-    value that must vanish for the requested rank drop.  The kernel block
-    comes out orthonormal by construction.  The solver passes its own
+    value that must vanish for the requested rank drop.  With B0 the r
+    smallest right singular vectors of A(omega), (A + dA(p))(omega) B0 = 0 is
+    linear in p, and its least-norm solution (the inner step of structured
+    total least norm) seeds p.  The kernel block comes from the perturbed
+    pencil, orthonormal by construction.  The solver passes its own
     workspace and analysis.
     """
     ws = ws or _McCoyWorkspace(problem)
@@ -331,16 +334,23 @@ def initial_guess_mccoy(problem: McCoyProblem, ws: _McCoyWorkspace | None = None
         values = a.evaluate(cand)
         if not np.all(np.isfinite(values)):
             continue  # A overflows this far out
-        s = np.linalg.svd(values, compute_uv=False)
-        score = s[drop_idx] if drop_idx >= 0 else s[0]
+        score = np.linalg.svd(values, compute_uv=False)[drop_idx]
         if score < best_score:
             omega, best_score = complex(cand), score
-    m, _ = ws.operator(ws.a, omega)
-    _, _, vh = np.linalg.svd(m)
-    bc = vh[-problem.r :, :].conj().T
-    p = np.zeros(ws.m_p)
-    lam = np.zeros(ws.n_c)
-    return ws.pack(p, omega, bc.real.copy(), bc.imag.copy(), lam)
+    # Row (i, a) of the system holds omega^k B0[j, a] in the column of the
+    # parameter at coefficient k of entry (i, j), whose pencil cell is (i, j)
+    # mod n; real rows, then imaginary.
+    row, col, coef = ws._cells
+    a_w = ws.a.evaluate(omega)
+    b0 = np.linalg.svd(a_w)[2][-problem.r :].conj().T
+    jp = np.zeros((ws.n, problem.r, ws.m_p), dtype=complex)
+    jp[row % ws.n, :, np.arange(ws.m_p)] = omega ** coef[:, None] * b0[col % ws.n]
+    jp, rhs = jp.reshape(ws.n * problem.r, ws.m_p), -(a_w @ b0).ravel()
+    p = np.linalg.lstsq(np.vstack([jp.real, jp.imag]), np.concatenate([rhs.real, rhs.imag]),
+                        rcond=None)[0]
+    m, _ = ws.operator(ws.perturbed(p), omega)
+    bc = np.linalg.svd(m)[2][-problem.r :].conj().T
+    return ws.pack(p, omega, bc.real, bc.imag, np.zeros(ws.n_c))
 
 
 def _grid_extrema(analysis: Analysis):

@@ -215,12 +215,7 @@ def test_linearization_cache_is_read_only():
     assert ws.linearization_at(z) is not lin
 
 
-@pytest.mark.parametrize("seed", [
-    0,
-    pytest.param(8, marks=pytest.mark.xfail(strict=True, reason=(
-        "one kernel column shrinks to zero and the Gram residual sticks at 1: "
-        "the run ends Stalled below the Eckart-Young distance"))),
-])
+@pytest.mark.parametrize("seed", [0, 8])
 def test_constant_input_reaches_eckart_young_distance(seed):
     # The nearest matrix of rank 1 drops the rank by 2 at every omega.
     a = MatPoly(np.random.default_rng(seed).normal(size=(3, 3, 1)))
@@ -377,3 +372,11 @@ def test_ex2_converges_in_few_iterations():
     report = solve_mccoy(McCoyProblem(a, PerturbStructure.support(a), r=4), LmConfig())
     assert report.trace.termination == Termination.GRAD_TOL
     assert report.trace.iterations <= 20
+
+
+def test_empty_mask_seeds_zero_perturbation():
+    # No free coefficient: the least-norm seed solve has no columns.
+    a = mccoy_rank2_instance(0)
+    report = solve_mccoy(McCoyProblem(a, PerturbStructure(np.zeros_like(a.coeff, dtype=bool)), r=2))
+    assert report.distance == 0.0
+    assert not report.certified
