@@ -202,19 +202,25 @@ def _cmd_snf(args):
     _require_square(doc)
     a = doc.to_matpoly()
     structure = doc.to_structure(a, args.structure)
+    if args.reversal:
+        # The reversed problem (mccoy_opt.reversed_problem) of the input.
+        a, structure = a.reversed(), structure.reversed()
     cfg = _lm_config(args)
-    if args.deg_h is not None and args.deg_h > (a.rows - 1) * a.degree_bound:
-        raise ValidationError(f"--deg-h {args.deg_h} is infeasible for n={a.rows}, d={a.degree_bound}")
     if args.deg_h is None:
-        report = solve_best_degree(a, structure, cfg, use_reversal=args.reversal)
+        report = solve_best_degree(a, structure, cfg)
     else:
-        problem = SnfProblem(a, structure, deg_h=args.deg_h, use_reversal=args.reversal)
-        report = solve(problem, cfg)
+        report = solve(SnfProblem(a, structure, deg_h=args.deg_h), cfg)
+    omega, delta = report.omega, report.delta_a
+    if args.reversal:
+        # Only omega and dA map back to the input; the divisor and the local
+        # invariant structure stay in reversed coordinates.
+        omega = np.inf if omega == 0 else 1.0 / omega
+        delta = delta.reversed()
     payload = {
         "distance": report.distance,
         "divisor": report.h.coeffs.tolist(),
-        "omega": _complex_field(report.omega),
-        "delta": _matpoly_grid(report.delta_a),
+        "omega": _complex_field(omega),
+        "delta": _matpoly_grid(delta),
         "invariant_structure": [list(pair) for pair in report.invariant_structure],
         "certified": report.certified,
         "trace": _trace_summary(report.trace),
@@ -228,8 +234,6 @@ def _cmd_mccoy(args):
     _require_square(doc)
     a = doc.to_matpoly()
     structure = doc.to_structure(a, args.structure)
-    if not 2 <= args.rank_drop <= a.rows:
-        raise ValidationError(f"--rank-drop {args.rank_drop} is out of range 2..{a.rows}")
     problem = McCoyProblem(a, structure, r=args.rank_drop)
     report = solve_mccoy(problem, _lm_config(args))
     payload = {

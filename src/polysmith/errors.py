@@ -30,7 +30,7 @@ class LinearSolveFailure(PolysmithError):
 
 
 class UnattainableProblem(PolysmithError):
-    """The requested minimum is an infimum at infinity; rerun in reversal mode."""
+    """The requested minimum is an infimum at infinity; solve reversed_problem(problem)."""
 
 
 class ParseError(PolysmithError):

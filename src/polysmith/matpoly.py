@@ -81,30 +81,6 @@ class Poly:
     def __call__(self, z):
         return np.polynomial.polynomial.polyval(z, self.coeffs)
 
-    def __add__(self, other: "Poly") -> "Poly":
-        n = max(self.coeffs.size, other.coeffs.size)
-        out = np.zeros(n)
-        out[: self.coeffs.size] += self.coeffs
-        out[: other.coeffs.size] += other.coeffs
-        return Poly(out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        n = max(self.coeffs.size, other.coeffs.size)
-        out = np.zeros(n)
-        out[: self.coeffs.size] += self.coeffs
-        out[: other.coeffs.size] -= other.coeffs
-        return Poly(out)
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            return Poly(np.convolve(self.coeffs, other.coeffs))
-        return Poly(self.coeffs * float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Poly":
-        return Poly(-self.coeffs)
-
     def __repr__(self):
         return f"Poly({self.coeffs.tolist()})"
 
@@ -172,9 +148,9 @@ class MatPoly:
     def entry(self, i: int, j: int) -> Poly:
         return Poly(self.coeff[i, j])
 
-    def degree(self, tol: float = 0.0):
+    def degree(self):
         """Maximum entry degree, or NEG_INF for the zero matrix."""
-        return max(self.entry(i, j).degree(tol) for i in range(self.rows) for j in range(self.cols))
+        return max(self.entry(i, j).degree() for i in range(self.rows) for j in range(self.cols))
 
     def evaluate(self, z) -> np.ndarray:
         """Entry-wise evaluation at a scalar; returns a complex rows x cols matrix."""
@@ -214,18 +190,9 @@ class MatPoly:
         """Column-major list of the entries as Poly values."""
         return [self.entry(i, j) for j in range(self.cols) for i in range(self.rows)]
 
-    def reversed(self, d=None) -> "MatPoly":
-        """Entry-wise degree-d reversal (default: the declared degree bound)."""
-        if d is None:
-            d = self.degree_bound
-        deg = self.degree()
-        if deg != NEG_INF and d < deg:
-            raise PadTooSmall(f"reversal degree {d} < matrix degree {deg}")
-        width = d + 1
-        arr = np.zeros((self.rows, self.cols, width))
-        n = min(width, self.degree_bound + 1)
-        arr[:, :, :n] = self.coeff[:, :, :n]
-        return MatPoly(arr[:, :, ::-1].copy())
+    def reversed(self) -> "MatPoly":
+        """Entry-wise reversal at the declared degree bound d: t^d A(1/t)."""
+        return MatPoly(self.coeff[:, :, ::-1])
 
     def with_degree_bound(self, degree_bound: int) -> "MatPoly":
         deg = self.degree()
@@ -263,9 +230,6 @@ class MatPoly:
         return MatPoly(self.coeff * float(other))
 
     __rmul__ = __mul__
-
-    def __neg__(self) -> "MatPoly":
-        return MatPoly(-self.coeff)
 
     def __matmul__(self, other: "MatPoly") -> "MatPoly":
         if self.cols != other.rows:
@@ -311,6 +275,10 @@ class PerturbStructure:
                 if deg != NEG_INF:
                     mask[i, j, : int(deg) + 1] = True
         return cls(mask)
+
+    def reversed(self) -> "PerturbStructure":
+        """The mask of the reversed matrix polynomial (see MatPoly.reversed)."""
+        return PerturbStructure(self.mask[:, :, ::-1])
 
     def matches(self, a: MatPoly) -> bool:
         return self.mask.shape == a.coeff.shape

@@ -9,6 +9,11 @@ is real and the perturbation stays real by construction.
 
 State layout: z = (p, Re w, Im w, Re B, Im B, lam).
 
+An eigenvalue at infinity is reached by solving reversed_problem(problem),
+the one reversal of both solvers: the same problem on the coefficient-reversed
+input and mask, reported in its own coordinates, where omega = 0 is the
+eigenvalue at infinity of the input.
+
 The residual and the Hessian share one linearization per iterate: the
 perturbed input, the operator M(omega), its derivative and the constraint
 Jacobian J.  The solver asks for the Hessian at the point whose residual it
@@ -25,7 +30,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnattainableProblem
+from .errors import DimensionMismatch, UnattainableProblem, ValidationError
 from .gcdkit import Analysis
 from .lmsolve import (LmConfig, LmTrace, bordered_hessian, certify, lagrangian_gradient,
                       lm_minimize)
@@ -65,7 +70,7 @@ class McCoyProblem:
         if not self.structure.matches(self.a):
             raise DimensionMismatch("perturbation mask does not match the matrix")
         if not 2 <= self.r <= self.a.rows:
-            raise DimensionMismatch(f"rank drop {self.r} is out of range for n={self.a.rows}")
+            raise ValidationError(f"rank drop {self.r} is out of range 2..{self.a.rows}")
 
 
 @dataclass
@@ -377,7 +382,10 @@ def solve_mccoy(problem: McCoyProblem, cfg: LmConfig | None = None, z0=None) -> 
 
     def guarded_residual(z):
         if np.hypot(*z[ws.sl_w]) > _OMEGA_DIVERGENCE:
-            raise UnattainableProblem("the eigenvalue is diverging; rerun on the reversed problem")
+            raise UnattainableProblem(
+                "the eigenvalue is diverging: the minimum lies at infinity; solve "
+                "mccoy_opt.reversed_problem(problem), where it is the eigenvalue 0"
+            )
         return _mccoy_residual(ws, z)
 
     hessian = partial(_mccoy_hessian, ws)
@@ -407,13 +415,10 @@ def _extract_mccoy_report(ws: _McCoyWorkspace, z, trace, certified: bool) -> McC
     )
 
 
-def reversed_problem(problem: McCoyProblem) -> McCoyProblem:
-    """Same search on the coefficient-reversed input and mask.
+def reversed_problem(problem):
+    """The same McCoyProblem or SnfProblem on the coefficient-reversed input and mask.
 
-    An eigenvalue at zero of the reversal is one at infinity of the input.
+    An eigenvalue at zero of the reversal is one at infinity of the input;
+    both solvers report in the coordinates of the problem they are handed.
     """
-    return replace(
-        problem,
-        a=problem.a.reversed(problem.a.degree_bound),
-        structure=PerturbStructure(problem.structure.mask[:, :, ::-1].copy()),
-    )
+    return replace(problem, a=problem.a.reversed(), structure=problem.structure.reversed())

@@ -11,10 +11,11 @@ all deg_h + 1 coefficients (the monic normalization is a constraint), and
 lam stacks one multiplier per adjoint coefficient plus one for the
 normalization row.
 
-With use_reversal the problem is solved on the reversed input rev A(t) =
-t^d A(1/t) and the reversed mask: Adj(rev A) = rev Adj(A) at the declared
-degrees, so a divisor root at zero is an eigenvalue at infinity of A.  Only
-the report maps back: omega is inverted and dA reversed.
+An infimum at infinity is reached by solving reversed_problem(problem)
+(from mccoy_opt): the same problem on rev A(t) = t^d A(1/t) and the reversed
+mask.  Adj(rev A) = rev Adj(A) at the declared degrees, so a divisor root at
+zero there is an eigenvalue at infinity of A.  The report stays in the
+coordinates of the problem solved; `snf --reversal` maps omega and dA back.
 
 The residual [J^T lam + 2p; c] and the Hessian share one linearization per
 iterate, so the adjugate's derivatives all come from the one Jacobian J.
@@ -28,7 +29,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .detadj import AdjugateNodes, adjoint, require_full_rank
-from .errors import DimensionMismatch, RankDeficientInput, UnattainableProblem
+from .errors import DimensionMismatch, RankDeficientInput, UnattainableProblem, ValidationError
 from .gcdkit import (approx_gcd_candidates, detect_unattainable, local_invariant_structure,
                      rank_at_point)
 from .lmsolve import (CONVERGED, LmConfig, LmTrace, bordered_hessian, certify,
@@ -41,7 +42,6 @@ class SnfProblem:
     a: MatPoly
     structure: PerturbStructure
     deg_h: int = 2
-    use_reversal: bool = False
 
     def __post_init__(self):
         if self.a.rows != self.a.cols:
@@ -52,9 +52,7 @@ class SnfProblem:
         # or 2, so higher degrees never give a smaller distance.
         n, d = self.a.rows, self.a.degree_bound
         if self.deg_h not in (1, 2) or self.deg_h > (n - 1) * d:
-            raise DimensionMismatch(
-                f"divisor degree {self.deg_h} is infeasible for n={n}, d={d}"
-            )
+            raise ValidationError(f"divisor degree {self.deg_h} is infeasible for n={n}, d={d}")
 
 
 @dataclass
@@ -85,14 +83,10 @@ class _Linearization:
 
 
 class _Workspace:
-    """Index bookkeeping and constant blocks for one problem instance; holds
-    the reversed input and mask under use_reversal."""
+    """Index bookkeeping and constant blocks for one problem instance."""
 
     def __init__(self, problem: SnfProblem):
-        self.problem = problem
         a, structure = problem.a, problem.structure
-        if problem.use_reversal:
-            a, structure = a.reversed(), PerturbStructure(structure.mask[:, :, ::-1])
         self.a, self.structure = a, structure
         self.n = a.rows
         self.d = a.degree_bound
@@ -230,8 +224,7 @@ def initial_guess(problem: SnfProblem, ws: _Workspace | None = None) -> np.ndarr
     """Zero perturbation and multipliers, divisor and cofactors from an approximate GCD.
 
     Among the candidate divisor fits, the one whose root A is closest to
-    dropping rank by two at wins (see _rank_drop_score).  The solver passes
-    its workspace, which holds the (maybe reversed) input and mask.
+    dropping rank by two at wins (see _rank_drop_score).
     """
     ws = ws or _Workspace(problem)
     entries = adjoint(ws.a).pvec()
@@ -269,9 +262,10 @@ def solve(problem: SnfProblem, cfg: LmConfig | None = None) -> SnfReport:
 
 
 def _require_attainable(problem: SnfProblem):
-    if not problem.use_reversal and detect_unattainable(problem.a, problem.structure):
+    if detect_unattainable(problem.a, problem.structure):
         raise UnattainableProblem(
-            "the nearest non-trivial Smith form is at infinity; rerun with use_reversal"
+            "the nearest non-trivial Smith form lies at infinity; solve "
+            "mccoy_opt.reversed_problem(problem) instead (snf: add or drop --reversal)"
         )
 
 
@@ -284,7 +278,6 @@ def _minimize(problem: SnfProblem, cfg: LmConfig) -> SnfReport:
 
 
 def _extract_report(ws: _Workspace, z, trace, certified: bool) -> SnfReport:
-    problem = ws.problem
     p, f_vec, h_coeffs, _ = ws.unpack(z)
     delta = ws.structure.delta(p)
     h = Poly(h_coeffs)
@@ -292,20 +285,16 @@ def _extract_report(ws: _Workspace, z, trace, certified: bool) -> SnfReport:
         h = Poly(h.coeffs / h.coeffs[-1])
     cofactors = MatPoly.unvec(f_vec, ws.n, ws.n, ws.deg_f)
     a_solved = ws.a + delta
-    if problem.use_reversal and rank_at_point(a_solved, 0) <= ws.n - 2:
-        # The eigenvalue is at infinity.  A root of multiplicity m is only
-        # accurate to eps^(1/m), so the divisor's root cannot tell.
-        root = 0j
+    if rank_at_point(a_solved, 0) <= ws.n - 2:
+        # A root of multiplicity m is only accurate to eps^(1/m), so the
+        # divisor's root cannot tell an eigenvalue at zero; the rank can.
+        omega = 0j
     else:
-        root = _divisor_root(h, a_solved)
+        omega = _divisor_root(h, a_solved)
     try:
-        structure = local_invariant_structure(a_solved, root)
+        structure = local_invariant_structure(a_solved, omega)
     except (ValueError, np.linalg.LinAlgError):
         structure = []
-    omega = root
-    if problem.use_reversal:
-        delta = delta.reversed()
-        omega = np.inf if root == 0 else 1.0 / root
     return SnfReport(
         delta_a=delta,
         distance=float(np.linalg.norm(p)),
@@ -322,7 +311,7 @@ def _extract_report(ws: _Workspace, z, trace, certified: bool) -> SnfReport:
 
 
 def _divisor_root(h: Poly, a_solved: MatPoly):
-    """The root of h to report, for a_solved in the same (maybe reversed) coordinates."""
+    """The root of h to report, an eigenvalue of a_solved."""
     trimmed = h.trimmed(1e-12)
     roots = np.roots(trimmed.coeffs[::-1]) if trimmed.degree() >= 1 else np.array([])
     if roots.size == 0:
@@ -335,13 +324,13 @@ def _divisor_root(h: Poly, a_solved: MatPoly):
     return complex(roots[int(np.argmin(scores))].real)
 
 
-def solve_best_degree(a: MatPoly, structure: PerturbStructure, cfg: LmConfig | None = None,
-                      use_reversal: bool = False) -> SnfReport:
+def solve_best_degree(a: MatPoly, structure: PerturbStructure,
+                      cfg: LmConfig | None = None) -> SnfReport:
     """Try divisor degrees 1 and 2 and keep the smaller distance; one
     attainability verdict, taken on the input and mask, covers both."""
     n, d = a.rows, a.degree_bound
-    problems = [SnfProblem(a, structure, deg_h=deg_h, use_reversal=use_reversal)
-                for deg_h in (1, 2) if (n - 1) * d - deg_h >= 0]
+    problems = [SnfProblem(a, structure, deg_h=deg_h) for deg_h in (1, 2)
+                if (n - 1) * d - deg_h >= 0]
     if not problems:
         raise UnattainableProblem("no feasible divisor degree")
     _require_attainable(problems[0])

@@ -97,8 +97,8 @@ def generalized_sylvester(f, dprime) -> np.ndarray:
     return np.vstack(blocks) if width > 0 else np.zeros((ell + (len(f) - 1) * d, 0))
 
 
-def numeric_rank(m, tol=None) -> int:
-    """Count of singular values above tol (default: sigma_1 * max(m, n) * 1e-12).
+def numeric_rank(m) -> int:
+    """Count of singular values above sigma_1 * max(m, n) * 1e-12.
 
     Accepts real or complex matrices.
     """
@@ -108,6 +108,4 @@ def numeric_rank(m, tol=None) -> int:
     s = np.linalg.svd(m, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0
-    if tol is None:
-        tol = s[0] * max(m.shape) * 1e-12
-    return int(np.count_nonzero(s > tol))
+    return int(np.count_nonzero(s > s[0] * max(m.shape) * 1e-12))

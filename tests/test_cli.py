@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from polysmith import cli, gcdkit, snf_opt
-from polysmith.errors import DimensionMismatch, ParseError, ValidationError
+from polysmith.errors import ParseError, ValidationError
 from polysmith.lmsolve import LmTrace, Termination
 from polysmith.matpoly import PerturbStructure
 from polysmith.snf_opt import SnfProblem
@@ -101,7 +101,7 @@ def test_exit_code_validation_error(capsys, tmp_path):
     assert code == cli.EXIT_INVALID and "infeasible" in report["error"]
     # Degree 3 fits under (n-1)d = 4 but is never nearer than degree 1 or 2.
     a = random_full_rank_matpoly(np.random.default_rng(0), 3, 2)
-    with pytest.raises(DimensionMismatch, match="infeasible"):
+    with pytest.raises(ValidationError, match="infeasible"):
         SnfProblem(a, PerturbStructure.support(a), deg_h=3)
     path.write_text(json.dumps({"rows": 3, "cols": 3, "entries": [
         [a.coeff[i, j].tolist() for j in range(3)] for i in range(3)]}))
@@ -144,10 +144,15 @@ def test_snf_reversal_approx_gcd_errors_are_reported(capsys, tmp_path, entries):
 
 
 def test_exit_code_unattainable(capsys):
-    _, code = run_cli(
+    report, code = run_cli(
         capsys, ["snf", str(FIXTURES / "unattainable_C.json"), "--deg-h", "2"]
     )
     assert code == cli.EXIT_UNATTAINABLE
+    # The advice names what reaches the infimum, and no flag snf lacks.
+    assert report["error"] == (
+        "the nearest non-trivial Smith form lies at infinity; solve "
+        "mccoy_opt.reversed_problem(problem) instead (snf: add or drop --reversal)"
+    )
 
 
 def test_snf_small_instance_through_cli(capsys, tmp_path):
@@ -367,6 +372,7 @@ CONTRACT_COMMANDS = (
     ["check"],
     ["bound"],
     ["snf", "--deg-h", "1", "--max-iter", "20"],
+    ["snf", "--deg-h", "1", "--reversal", "--max-iter", "20"],
     ["mccoy", "--rank-drop", "2", "--max-iter", "20"],
 )
 

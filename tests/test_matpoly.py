@@ -151,6 +151,17 @@ def test_structure_holds_a_read_only_copy_of_the_mask():
     assert not structure.mask.flags.writeable
 
 
+def test_structure_reversal_round_trips_and_follows_the_matrix():
+    rng = np.random.default_rng(3)
+    a = MatPoly(rng.normal(size=(2, 3, 3)) * (rng.random((2, 3, 3)) < 0.5))
+    structure = PerturbStructure.support(a)
+    rev = structure.reversed()
+    assert not rev.mask.flags.writeable
+    assert np.array_equal(rev.mask, PerturbStructure.support(a.reversed()).mask)
+    assert np.array_equal(rev.reversed().mask, structure.mask)
+    assert np.array_equal(a.reversed().reversed().coeff, a.coeff)
+
+
 def test_perturbation_isometry():
     rng = np.random.default_rng(6)
     a = MatPoly(rng.normal(size=(2, 2, 3)))

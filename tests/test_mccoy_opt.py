@@ -362,7 +362,9 @@ def test_divergence_watchdog_raises():
     z0 = initial_guess_mccoy(problem)
     p, omega, br, bi, lam = ws.unpack(z0)
     z_far = ws.pack(p, 2e8 + 0j, br, bi, lam)
-    with pytest.raises(UnattainableProblem):
+    # There is no `mccoy --reversal`: the advice names the library's transform.
+    with pytest.raises(UnattainableProblem, match=r"lies at infinity; solve "
+                       r"mccoy_opt\.reversed_problem\(problem\)"):
         solve_mccoy(problem, LmConfig(), z0=z_far)
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from polysmith import cli, snf_opt
 from polysmith.detadj import adjoint
-from polysmith.gcdkit import distance_lower_bound, rank_at_point
+from polysmith.gcdkit import distance_lower_bound
 from polysmith.lmsolve import LmConfig, Termination, certify
 from polysmith.matpoly import MatPoly, PerturbStructure, Poly
 from polysmith.mccoy_opt import (
@@ -13,6 +13,7 @@ from polysmith.mccoy_opt import (
     _mccoy_hessian,
     _mccoy_residual,
     _McCoyWorkspace,
+    reversed_problem,
     solve_mccoy,
 )
 from polysmith.snf_opt import (
@@ -90,11 +91,12 @@ def _hessian_case(kind):
     return mat, PerturbStructure.degree(mat), 1
 
 
-@pytest.mark.parametrize("use_reversal", [False, True])
+@pytest.mark.parametrize("reverse", [False, True])
 @pytest.mark.parametrize("kind", ["ex1-deg1", "ex1-deg2", "diagonal"])
-def test_kkt_hessian_matches_block_assembly_bitwise(kind, use_reversal):
+def test_kkt_hessian_matches_block_assembly_bitwise(kind, reverse):
     a, structure, deg_h = _hessian_case(kind)
-    ws = _Workspace(SnfProblem(a, structure, deg_h=deg_h, use_reversal=use_reversal))
+    problem = SnfProblem(a, structure, deg_h=deg_h)
+    ws = _Workspace(reversed_problem(problem) if reverse else problem)
     rng = np.random.default_rng(17)
     for _ in range(2):
         z = rng.normal(size=ws.n_x + ws.n_c)
@@ -241,27 +243,34 @@ def test_solve_reversal_mode_on_unattainable_input():
 
     with pytest.raises(UnattainableProblem):
         solve(SnfProblem(c, structure, deg_h=2), LmConfig())
-    report = solve(SnfProblem(c, structure, deg_h=2, use_reversal=True), LmConfig())
+    report = solve(reversed_problem(SnfProblem(c, structure, deg_h=2)), LmConfig())
     # The reversed adjoint has the exact common divisor t^2, so the infimum 0
-    # is attained in reversal coordinates and omega sits at infinity.
+    # is attained in reversed coordinates, at omega = 0 (infinity for c).
     assert report.distance <= 1e-8
-    assert report.omega == np.inf
+    assert report.omega == 0
 
 
-def test_reversal_is_the_plain_problem_on_the_reversed_input():
-    c = cli.parse(str(FIXTURES / "unattainable_C.json")).to_matpoly()
-    mask = PerturbStructure.support(c).mask
-    rev = solve(SnfProblem(c, PerturbStructure(mask), deg_h=2, use_reversal=True), LmConfig())
-    plain = solve(SnfProblem(c.reversed(), PerturbStructure(mask[:, :, ::-1]), deg_h=2),
-                  LmConfig())
-    assert np.array_equal(rev.z, plain.z)
-    assert rev.trace.merits == plain.trace.merits
-    assert np.array_equal(rev.h.coeffs, plain.h.coeffs)
-    assert np.array_equal(rev.delta_a.coeff, plain.delta_a.reversed().coeff)
-    assert rev.invariant_structure == plain.invariant_structure
-    assert rev.certified == plain.certified
-    at_zero = rank_at_point(c.reversed() + plain.delta_a, 0) <= c.rows - 2
-    assert rev.omega == (np.inf if at_zero else 1.0 / plain.omega)
+def test_snf_reversal_is_snf_on_the_reversed_document(capsys, tmp_path):
+    # `snf --reversal` solves the reversed problem and maps only omega and dA
+    # back; the divisor and the local structure stay in reversed coordinates.
+    source = FIXTURES / "unattainable_C.json"
+    doc = json.loads(source.read_text())
+    doc["entries"] = [[(cell + [0.0] * (2 - len(cell)))[::-1] for cell in row]
+                      for row in doc["entries"]]
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps(doc))
+    reports = []
+    for argv in (["snf", str(source), "--deg-h", "2", "--reversal"],
+                 ["snf", str(path), "--deg-h", "2"]):
+        assert cli.run(argv) == cli.EXIT_OK
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        del report["input_digest"], report["wall_seconds"]
+        reports.append(report)
+    rev, plain = reports
+    assert plain["omega"] == [0.0, 0.0] and rev["omega"] == [np.inf, 0.0]
+    assert rev["delta"] == [[cell[::-1] for cell in row] for row in plain["delta"]]
+    del rev["omega"], rev["delta"], plain["omega"], plain["delta"]
+    assert rev == plain
 
 
 def test_reversal_reports_infinity_from_the_rank_drop():
@@ -273,9 +282,9 @@ def test_reversal_reports_infinity_from_the_rank_drop():
     entries = [[block[i % 2][j % 2] if i // 2 == j // 2 else zero for j in range(6)]
                for i in range(6)]
     a = MatPoly.from_entries(entries, degree_bound=1)
-    report = solve(SnfProblem(a, PerturbStructure.support(a), deg_h=1, use_reversal=True),
-                   LmConfig())
-    assert report.omega == np.inf
+    problem = SnfProblem(a, PerturbStructure.support(a), deg_h=1)
+    report = solve(reversed_problem(problem), LmConfig())
+    assert report.omega == 0
     assert report.invariant_structure == [(0, 3), (2, 3)]
 
 
