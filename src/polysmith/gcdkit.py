@@ -206,8 +206,11 @@ class Analysis:
 
         Returns (bound, sigma) where sigma is the rank-th singular value of
         the generalized Sylvester matrix of the adjoint at the padded
-        degrees.  The bound is zero for inputs that are already non-trivial.
+        degrees.  The bound is zero for inputs that are already non-trivial,
+        and for 1x1 inputs, which are always trivial (see report).
         """
+        if self.n == 1:
+            return 0.0, 0.0
         self.require_nonsingular()
         if not self.gcd_trivial:
             return 0.0, 0.0

@@ -18,9 +18,9 @@ The residual and the Hessian share one linearization per iterate: the
 perturbed input, the operator M(omega), its derivative and the constraint
 Jacobian J.  The solver asks for the Hessian at the point whose residual it
 has just accepted, so caching the last linearization builds each of them
-once per iterate instead of twice.  J and the bordered Hessian are assembled
-by scatters to positions fixed per problem, so their per-iterate cost does
-not loop over the parameters or the Gram pairs in Python.
+once per iterate instead of twice.  Each block of J and of the bordered
+Hessian is written by 2-D indexing at the positions its formula gives, with
+no Python loop over the parameters or the Gram pairs.
 """
 
 from __future__ import annotations
@@ -80,7 +80,6 @@ class McCoyReport:
     omega: complex
     kernel: np.ndarray
     iterations: int
-    final_grad_norm: float
     invariant_factor: Poly
     certified: bool
     trace: LmTrace
@@ -186,76 +185,34 @@ class _McCoyWorkspace:
         base = (self.d - 1) * self.n
         return base + i, np.where(coef < self.d, coef * self.n, base) + j, coef
 
-    @cached_property
-    def _scatter(self):
-        """Flat positions in J of the parameter columns, the kron(M, I_r)
-        blocks and the Gram rows; built on first use.
-
-        Gram entries come in the order of the loop over the pairs (a, b), so
-        with np.add.at a cell of a == b sums its two entries as the loop did.
-        """
-        size, r, nr, n_x = self.size, self.r, self.nr, self.n_x
-        br0, bi0 = self.sl_br.start, self.sl_bi.start
+    def constraint_jacobian(self, m, dm, bc, omega) -> np.ndarray:
+        size, r, nr, m_p = self.size, self.r, self.nr, self.m_p
+        br, bi, w0 = self.sl_br, self.sl_bi, self.sl_w.start
+        j = np.zeros((self.n_c, self.n_x))
         # Column k holds w * B[col] in the kernel rows of `row`, real then imaginary.
         row, col, coef = self._cells
-        param = (row[:, None] * r + np.arange(r)) * n_x + np.arange(self.m_p)[:, None]
-        param = np.stack([param, param + nr * n_x])
-
-        # Entry (i, k) of each block of kron(M, I_r) sits on r diagonal cells.
-        i, k, a = np.ix_(np.arange(size), np.arange(size), np.arange(r))
-        block_rows = np.array([0, 0, nr, nr])[:, None, None, None]
-        block_cols = np.array([br0, bi0, br0, bi0])[:, None, None, None]
-        kron = (block_rows + i * r + a) * n_x + block_cols + k * r + a
-
-        # Gram rows of the pair (a, b), with sources in np.stack((Re B, Im B)).ravel().
-        a, b = np.arange(r)[:, None, None], np.arange(r)[None, :, None]
-        unit = np.arange(size) * r
-        row3 = (2 * nr + a * r + b) * n_x
-        row4 = row3 + r * r * n_x
-        terms = [  # (destination, source, sign) in the order of the loop body
-            (row3 + br0 + a, b, 1.0), (row3 + br0 + b, a, 1.0),
-            (row3 + bi0 + a, nr + b, 1.0), (row3 + bi0 + b, nr + a, 1.0),
-            (row4 + br0 + a, nr + b, 1.0), (row4 + br0 + b, nr + a, -1.0),
-            (row4 + bi0 + b, a, 1.0), (row4 + bi0 + a, b, -1.0),
-        ]
-        dst = np.stack(np.broadcast_arrays(*(t[0] + unit for t in terms)), axis=2)
-        src = np.stack(np.broadcast_arrays(*(t[1] + unit for t in terms)), axis=2)
-        sign = np.broadcast_to(np.array([t[2] for t in terms])[:, None], dst.shape)
-        arrays = (param, kron, dst.ravel(), src.ravel(), sign.ravel())
-        for arr in arrays:
-            arr.flags.writeable = False
-        return arrays
-
-    @cached_property
-    def _hessian_scatter(self):
-        """Flat positions in the bordered Hessian of the parameter rows' B and omega
-        entries and of the kron(I, Q) diagonals at (Re B, Re B), (Im B, Im B), (Re B, Im B)."""
-        size, r, width = self.size, self.r, self.n_x + self.n_c
-        br0, bi0 = self.sl_br.start, self.sl_bi.start
-        k = np.arange(self.m_p)[:, None] * width
-        param_b = k + br0 + self._cells[1][:, None] * r + np.arange(r)
-        i, a, b = np.ix_(np.arange(size), np.arange(r), np.arange(r))
-        corners = np.array([br0 * width + br0, bi0 * width + bi0, br0 * width + bi0])
-        diag = corners[:, None, None, None] + (i * r + a) * width + i * r + b
-        arrays = (param_b, k[:, 0] + self.sl_w.start, diag)
-        for arr in arrays:
-            arr.flags.writeable = False
-        return arrays
-
-    def constraint_jacobian(self, m, dm, bc, omega) -> np.ndarray:
-        param, kron, dst, src, sign = self._scatter
-        _, col, coef = self._cells
-        j = np.zeros((self.n_c, self.n_x))
-        flat = j.reshape(-1)
         weights, _ = self._weights(omega)
         contrib = weights[coef, None] * bc[col]
-        flat[param] = np.stack([contrib.real, contrib.imag])
-        nr, w0 = self.nr, self.sl_w.start
+        rows, cols = row[:, None] * r + np.arange(r), np.arange(m_p)[:, None]
+        j[rows, cols], j[nr + rows, cols] = contrib.real, contrib.imag
         dmb = (dm @ bc).ravel()
         j[:nr, w0], j[nr : 2 * nr, w0] = dmb.real, dmb.imag
         j[:nr, w0 + 1], j[nr : 2 * nr, w0 + 1] = -dmb.imag, dmb.real
-        flat[kron] = np.stack([m.real, -m.imag, m.imag, m.real])[..., None]
-        np.add.at(flat, dst, sign * np.stack((bc.real, bc.imag)).ravel()[src])
+        # kron([[Re M, -Im M], [Im M, Re M]], I_r) in the kernel rows and the B
+        # columns (Im B follows Re B): entry (i, k) of a block goes to (i r + a, k r + a).
+        ar = np.arange(r)
+        kron = np.zeros((2, size, r, 2, size, r))
+        blocks = np.array([[m.real, -m.imag], [m.imag, m.real]])
+        kron[:, :, ar, :, :, ar] = blocks.transpose(0, 2, 1, 3)
+        j[: 2 * nr, br.start : bi.stop] = kron.reshape(2 * nr, 2 * nr)
+        # Gram row (a, b), column (i, c) of Re B or Im B: L = delta_ac X[i, b] and
+        # R = delta_bc X[i, a]; a cell sums at most two terms +-x, so every sum is exact.
+        left, right = np.zeros((2, 2, r, r, size, r))
+        left[:, ar, :, :, ar] = right[:, :, ar, :, ar] = np.stack((bc.real.T, bc.imag.T))
+        (l_re, l_im), (r_re, r_im) = left.reshape(2, r * r, nr), right.reshape(2, r * r, nr)
+        re_gram, im_gram = slice(2 * nr, 2 * nr + r * r), slice(2 * nr + r * r, None)
+        j[re_gram, br], j[re_gram, bi] = l_re + r_re, l_im + r_im
+        j[im_gram, br], j[im_gram, bi] = l_im - r_im, r_re - l_re
         return j
 
 
@@ -280,37 +237,38 @@ def _mccoy_hessian(ws: _McCoyWorkspace, z) -> np.ndarray:
     add Re sum(conj(W) * M B) to the Lagrangian: linear in p, in B and in
     omega = x + iy (M is the pencil E omega - F), so d/dy = i d/dx and the
     (omega, omega) block is zero.  The Gram rows add the constant blocks
-    kron(I, Q1 + Q1^T) and kron(I, Q2 - Q2^T).  Blocks are written into the
-    bordered frame at positions fixed per problem.
+    kron(I, Q1 + Q1^T) and kron(I, Q2 - Q2^T).  Each block is written into
+    the bordered frame at the positions its formula gives.
     """
     lin = ws.linearization_at(z)
-    bc, lam, jc = lin.bc, lin.lam, lin.jc
-    size, r, nr, n_x = ws.size, ws.r, ws.nr, ws.n_x
+    bc, lam = lin.bc, lin.lam
+    size, r, nr, m_p = ws.size, ws.r, ws.nr, ws.m_p
     wc = (lam[:nr] - 1j * lam[nr : 2 * nr]).reshape(size, r)
     q1, q2 = lam[2 * nr :].reshape(2, r, r)
-    w0 = ws.sl_w.start
+    br0, bi0, w0 = ws.sl_br.start, ws.sl_bi.start, ws.sl_w.start
     row, col, coef = ws._cells
-    param_b, param_w, diag = ws._hessian_scatter
 
-    full = bordered_hessian(jc)
-    flat = full.reshape(-1)
+    full = bordered_hessian(lin.jc)
     # Upper off-diagonal blocks of H_xx first; the lower ones are their transposes.
     weights, d_weights = ws._weights(lin.omega)
     w_rows = wc[row]
     wb = weights[coef, None] * w_rows
-    flat[param_b] = wb.real
-    flat[param_b + nr] = -wb.imag
+    k, cols = np.arange(m_p)[:, None], col[:, None] * r + np.arange(r)
+    full[k, br0 + cols], full[k, bi0 + cols] = wb.real, -wb.imag
     s = d_weights[coef] * (w_rows[:, None, :] @ bc[col][:, :, None])[:, 0, 0]
-    flat[param_w], flat[param_w + 1] = s.real, -s.imag
+    full[:m_p, w0], full[:m_p, w0 + 1] = s.real, -s.imag
     t = (lin.dm.T @ wc).ravel()
     full[w0, ws.sl_br], full[w0, ws.sl_bi] = t.real, -t.imag
     full[w0 + 1, ws.sl_br], full[w0 + 1, ws.sl_bi] = -t.imag, -t.real
-    flat[diag[2]] = q2 - q2.T
-    h_xx = full[:n_x, :n_x]
+    # kron(I, Q) puts Q at (i r + a, i r + b).
+    diag = np.arange(size)[:, None, None] * r
+    rows, cols = diag + np.arange(r)[:, None], diag + np.arange(r)
+    full[br0 + rows, bi0 + cols] = q2 - q2.T
+    h_xx = full[: ws.n_x, : ws.n_x]
     h_xx += h_xx.T
 
     np.fill_diagonal(h_xx[ws.sl_p, ws.sl_p], 2.0)
-    flat[diag[:2]] = q1 + q1.T
+    full[br0 + rows, br0 + cols] = full[bi0 + rows, bi0 + cols] = q1 + q1.T
     return full
 
 
@@ -407,7 +365,6 @@ def _extract_mccoy_report(ws: _McCoyWorkspace, z, trace, certified: bool) -> McC
         omega=omega,
         kernel=br + 1j * bi,
         iterations=trace.iterations,
-        final_grad_norm=trace.merits[-1],
         invariant_factor=factor,
         certified=certified,
         trace=trace,

@@ -24,7 +24,7 @@ iterate, so the adjugate's derivatives all come from the one Jacobian J.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class SnfReport:
     h: Poly
     cofactors: MatPoly
     iterations: int
-    final_grad_norm: float
     omega: complex
     invariant_structure: list
     certified: bool
@@ -83,7 +82,7 @@ class _Linearization:
 
 
 class _Workspace:
-    """Index bookkeeping and constant blocks for one problem instance."""
+    """Index bookkeeping and the linearization cache for one problem instance."""
 
     def __init__(self, problem: SnfProblem):
         a, structure = problem.a, problem.structure
@@ -138,32 +137,26 @@ class _Workspace:
     def adjoint_jacobian(self, system: AdjugateNodes) -> np.ndarray:
         return system.jacobian()[:, self.param_idx]
 
-    @cached_property
-    def _bands(self):
-        """Flat positions of the convolution bands: of conv(h) on one cofactor,
-        of the stacked conv(F_e) on h, and of -kron(I, conv(h)) in J."""
-        rows, width_f = self.dadj + 1, self.deg_f + 1
-        # Entry e, cofactor coefficient j, divisor coefficient t: F_e[j] h[t]
-        # lands in row e * rows + j + t of vec(F h).
-        e, j, t = np.ix_(np.arange(self.n_entries), np.arange(width_f), np.arange(self.n_h))
-        divisor = (j + t) * width_f + j
-        cofactor = (e * rows + j + t) * self.n_h + t
-        jacobian = (e * rows + j + t) * self.n_x + self.sl_f.start + e * width_f + j
-        arrays = (divisor[0], cofactor, jacobian)
-        for arr in arrays:
-            arr.flags.writeable = False
-        return arrays
+    def _conv_grid(self):
+        """Entry e, cofactor coefficient j and divisor coefficient t, broadcast
+        against each other, and the row e ((n-1)d + 1) + j + t of vec(F h)
+        where F_e[j] h[t] lands."""
+        e = np.arange(self.n_entries)[:, None, None]
+        j, t = np.arange(self.deg_f + 1)[:, None], np.arange(self.n_h)
+        return e, j, t, e * (self.dadj + 1) + j + t
 
     def divisor_matrix(self, h) -> np.ndarray:
         """conv(h), acting on the coefficients of one cofactor."""
+        _, j, t, _ = self._conv_grid()
         out = np.zeros((self.dadj + 1, self.deg_f + 1))
-        out.reshape(-1)[self._bands[0]] = h
+        out[j + t, j] = h
         return out
 
     def cofactor_blocks(self, f_vec) -> np.ndarray:
         """Stacked matrix mapping h to vec(F h)."""
+        _, _, t, rows = self._conv_grid()
         out = np.zeros((self.n_entries * (self.dadj + 1), self.n_h))
-        out.reshape(-1)[self._bands[1]] = f_vec.reshape(self.n_entries, self.deg_f + 1, 1)
+        out[rows, t] = f_vec.reshape(self.n_entries, self.deg_f + 1, 1)
         return out
 
     def constraint(self, system, f_vec, h) -> np.ndarray:
@@ -174,12 +167,14 @@ class _Workspace:
         return np.concatenate([residual, [h[-1] - 1.0]])
 
     def constraint_jacobian(self, system, f_vec, h) -> np.ndarray:
-        j = np.zeros((self.n_c, self.n_x))
-        j[:-1, self.sl_p] = self.adjoint_jacobian(system)
-        j.reshape(-1)[self._bands[2]] = -h
-        j[:-1, self.sl_h] = -self.cofactor_blocks(f_vec)
-        j[-1, self.n_x - 1] = 1.0
-        return j
+        jac = np.zeros((self.n_c, self.n_x))
+        jac[:-1, self.sl_p] = self.adjoint_jacobian(system)
+        # -kron(I, conv(h)): the column of F_e[j] holds -h[t] in the row of F_e[j] h[t].
+        e, j, _, rows = self._conv_grid()
+        jac[rows, self.sl_f.start + e * (self.deg_f + 1) + j] = -h
+        jac[:-1, self.sl_h] = -self.cofactor_blocks(f_vec)
+        jac[-1, self.n_x - 1] = 1.0
+        return jac
 
 
 def kkt_residual(problem: SnfProblem, z) -> np.ndarray:
@@ -301,7 +296,6 @@ def _extract_report(ws: _Workspace, z, trace, certified: bool) -> SnfReport:
         h=h,
         cofactors=cofactors,
         iterations=trace.iterations,
-        final_grad_norm=trace.merits[-1],
         omega=omega,
         invariant_structure=structure,
         certified=certified,
@@ -329,10 +323,10 @@ def solve_best_degree(a: MatPoly, structure: PerturbStructure,
     """Try divisor degrees 1 and 2 and keep the smaller distance; one
     attainability verdict, taken on the input and mask, covers both."""
     n, d = a.rows, a.degree_bound
+    if (n - 1) * d == 0:
+        raise ValidationError(f"no divisor degree is feasible for n={n}, d={d}")
     problems = [SnfProblem(a, structure, deg_h=deg_h) for deg_h in (1, 2)
-                if (n - 1) * d - deg_h >= 0]
-    if not problems:
-        raise UnattainableProblem("no feasible divisor degree")
+                if deg_h <= (n - 1) * d]
     _require_attainable(problems[0])
     cfg = cfg or LmConfig()
     reports, errors = [], []

@@ -75,7 +75,7 @@ def test_check_determinism(capsys):
 
 @pytest.mark.parametrize("argv", [["mccoy", "--rank-drop", "4"], ["snf", "--deg-h", "2"]])
 def test_solver_reports_repeat_in_one_process(capsys, argv):
-    # Per-workspace scatter tables and caches must not leak between runs.
+    # Per-workspace caches must not leak between runs.
     docs = []
     for _ in range(2):
         report, code = run_cli(capsys, [argv[0], str(FIXTURES / "ex1.json"), *argv[1:]])
@@ -107,6 +107,33 @@ def test_exit_code_validation_error(capsys, tmp_path):
         [a.coeff[i, j].tolist() for j in range(3)] for i in range(3)]}))
     _, code = run_cli(capsys, ["snf", str(path), "--deg-h", "3"])
     assert code == cli.EXIT_INVALID
+
+
+NO_DIVISOR_DEGREE = {  # (n-1)d = 0: no divisor degree is feasible
+    "constant": {"rows": 2, "cols": 2, "entries": [[[1], [2]], [[3], [4]]]},
+    "1x1": {"rows": 1, "cols": 1, "entries": [[[1.0, 2.0]]]},
+}
+
+
+@pytest.mark.parametrize("reversal", [[], ["--reversal"]], ids=["plain", "reversal"])
+@pytest.mark.parametrize("name", NO_DIVISOR_DEGREE)
+def test_snf_without_feasible_degree_is_invalid(capsys, tmp_path, name, reversal):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(NO_DIVISOR_DEGREE[name]))
+    for degree in ([], ["--deg-h", "1"]):
+        report, code = run_cli(capsys, ["snf", str(path), *degree, *reversal])
+        assert code == cli.EXIT_INVALID and "feasible" in report["error"]
+
+
+@pytest.mark.parametrize("name", NO_DIVISOR_DEGREE)
+def test_bound_and_check_agree(capsys, tmp_path, name):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(NO_DIVISOR_DEGREE[name]))
+    bound, code = run_cli(capsys, ["bound", str(path)])
+    check, _ = run_cli(capsys, ["check", str(path)])
+    assert code == cli.EXIT_OK
+    for key in ("lower_bound", "sylvester_sigma"):
+        assert bound[key] == check[key]
 
 
 @pytest.mark.parametrize("rank_drop", ["1", "5"])
@@ -277,7 +304,6 @@ def test_exit_code_stalled(capsys, monkeypatch, tmp_path, termination):
         h=Poly([0.0, 1.0]),
         cofactors=MatPoly.zeros(2, 2, 0),
         iterations=1,
-        final_grad_norm=1.0,
         omega=0j,
         invariant_structure=[],
         certified=False,

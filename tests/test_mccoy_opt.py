@@ -133,6 +133,9 @@ def test_hessian_matches_finite_differences():
 
 def _jacobian_case(kind, r):
     rng = np.random.default_rng(40 + r)
+    if kind == "ex2":  # the paper's r = n shape: n = 4, d = 2, support mask
+        a = cli.parse(str(FIXTURES / "ex1.json")).to_matpoly()
+        return McCoyProblem(a, PerturbStructure.support(a), r=r)
     if kind == "linearized":  # the masked cubic: gaps in every coefficient block
         a = sparse_cubic(rng, 3)
         return McCoyProblem(a, PerturbStructure.support(a), r=r)
@@ -143,8 +146,12 @@ def _jacobian_case(kind, r):
     return McCoyProblem(a, PerturbStructure.full(a), r=r)
 
 
-@pytest.mark.parametrize("r", [2, 3])
-@pytest.mark.parametrize("kind", ["linearized", "dense", "constant"])
+JACOBIAN_CASES = [pytest.param(kind, r, id=f"{kind}-{r}")
+                  for kind in ("linearized", "dense", "constant") for r in (2, 3)]
+JACOBIAN_CASES.append(pytest.param("ex2", 4, id="ex2-4"))
+
+
+@pytest.mark.parametrize("kind, r", JACOBIAN_CASES)
 def test_constraint_jacobian_matches_loop_bitwise(kind, r):
     problem = _jacobian_case(kind, r)
     ws = _McCoyWorkspace(problem)
@@ -159,8 +166,7 @@ def test_constraint_jacobian_matches_loop_bitwise(kind, r):
         assert np.array_equal(ws.linearization_at(z).jc, want)
 
 
-@pytest.mark.parametrize("r", [2, 3])
-@pytest.mark.parametrize("kind", ["linearized", "dense", "constant"])
+@pytest.mark.parametrize("kind, r", JACOBIAN_CASES)
 def test_hessian_matches_loop_bitwise(kind, r):
     ws = _McCoyWorkspace(_jacobian_case(kind, r))
     rng = np.random.default_rng(60 + r)
