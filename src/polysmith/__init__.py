@@ -43,8 +43,6 @@ from .snf_opt import (
     SnfProblem,
     SnfReport,
     initial_guess,
-    kkt_hessian,
-    kkt_residual,
     solve,
     solve_best_degree,
 )
@@ -53,7 +51,6 @@ from .mccoy_opt import (
     McCoyReport,
     companion_linearization,
     initial_guess_mccoy,
-    mccoy_residual,
     reversed_problem,
     solve_mccoy,
 )

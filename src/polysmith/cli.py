@@ -158,9 +158,22 @@ def _trace_summary(trace) -> dict:
     }
 
 
-def _require_square(doc: InputDocument):
+def _load(args):
+    """The command's input as (a, structure); structure is None for a command
+    without --structure, whose document's structure field is not read."""
+    doc = parse(args.input)
     if doc.rows != doc.cols:
         raise ValidationError("solver commands need a square matrix polynomial")
+    a = doc.to_matpoly()
+    return a, doc.to_structure(a, args.structure) if hasattr(args, "structure") else None
+
+
+def _solved(report, omega, delta, **fields):
+    """Payload and exit code of a solve; exit 2 when it ended short of --tol."""
+    payload = {"distance": report.distance, "omega": _complex_field(omega),
+               "delta": _matpoly_grid(delta), **fields, "certified": report.certified,
+               "trace": _trace_summary(report.trace)}
+    return payload, EXIT_STALLED if report.trace.termination in _SHORT_OF_TOL else EXIT_OK
 
 
 def _lm_config(args) -> LmConfig:
@@ -168,11 +181,7 @@ def _lm_config(args) -> LmConfig:
 
 
 def _cmd_check(args):
-    doc = parse(args.input)
-    _require_square(doc)
-    a = doc.to_matpoly()
-    structure = doc.to_structure(a, args.structure)
-    report = triviality_report(a, structure)
+    report = triviality_report(*_load(args))
     payload = {
         "is_trivial": report.is_trivial,
         "mccoy_rank": report.mccoy_rank,
@@ -190,18 +199,13 @@ def _cmd_check(args):
 
 
 def _cmd_bound(args):
-    doc = parse(args.input)
-    _require_square(doc)
-    a = doc.to_matpoly()
+    a, _ = _load(args)
     bound, sigma = distance_lower_bound(a)
     return {"lower_bound": bound, "sylvester_sigma": sigma}, EXIT_OK
 
 
 def _cmd_snf(args):
-    doc = parse(args.input)
-    _require_square(doc)
-    a = doc.to_matpoly()
-    structure = doc.to_structure(a, args.structure)
+    a, structure = _load(args)
     if args.reversal:
         # The reversed problem (mccoy_opt.reversed_problem) of the input.
         a, structure = a.reversed(), structure.reversed()
@@ -216,36 +220,14 @@ def _cmd_snf(args):
         # invariant structure stay in reversed coordinates.
         omega = np.inf if omega == 0 else 1.0 / omega
         delta = delta.reversed()
-    payload = {
-        "distance": report.distance,
-        "divisor": report.h.coeffs.tolist(),
-        "omega": _complex_field(omega),
-        "delta": _matpoly_grid(delta),
-        "invariant_structure": [list(pair) for pair in report.invariant_structure],
-        "certified": report.certified,
-        "trace": _trace_summary(report.trace),
-    }
-    code = EXIT_STALLED if report.trace.termination in _SHORT_OF_TOL else EXIT_OK
-    return payload, code
+    return _solved(report, omega, delta, divisor=report.h.coeffs.tolist(),
+                   invariant_structure=[list(pair) for pair in report.invariant_structure])
 
 
 def _cmd_mccoy(args):
-    doc = parse(args.input)
-    _require_square(doc)
-    a = doc.to_matpoly()
-    structure = doc.to_structure(a, args.structure)
-    problem = McCoyProblem(a, structure, r=args.rank_drop)
-    report = solve_mccoy(problem, _lm_config(args))
-    payload = {
-        "distance": report.distance,
-        "omega": _complex_field(report.omega),
-        "invariant_factor": report.invariant_factor.coeffs.tolist(),
-        "delta": _matpoly_grid(report.delta_a),
-        "certified": report.certified,
-        "trace": _trace_summary(report.trace),
-    }
-    code = EXIT_STALLED if report.trace.termination in _SHORT_OF_TOL else EXIT_OK
-    return payload, code
+    report = solve_mccoy(McCoyProblem(*_load(args), r=args.rank_drop), _lm_config(args))
+    return _solved(report, report.omega, report.delta_a,
+                   invariant_factor=report.invariant_factor.coeffs.tolist())
 
 
 def _cmd_selftest(args):

@@ -207,12 +207,11 @@ class Analysis:
         Returns (bound, sigma) where sigma is the rank-th singular value of
         the generalized Sylvester matrix of the adjoint at the padded
         degrees.  The bound is zero for inputs that are already non-trivial,
-        and for 1x1 inputs, which are always trivial (see report).
+        and for 1x1 inputs, which are always trivial (see report).  A
+        singular input raises RankDeficientInput, whatever its size.
         """
-        if self.n == 1:
-            return 0.0, 0.0
         self.require_nonsingular()
-        if not self.gcd_trivial:
+        if self.n == 1 or not self.gcd_trivial:
             return 0.0, 0.0
         e, sigma = self.padded
         d = self.a.degree_bound
@@ -228,7 +227,9 @@ class Analysis:
         return _rescaled(bound, self.k), self.sylvester_sigma
 
     def report(self, structure: PerturbStructure) -> TrivialityReport:
-        """Triviality, McCoy rank, bound, and unattainability in one record."""
+        """Triviality, McCoy rank, bound, and unattainability in one record;
+        a singular input raises RankDeficientInput, whatever its size."""
+        self.require_nonsingular()
         n = self.n
         if n == 1:
             # A 1x1 matrix has a single invariant factor and is always trivial.

@@ -16,8 +16,9 @@ if it cannot, it ends as Sublinear instead of spending its whole budget to
 end as MaxIter.
 
 Both solvers minimize ||p||^2 subject to c(x) = 0, p leading the state x,
-and share the Lagrangian's pieces below: the residual [J^T lam + 2p; c],
-the KKT matrix [[H_xx, J^T], [J, 0]] and the certificate read from it.
+and share the Lagrangian's pieces below: KktWorkspace, with the residual
+[J^T lam + 2p; c] and the KKT matrix [[H_xx, J^T], [J, 0]], and the
+certificate read from them.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LinearSolveFailure, RankDeficientInput, ValidationError
+from .errors import DimensionMismatch, LinearSolveFailure, RankDeficientInput, ValidationError
 
 
 # Accepted steps over which the merit's rate is measured.  Shorter windows
@@ -192,22 +193,55 @@ def lm_minimize(g_fn, h_fn, z0, cfg: LmConfig | None = None):
     return z, trace
 
 
-def lagrangian_gradient(p, lam, c, jac) -> np.ndarray:
-    """Gradient of ||p||^2 + lam . c(x) in (x, lam): [J^T lam + 2p; c], with
-    J = dc/dx and p the leading entries of x."""
-    grad_x = jac.T @ lam
-    grad_x[: p.size] += 2.0 * p
-    return np.concatenate([grad_x, c])
+class KktWorkspace:
+    """The state z = (x, lam) of one problem min ||p||^2 subject to c(x) = 0.
 
+    The residual and the Hessian share one linearization per iterate: the
+    solver asks for the Hessian at the point whose residual it has just
+    accepted, so a one-slot cache keyed by z builds each linearization once
+    per iterate instead of twice.  A solver sets n_x and n_c and defines
+    linearize(z), a record with p, lam, c and J = dc/dx at z, and
+    write_hxx(h_xx, lin), which writes H_xx into its zeroed block.
+    """
 
-def bordered_hessian(jac) -> np.ndarray:
-    """The KKT matrix [[0, J^T], [J, 0]]; the solver writes H_xx into its
-    leading block, which has one row and column per column of J."""
-    n_x = jac.shape[1]
-    full = np.zeros((n_x + jac.shape[0],) * 2)
-    full[n_x:, :n_x] = jac
-    full[:n_x, n_x:] = jac.T
-    return full
+    n_x: int
+    n_c: int
+    _key = None
+    _lin = None
+
+    def check_state(self, z) -> np.ndarray:
+        z = np.asarray(z, dtype=float)
+        if z.size != self.n_x + self.n_c:
+            raise DimensionMismatch(f"state has size {z.size}, expected {self.n_x + self.n_c}")
+        return z
+
+    def linearization_at(self, z):
+        """linearize(z), cached for the last z; every array of it is read-only."""
+        key = np.asarray(z, dtype=float).tobytes()
+        if self._key != key:
+            lin = self.linearize(np.frombuffer(key))
+            for value in vars(lin).values():
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
+            self._key, self._lin = key, lin
+        return self._lin
+
+    def residual(self, z) -> np.ndarray:
+        """Gradient of ||p||^2 + lam . c(x) in (x, lam): [J^T lam + 2p; c]."""
+        lin = self.linearization_at(z)
+        grad_x = lin.jac.T @ lin.lam
+        grad_x[: lin.p.size] += 2.0 * lin.p
+        return np.concatenate([grad_x, lin.c])
+
+    def hessian(self, z) -> np.ndarray:
+        """The KKT matrix [[H_xx, J^T], [J, 0]], the exact Hessian of the Lagrangian."""
+        lin = self.linearization_at(z)
+        n_x = self.n_x
+        full = np.zeros((n_x + self.n_c,) * 2)
+        full[n_x:, :n_x] = lin.jac
+        full[:n_x, n_x:] = lin.jac.T
+        self.write_hxx(full[:n_x, :n_x], lin)
+        return full
 
 
 def certify(g_fn, h_fn, z, n_x: int, trace: LmTrace, cfg: LmConfig | None = None) -> bool:

@@ -14,26 +14,23 @@ the one reversal of both solvers: the same problem on the coefficient-reversed
 input and mask, reported in its own coordinates, where omega = 0 is the
 eigenvalue at infinity of the input.
 
-The residual and the Hessian share one linearization per iterate: the
-perturbed input, the operator M(omega), its derivative and the constraint
-Jacobian J.  The solver asks for the Hessian at the point whose residual it
-has just accepted, so caching the last linearization builds each of them
-once per iterate instead of twice.  Each block of J and of the bordered
-Hessian is written by 2-D indexing at the positions its formula gives, with
-no Python loop over the parameters or the Gram pairs.
+The residual and the Hessian come from lmsolve.KktWorkspace and share one
+linearization per iterate: the operator M(omega), its derivative, the
+constraint and its Jacobian J.  Each block of J and of the bordered Hessian
+is written by 2-D indexing at the positions its formula gives, with no
+Python loop over the parameters or the Gram pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, UnattainableProblem, ValidationError
 from .gcdkit import Analysis
-from .lmsolve import (LmConfig, LmTrace, bordered_hessian, certify, lagrangian_gradient,
-                      lm_minimize)
+from .lmsolve import KktWorkspace, LmConfig, LmTrace, certify, lm_minimize
 from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 
 # |omega| beyond this means the eigenvalue is running off to infinity.
@@ -79,7 +76,6 @@ class McCoyReport:
     distance: float
     omega: complex
     kernel: np.ndarray
-    iterations: int
     invariant_factor: Poly
     certified: bool
     trace: LmTrace
@@ -88,7 +84,7 @@ class McCoyReport:
 
 @dataclass(frozen=True)
 class _Linearization:
-    """The iterate z unpacked, with the operator and constraint Jacobian at it."""
+    """The iterate z unpacked, with the operator, constraint and its Jacobian at it."""
 
     p: np.ndarray
     omega: complex
@@ -96,10 +92,11 @@ class _Linearization:
     lam: np.ndarray
     m: np.ndarray
     dm: np.ndarray
-    jc: np.ndarray
+    c: np.ndarray
+    jac: np.ndarray
 
 
-class _McCoyWorkspace:
+class _McCoyWorkspace(KktWorkspace):
     def __init__(self, problem: McCoyProblem):
         self.problem = problem
         # A constant input becomes the pencil 0 t + A_0; the zero leading
@@ -122,13 +119,9 @@ class _McCoyWorkspace:
         self.sl_br = slice(self.m_p + 2, self.m_p + 2 + self.nr)
         self.sl_bi = slice(self.m_p + 2 + self.nr, self.n_x)
         self.sl_lam = slice(self.n_x, self.n_x + self.n_c)
-        self._cache_key = None
-        self._cache = None
 
     def unpack(self, z):
-        z = np.asarray(z, dtype=float)
-        if z.size != self.n_x + self.n_c:
-            raise DimensionMismatch(f"state has size {z.size}, expected {self.n_x + self.n_c}")
+        z = self.check_state(z)
         omega = complex(*z[self.sl_w])
         br = z[self.sl_br].reshape(self.size, self.r)
         bi = z[self.sl_bi].reshape(self.size, self.r)
@@ -140,19 +133,50 @@ class _McCoyWorkspace:
     def perturbed(self, p) -> MatPoly:
         return self.structure.apply(self.a, p)
 
-    def linearization_at(self, z) -> _Linearization:
-        """Linearization at z; one-slot cache shared by g and H, read-only."""
-        key = np.asarray(z, dtype=float).tobytes()
-        if self._cache_key != key:
-            p, omega, br, bi, lam = self.unpack(np.frombuffer(key))
-            bc = br + 1j * bi
-            m, dm = self.operator(self.perturbed(p), omega)
-            jc = self.constraint_jacobian(m, dm, bc, omega)
-            for arr in (bc, m, dm, jc):
-                arr.flags.writeable = False
-            self._cache_key = key
-            self._cache = _Linearization(p, omega, bc, lam, m, dm, jc)
-        return self._cache
+    def linearize(self, z) -> _Linearization:
+        """Raises UnattainableProblem once |omega| passes _OMEGA_DIVERGENCE."""
+        p, omega, br, bi, lam = self.unpack(z)
+        if np.hypot(omega.real, omega.imag) > _OMEGA_DIVERGENCE:
+            raise UnattainableProblem(
+                "the eigenvalue is diverging: the minimum lies at infinity; solve "
+                "mccoy_opt.reversed_problem(problem), where it is the eigenvalue 0"
+            )
+        bc = br + 1j * bi
+        m, dm = self.operator(self.perturbed(p), omega)
+        return _Linearization(p, omega, bc, lam, m, dm, self.constraint(m, bc),
+                              self.constraint_jacobian(m, dm, bc, omega))
+
+    def write_hxx(self, h_xx, lin: _Linearization):
+        """H_xx.  With W = lam_1 + i lam_2 the multipliers of the kernel rows,
+        those rows add Re sum(conj(W) * M B) to the Lagrangian: linear in p,
+        in B and in omega = x + iy (M is the pencil E omega - F), so
+        d/dy = i d/dx and the (omega, omega) block is zero.  The Gram rows add
+        the constant blocks kron(I, Q1 + Q1^T) and kron(I, Q2 - Q2^T).
+        """
+        bc, lam = lin.bc, lin.lam
+        size, r, nr, m_p = self.size, self.r, self.nr, self.m_p
+        wc = (lam[:nr] - 1j * lam[nr : 2 * nr]).reshape(size, r)
+        q1, q2 = lam[2 * nr :].reshape(2, r, r)
+        br0, bi0, w0 = self.sl_br.start, self.sl_bi.start, self.sl_w.start
+        row, col, coef = self._cells
+        # Upper off-diagonal blocks first; the lower ones are their transposes.
+        weights, d_weights = self._weights(lin.omega)
+        w_rows = wc[row]
+        wb = weights[coef, None] * w_rows
+        k, cols = np.arange(m_p)[:, None], col[:, None] * r + np.arange(r)
+        h_xx[k, br0 + cols], h_xx[k, bi0 + cols] = wb.real, -wb.imag
+        s = d_weights[coef] * (w_rows[:, None, :] @ bc[col][:, :, None])[:, 0, 0]
+        h_xx[:m_p, w0], h_xx[:m_p, w0 + 1] = s.real, -s.imag
+        t = (lin.dm.T @ wc).ravel()
+        h_xx[w0, self.sl_br], h_xx[w0, self.sl_bi] = t.real, -t.imag
+        h_xx[w0 + 1, self.sl_br], h_xx[w0 + 1, self.sl_bi] = -t.imag, -t.real
+        # kron(I, Q) puts Q at (i r + a, i r + b).
+        diag = np.arange(size)[:, None, None] * r
+        rows, cols = diag + np.arange(r)[:, None], diag + np.arange(r)
+        h_xx[br0 + rows, bi0 + cols] = q2 - q2.T
+        h_xx += h_xx.T
+        np.fill_diagonal(h_xx[self.sl_p, self.sl_p], 2.0)
+        h_xx[br0 + rows, br0 + cols] = h_xx[bi0 + rows, bi0 + cols] = q1 + q1.T
 
     def operator(self, a_pert: MatPoly, omega):
         """Companion pencil at omega and its omega derivative."""
@@ -214,62 +238,6 @@ class _McCoyWorkspace:
         j[re_gram, br], j[re_gram, bi] = l_re + r_re, l_im + r_im
         j[im_gram, br], j[im_gram, bi] = l_im - r_im, r_re - l_re
         return j
-
-
-def mccoy_residual(problem: McCoyProblem, z) -> np.ndarray:
-    """Gradient of the Lagrangian of the rank-drop constraints."""
-    return _mccoy_residual(_McCoyWorkspace(problem), z)
-
-
-def _mccoy_residual(ws: _McCoyWorkspace, z) -> np.ndarray:
-    lin = ws.linearization_at(z)
-    return lagrangian_gradient(lin.p, lin.lam, ws.constraint(lin.m, lin.bc), lin.jc)
-
-
-def mccoy_hessian(problem: McCoyProblem, z) -> np.ndarray:
-    return _mccoy_hessian(_McCoyWorkspace(problem), z)
-
-
-def _mccoy_hessian(ws: _McCoyWorkspace, z) -> np.ndarray:
-    """Exact Hessian of the Lagrangian, bordered by the constraint Jacobian.
-
-    With W = lam_1 + i lam_2 the multipliers of the kernel rows, those rows
-    add Re sum(conj(W) * M B) to the Lagrangian: linear in p, in B and in
-    omega = x + iy (M is the pencil E omega - F), so d/dy = i d/dx and the
-    (omega, omega) block is zero.  The Gram rows add the constant blocks
-    kron(I, Q1 + Q1^T) and kron(I, Q2 - Q2^T).  Each block is written into
-    the bordered frame at the positions its formula gives.
-    """
-    lin = ws.linearization_at(z)
-    bc, lam = lin.bc, lin.lam
-    size, r, nr, m_p = ws.size, ws.r, ws.nr, ws.m_p
-    wc = (lam[:nr] - 1j * lam[nr : 2 * nr]).reshape(size, r)
-    q1, q2 = lam[2 * nr :].reshape(2, r, r)
-    br0, bi0, w0 = ws.sl_br.start, ws.sl_bi.start, ws.sl_w.start
-    row, col, coef = ws._cells
-
-    full = bordered_hessian(lin.jc)
-    # Upper off-diagonal blocks of H_xx first; the lower ones are their transposes.
-    weights, d_weights = ws._weights(lin.omega)
-    w_rows = wc[row]
-    wb = weights[coef, None] * w_rows
-    k, cols = np.arange(m_p)[:, None], col[:, None] * r + np.arange(r)
-    full[k, br0 + cols], full[k, bi0 + cols] = wb.real, -wb.imag
-    s = d_weights[coef] * (w_rows[:, None, :] @ bc[col][:, :, None])[:, 0, 0]
-    full[:m_p, w0], full[:m_p, w0 + 1] = s.real, -s.imag
-    t = (lin.dm.T @ wc).ravel()
-    full[w0, ws.sl_br], full[w0, ws.sl_bi] = t.real, -t.imag
-    full[w0 + 1, ws.sl_br], full[w0 + 1, ws.sl_bi] = -t.imag, -t.real
-    # kron(I, Q) puts Q at (i r + a, i r + b).
-    diag = np.arange(size)[:, None, None] * r
-    rows, cols = diag + np.arange(r)[:, None], diag + np.arange(r)
-    full[br0 + rows, bi0 + cols] = q2 - q2.T
-    h_xx = full[: ws.n_x, : ws.n_x]
-    h_xx += h_xx.T
-
-    np.fill_diagonal(h_xx[ws.sl_p, ws.sl_p], 2.0)
-    full[br0 + rows, br0 + cols] = full[bi0 + rows, bi0 + cols] = q1 + q1.T
-    return full
 
 
 def initial_guess_mccoy(problem: McCoyProblem, ws: _McCoyWorkspace | None = None,
@@ -337,18 +305,8 @@ def solve_mccoy(problem: McCoyProblem, cfg: LmConfig | None = None, z0=None) -> 
     ws = _McCoyWorkspace(problem)
     if z0 is None:
         z0 = initial_guess_mccoy(problem, ws, analysis)
-
-    def guarded_residual(z):
-        if np.hypot(*z[ws.sl_w]) > _OMEGA_DIVERGENCE:
-            raise UnattainableProblem(
-                "the eigenvalue is diverging: the minimum lies at infinity; solve "
-                "mccoy_opt.reversed_problem(problem), where it is the eigenvalue 0"
-            )
-        return _mccoy_residual(ws, z)
-
-    hessian = partial(_mccoy_hessian, ws)
-    z, trace = lm_minimize(guarded_residual, hessian, z0, cfg)
-    certified = certify(guarded_residual, hessian, z, ws.n_x, trace, cfg)
+    z, trace = lm_minimize(ws.residual, ws.hessian, z0, cfg)
+    certified = certify(ws.residual, ws.hessian, z, ws.n_x, trace, cfg)
     return _extract_mccoy_report(ws, z, trace, certified)
 
 
@@ -364,7 +322,6 @@ def _extract_mccoy_report(ws: _McCoyWorkspace, z, trace, certified: bool) -> McC
         distance=float(np.linalg.norm(p)),
         omega=omega,
         kernel=br + 1j * bi,
-        iterations=trace.iterations,
         invariant_factor=factor,
         certified=certified,
         trace=trace,

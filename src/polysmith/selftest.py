@@ -16,8 +16,8 @@ import numpy as np
 from .detadj import adjoint, determinant, jacobian_adj, jacobian_det
 from .lmsolve import LmConfig, lm_minimize
 from .matpoly import MatPoly, PerturbStructure, Poly
-from .mccoy_opt import McCoyProblem, initial_guess_mccoy, mccoy_hessian, mccoy_residual
-from .snf_opt import SnfProblem, initial_guess, kkt_hessian, kkt_residual, solve
+from .mccoy_opt import McCoyProblem, _McCoyWorkspace, initial_guess_mccoy
+from .snf_opt import SnfProblem, _Workspace, initial_guess, solve
 from .structured import conv_matrix, generalized_sylvester, numeric_rank
 
 
@@ -189,16 +189,18 @@ def run_selftest(seed: int = 0):
     yield "jacobian_adj 3x3 vs central differences", *_relative_check(jac, fd, 1e-5)
 
     snf = SnfProblem(dense, PerturbStructure.full(dense), deg_h=1)
+    ws = _Workspace(snf)
     z = initial_guess(snf)
     z = z + 0.02 * rng.normal(size=z.size)
-    fd = fd_columns(lambda v: kkt_residual(snf, v), z)
-    yield "snf kkt_hessian vs central differences", *_relative_check(kkt_hessian(snf, z), fd, 1e-6)
+    fd = fd_columns(ws.residual, z)
+    yield "snf KKT Hessian vs central differences", *_relative_check(ws.hessian(z), fd, 1e-6)
 
     mccoy = McCoyProblem(dense, PerturbStructure.full(dense), r=2)
+    ws = _McCoyWorkspace(mccoy)
     z = initial_guess_mccoy(mccoy)
     z = z + 0.02 * rng.normal(size=z.size)
-    fd = fd_columns(lambda v: mccoy_residual(mccoy, v), z)
-    yield "mccoy_hessian vs central differences", *_relative_check(mccoy_hessian(mccoy, z), fd, 1e-6)
+    fd = fd_columns(ws.residual, z)
+    yield "mccoy KKT Hessian vs central differences", *_relative_check(ws.hessian(z), fd, 1e-6)
 
 
 def _relative_check(got, want, tol):

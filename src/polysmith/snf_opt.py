@@ -17,14 +17,13 @@ mask.  Adj(rev A) = rev Adj(A) at the declared degrees, so a divisor root at
 zero there is an eigenvalue at infinity of A.  The report stays in the
 coordinates of the problem solved; `snf --reversal` maps omega and dA back.
 
-The residual [J^T lam + 2p; c] and the Hessian share one linearization per
-iterate, so the adjugate's derivatives all come from the one Jacobian J.
+The residual and the Hessian come from lmsolve.KktWorkspace, so the
+adjugate's derivatives at an iterate all come from its one Jacobian J.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -32,8 +31,7 @@ from .detadj import AdjugateNodes, adjoint, require_full_rank
 from .errors import DimensionMismatch, RankDeficientInput, UnattainableProblem, ValidationError
 from .gcdkit import (approx_gcd_candidates, detect_unattainable, local_invariant_structure,
                      rank_at_point)
-from .lmsolve import (CONVERGED, LmConfig, LmTrace, bordered_hessian, certify,
-                      lagrangian_gradient, lm_minimize)
+from .lmsolve import CONVERGED, KktWorkspace, LmConfig, LmTrace, certify, lm_minimize
 from .matpoly import MatPoly, PerturbStructure, Poly
 
 
@@ -61,7 +59,6 @@ class SnfReport:
     distance: float
     h: Poly
     cofactors: MatPoly
-    iterations: int
     omega: complex
     invariant_structure: list
     certified: bool
@@ -81,8 +78,8 @@ class _Linearization:
     jac: np.ndarray
 
 
-class _Workspace:
-    """Index bookkeeping and the linearization cache for one problem instance."""
+class _Workspace(KktWorkspace):
+    """Index bookkeeping and the KKT system of one problem instance."""
 
     def __init__(self, problem: SnfProblem):
         a, structure = problem.a, problem.structure
@@ -102,37 +99,39 @@ class _Workspace:
         self.sl_f = slice(self.m_p, self.m_p + self.n_f)
         self.sl_h = slice(self.m_p + self.n_f, self.n_x)
         self.param_idx = structure.param_indices()
-        self._cache_key = None
-        self._cache = None
 
     def pack(self, p, f_vec, h, lam) -> np.ndarray:
         return np.concatenate([p, f_vec, h, lam])
 
     def unpack(self, z):
-        z = np.asarray(z, dtype=float)
-        if z.size != self.n_x + self.n_c:
-            raise DimensionMismatch(f"state has size {z.size}, expected {self.n_x + self.n_c}")
+        z = self.check_state(z)
         return z[self.sl_p], z[self.sl_f], z[self.sl_h], z[self.n_x :]
 
     def perturbed(self, p) -> MatPoly:
         return self.structure.apply(self.a, p)
 
-    def linearization_at(self, z) -> _Linearization:
-        """Linearization at z; one-slot cache shared by g and H, read-only.
+    def linearize(self, z) -> _Linearization:
+        """Raises RankDeficientInput at the full-rank wall, so trial steps there are rejected."""
+        p, f_vec, h, lam = self.unpack(z)
+        a = self.perturbed(p)
+        require_full_rank(a)
+        system = AdjugateNodes(a)
+        return _Linearization(p, lam, system, self.constraint(system, f_vec, h),
+                              self.constraint_jacobian(system, f_vec, h))
 
-        Raises RankDeficientInput at the full-rank wall, so trial steps there are rejected."""
-        key = np.asarray(z, dtype=float).tobytes()
-        if self._cache_key != key:
-            p, f_vec, h, lam = self.unpack(np.frombuffer(key))
-            a = self.perturbed(p)
-            require_full_rank(a)
-            system = AdjugateNodes(a)
-            c = self.constraint(system, f_vec, h)
-            jac = self.constraint_jacobian(system, f_vec, h)
-            c.flags.writeable = jac.flags.writeable = False
-            self._cache_key = key
-            self._cache = _Linearization(p, lam, system, c, jac)
-        return self._cache
+    def write_hxx(self, h_xx, lin: _Linearization):
+        """H_xx: the (p, p) block is the quadratic objective plus the adjoint
+        curvature from (n-3)-minors, symmetrized; the F h coupling is bilinear."""
+        lam_c = lin.lam[:-1]
+        curvature = lin.system.curvature(lam_c)
+        pp = 2.0 * np.eye(self.m_p) + curvature[np.ix_(self.param_idx, self.param_idx)]
+        h_xx[self.sl_p, self.sl_p] = 0.5 * (pp + pp.T)
+        # Cross block between cofactors and divisor: bilinear, hence exact.
+        lam_blocks = lam_c.reshape(self.n_entries, self.dadj + 1)
+        windows = np.lib.stride_tricks.sliding_window_view(lam_blocks, self.n_h, axis=1)
+        cross = -windows.reshape(self.n_f, self.n_h)
+        h_xx[self.sl_f, self.sl_h] = cross
+        h_xx[self.sl_h, self.sl_f] = cross.T
 
     def adjoint_jacobian(self, system: AdjugateNodes) -> np.ndarray:
         return system.jacobian()[:, self.param_idx]
@@ -175,44 +174,6 @@ class _Workspace:
         jac[:-1, self.sl_h] = -self.cofactor_blocks(f_vec)
         jac[-1, self.n_x - 1] = 1.0
         return jac
-
-
-def kkt_residual(problem: SnfProblem, z) -> np.ndarray:
-    """Gradient of the Lagrangian at the packed state z."""
-    return _kkt_residual(_Workspace(problem), z)
-
-
-def _kkt_residual(ws: _Workspace, z) -> np.ndarray:
-    lin = ws.linearization_at(z)
-    return lagrangian_gradient(lin.p, lin.lam, lin.c, lin.jac)
-
-
-def kkt_hessian(problem: SnfProblem, z) -> np.ndarray:
-    return _kkt_hessian(_Workspace(problem), z)
-
-
-def _kkt_hessian(ws: _Workspace, z) -> np.ndarray:
-    """Exact Hessian of the Lagrangian, bordered by the constraint Jacobian.
-
-    The (p, p) block is the quadratic objective plus the adjoint curvature
-    from (n-3)-minors, symmetrized; the F h coupling is bilinear.  Every
-    block is written into the bordered frame; the others are exact mirrors.
-    """
-    lin = ws.linearization_at(z)
-    lam_c = lin.lam[:-1]
-    full = bordered_hessian(lin.jac)
-
-    curvature = lin.system.curvature(lam_c)
-    pp = 2.0 * np.eye(ws.m_p) + curvature[np.ix_(ws.param_idx, ws.param_idx)]
-    full[ws.sl_p, ws.sl_p] = 0.5 * (pp + pp.T)
-
-    # Cross block between cofactors and divisor: bilinear, hence exact.
-    lam_blocks = lam_c.reshape(ws.n_entries, ws.dadj + 1)
-    windows = np.lib.stride_tricks.sliding_window_view(lam_blocks, ws.n_h, axis=1)
-    cross = -windows.reshape(ws.n_f, ws.n_h)
-    full[ws.sl_f, ws.sl_h] = cross
-    full[ws.sl_h, ws.sl_f] = cross.T
-    return full
 
 
 def initial_guess(problem: SnfProblem, ws: _Workspace | None = None) -> np.ndarray:
@@ -267,9 +228,8 @@ def _require_attainable(problem: SnfProblem):
 def _minimize(problem: SnfProblem, cfg: LmConfig) -> SnfReport:
     ws = _Workspace(problem)
     z0 = initial_guess(problem, ws)
-    residual, hessian = partial(_kkt_residual, ws), partial(_kkt_hessian, ws)
-    z, trace = lm_minimize(residual, hessian, z0, cfg)
-    return _extract_report(ws, z, trace, certify(residual, hessian, z, ws.n_x, trace, cfg))
+    z, trace = lm_minimize(ws.residual, ws.hessian, z0, cfg)
+    return _extract_report(ws, z, trace, certify(ws.residual, ws.hessian, z, ws.n_x, trace, cfg))
 
 
 def _extract_report(ws: _Workspace, z, trace, certified: bool) -> SnfReport:
@@ -295,7 +255,6 @@ def _extract_report(ws: _Workspace, z, trace, certified: bool) -> SnfReport:
         distance=float(np.linalg.norm(p)),
         h=h,
         cofactors=cofactors,
-        iterations=trace.iterations,
         omega=omega,
         invariant_structure=structure,
         certified=certified,

@@ -170,7 +170,7 @@ def mccoy_hessian_loop(ws, z):
     linearization, slices and mask; the parameter cells come from
     mccoy_param_cells."""
     lin = ws.linearization_at(z)
-    omega, bc, lam, dm, jc = lin.omega, lin.bc, lin.lam, lin.dm, lin.jc
+    omega, bc, lam, dm, jac = lin.omega, lin.bc, lin.lam, lin.dm, lin.jac
     size, r, nr = ws.size, ws.r, ws.nr
     wc = (lam[:nr] - 1j * lam[nr : 2 * nr]).reshape(size, r)
     q1, q2 = lam[2 * nr :].reshape(2, r, r)
@@ -189,7 +189,7 @@ def mccoy_hessian_loop(ws, z):
     h_xx += h_xx.T
     h_xx[ws.sl_p, ws.sl_p] = 2.0 * np.eye(ws.m_p)
     h_xx[ws.sl_br, ws.sl_br] = h_xx[ws.sl_bi, ws.sl_bi] = np.kron(np.eye(size), q1 + q1.T)
-    return np.block([[h_xx, jc.T], [jc, np.zeros((ws.n_c, ws.n_c))]])
+    return np.block([[h_xx, jac.T], [jac, np.zeros((ws.n_c, ws.n_c))]])
 
 
 def snf_kkt_hessian_block(ws, z):

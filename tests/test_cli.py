@@ -136,6 +136,28 @@ def test_bound_and_check_agree(capsys, tmp_path, name):
         assert bound[key] == check[key]
 
 
+SINGULAR = {  # det A = 0 over the rational functions
+    "zero-1x1": {"rows": 1, "cols": 1, "entries": [[[0.0]]]},
+    "rank-one-2x2": {"rows": 2, "cols": 2, "entries": [[[1], [2]], [[2], [4]]]},
+    "zero-3x3": {"rows": 3, "cols": 3, "entries": [[[0.0]] * 3] * 3},
+    "diag-3x3": {"rows": 3, "cols": 3, "entries": [[[1.0, 1.0], [0.0], [0.0]],
+                                                   [[0.0], [1.0, 1.0], [0.0]],
+                                                   [[0.0], [0.0], [0.0]]]},
+}
+
+
+@pytest.mark.parametrize("command", ["check", "bound"])
+@pytest.mark.parametrize("name", SINGULAR)
+def test_singular_input_is_rejected(capsys, tmp_path, name, command):
+    # One rule for every size: a singular input is rejected, never reported
+    # trivial or non-trivial.
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(SINGULAR[name]))
+    report, code = run_cli(capsys, [command, str(path)])
+    assert code == 1
+    assert report["error"] == "matrix polynomial is singular over the rational functions"
+
+
 @pytest.mark.parametrize("rank_drop", ["1", "5"])
 def test_mccoy_rank_drop_out_of_range_is_invalid(capsys, rank_drop):
     # ex1 is 4x4: a rank drop outside 2..4 is a usage error, not a library failure.
@@ -303,7 +325,6 @@ def test_exit_code_stalled(capsys, monkeypatch, tmp_path, termination):
         distance=0.0,
         h=Poly([0.0, 1.0]),
         cofactors=MatPoly.zeros(2, 2, 0),
-        iterations=1,
         omega=0j,
         invariant_structure=[],
         certified=False,

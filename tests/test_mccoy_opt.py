@@ -9,15 +9,13 @@ from polysmith.lmsolve import LmConfig, Termination
 from polysmith.matpoly import MatPoly, PerturbStructure
 from polysmith.mccoy_opt import (
     McCoyProblem,
-    _mccoy_hessian,
     _McCoyWorkspace,
     companion_linearization,
     initial_guess_mccoy,
-    mccoy_hessian,
-    mccoy_residual,
     reversed_problem,
     solve_mccoy,
 )
+from polysmith.snf_opt import SnfProblem, _Workspace, initial_guess
 from polysmith.structured import numeric_rank
 
 from conftest import FIXTURES
@@ -79,7 +77,7 @@ def test_residual_zero_at_planted_solution():
     _, _, vh = np.linalg.svd(m)
     bc = vh[-2:, :].conj().T
     z = ws.pack(np.zeros(ws.m_p), complex(omega), bc.real.copy(), bc.imag.copy(), np.zeros(ws.n_c))
-    assert np.linalg.norm(mccoy_residual(problem, z)) <= 1e-10
+    assert np.linalg.norm(ws.residual(z)) <= 1e-10
 
 
 def test_residual_matches_finite_differences():
@@ -95,7 +93,7 @@ def test_residual_matches_finite_differences():
         return np.array([p @ p + lam @ ws.constraint(m, br + 1j * bi)])
 
     fd = fd_columns(lagrangian, z, eps=1e-6).ravel()
-    g = mccoy_residual(problem, z)
+    g = ws.residual(z)
     assert np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(fd)) <= 1e-5
 
 
@@ -125,9 +123,9 @@ def test_hessian_matches_finite_differences():
     for problem in problems:
         ws = _McCoyWorkspace(problem)
         z = initial_guess_mccoy(problem) + 0.05 * rng.normal(size=ws.n_x + ws.n_c)
-        h_full = mccoy_hessian(problem, z)
+        h_full = ws.hessian(z)
         assert np.array_equal(h_full, h_full.T)
-        fd = fd_columns(lambda v: mccoy_residual(problem, v), z, eps=1e-6)
+        fd = fd_columns(ws.residual, z, eps=1e-6)
         assert np.linalg.norm(h_full - fd) / np.linalg.norm(fd) <= 1e-8
 
 
@@ -163,7 +161,7 @@ def test_constraint_jacobian_matches_loop_bitwise(kind, r):
         m, dm = ws.operator(ws.perturbed(p), omega)
         want = mccoy_constraint_jacobian_loop(ws, m, dm, bc, omega)
         assert np.array_equal(ws.constraint_jacobian(m, dm, bc, omega), want)
-        assert np.array_equal(ws.linearization_at(z).jc, want)
+        assert np.array_equal(ws.linearization_at(z).jac, want)
 
 
 @pytest.mark.parametrize("kind, r", JACOBIAN_CASES)
@@ -172,7 +170,7 @@ def test_hessian_matches_loop_bitwise(kind, r):
     rng = np.random.default_rng(60 + r)
     for _ in range(3):
         z = rng.normal(size=ws.n_x + ws.n_c)
-        got = _mccoy_hessian(ws, z)
+        got = ws.hessian(z)
         assert np.array_equal(got, mccoy_hessian_loop(ws, z))
         assert np.array_equal(got, got.T)
 
@@ -209,14 +207,21 @@ def test_solve_interpolates_the_determinant_once(monkeypatch):
     assert len(calls) == 1
 
 
-def test_linearization_cache_is_read_only():
+@pytest.mark.parametrize("solver", ["snf", "mccoy"])
+def test_linearization_cache_is_read_only(solver):
+    # The one cache of lmsolve.KktWorkspace, seen through both solvers.
     a = mccoy_rank2_instance(0)
-    ws = _McCoyWorkspace(McCoyProblem(a, PerturbStructure.full(a), r=2))
-    z = initial_guess_mccoy(ws.problem)
+    if solver == "snf":
+        problem = SnfProblem(a, PerturbStructure.full(a), deg_h=1)
+        ws, z = _Workspace(problem), initial_guess(problem)
+    else:
+        problem = McCoyProblem(a, PerturbStructure.full(a), r=2)
+        ws, z = _McCoyWorkspace(problem), initial_guess_mccoy(problem)
     lin = ws.linearization_at(z)
     assert ws.linearization_at(z.copy()) is lin
-    for arr in (lin.p, lin.bc, lin.lam, lin.m, lin.dm, lin.jc):
-        assert not arr.flags.writeable
+    names = ("p", "lam", "c", "jac") + (() if solver == "snf" else ("bc", "m", "dm"))
+    for name in names:
+        assert not getattr(lin, name).flags.writeable
     z[0] += 1.0
     assert ws.linearization_at(z) is not lin
 

@@ -3,27 +3,21 @@ import json
 import numpy as np
 import pytest
 
-from polysmith import cli, snf_opt
+from polysmith import cli, mccoy_opt, snf_opt
 from polysmith.detadj import adjoint
 from polysmith.gcdkit import distance_lower_bound
 from polysmith.lmsolve import LmConfig, Termination, certify
 from polysmith.matpoly import MatPoly, PerturbStructure, Poly
 from polysmith.mccoy_opt import (
     McCoyProblem,
-    _mccoy_hessian,
-    _mccoy_residual,
     _McCoyWorkspace,
     reversed_problem,
     solve_mccoy,
 )
 from polysmith.snf_opt import (
     SnfProblem,
-    _kkt_hessian,
-    _kkt_residual,
     _Workspace,
     initial_guess,
-    kkt_hessian,
-    kkt_residual,
     solve,
     solve_best_degree,
 )
@@ -51,7 +45,7 @@ def test_kkt_residual_zero_at_exact_solution():
     a = nontrivial_2x2()
     problem = SnfProblem(a, PerturbStructure.degree(a), deg_h=1)
     z0 = initial_guess(problem)
-    g = kkt_residual(problem, z0)
+    g = _Workspace(problem).residual(z0)
     assert np.linalg.norm(g) <= 1e-9
 
 
@@ -67,7 +61,7 @@ def test_kkt_residual_matches_finite_differences():
         return np.array([lin.p @ lin.p + lin.lam @ lin.c])
 
     fd = fd_columns(lagrangian, z, eps=1e-6).ravel()
-    g = kkt_residual(problem, z)
+    g = ws.residual(z)
     assert np.linalg.norm(g - fd) / max(1.0, np.linalg.norm(fd)) <= 1e-5
 
 
@@ -77,7 +71,7 @@ def test_kkt_hessian_blocks_and_symmetry():
     ws = _Workspace(problem)
     z0 = initial_guess(problem)
     # Zero multipliers at the initial point: the perturbation block is 2I.
-    h_full = kkt_hessian(problem, z0)
+    h_full = ws.hessian(z0)
     block = h_full[: ws.m_p, : ws.m_p]
     assert np.allclose(block, 2.0 * np.eye(ws.m_p), atol=1e-7)
     assert np.array_equal(h_full, h_full.T)
@@ -101,7 +95,7 @@ def test_kkt_hessian_matches_block_assembly_bitwise(kind, reverse):
     for _ in range(2):
         z = rng.normal(size=ws.n_x + ws.n_c)
         z[ws.sl_p] *= 1e-2
-        got = _kkt_hessian(ws, z)
+        got = ws.hessian(z)
         assert np.array_equal(got, snf_kkt_hessian_block(ws, z))
         assert np.array_equal(got, got.T)
         _, f_vec, h, _ = ws.unpack(z)
@@ -129,8 +123,8 @@ def test_kkt_hessian_matches_finite_differences():
         problem = SnfProblem(mat, structure, deg_h=1)
         ws = _Workspace(problem)
         z = initial_guess(problem) + 0.02 * rng.normal(size=ws.n_x + ws.n_c)
-        h_full = kkt_hessian(problem, z)
-        fd = fd_columns(lambda v: kkt_residual(problem, v), z, eps=1e-6)
+        h_full = ws.hessian(z)
+        fd = fd_columns(ws.residual, z, eps=1e-6)
         assert np.linalg.norm(h_full - fd) / np.linalg.norm(fd) <= 1e-4
         # The adjoint curvature alone: zero for 2x2, from (n-3)-minors above.
         curv = h_full[ws.sl_p, ws.sl_p] - 2.0 * np.eye(ws.m_p)
@@ -148,7 +142,7 @@ def test_initial_guess_near_planted_solution():
     noise = 1e-3 * rng.normal(size=base.coeff.shape)
     noisy = MatPoly(base.coeff + noise)
     problem = SnfProblem(noisy, PerturbStructure.full(noisy), deg_h=1)
-    g = kkt_residual(problem, initial_guess(problem))
+    g = _Workspace(problem).residual(initial_guess(problem))
     assert np.linalg.norm(g) <= 10.0 * np.linalg.norm(noise) * 10.0
 
 
@@ -205,14 +199,14 @@ def _certify_case(solver):
     if solver == "snf":
         mat, _, _ = diagonal_snf_instance(6)
         problem = SnfProblem(mat, PerturbStructure.degree(mat), deg_h=1)
-        ws, residual, hessian = _Workspace(problem), _kkt_residual, _kkt_hessian
+        ws = _Workspace(problem)
         report = solve(problem, LmConfig())
     else:
         mat = mccoy_rank2_instance(0)
         problem = McCoyProblem(mat, PerturbStructure.full(mat), r=2)
-        ws, residual, hessian = _McCoyWorkspace(problem), _mccoy_residual, _mccoy_hessian
+        ws = _McCoyWorkspace(problem)
         report = solve_mccoy(problem, LmConfig())
-    return report, (lambda v: residual(ws, v)), (lambda v: hessian(ws, v)), ws.n_x
+    return report, ws.residual, ws.hessian, ws.n_x
 
 
 @pytest.mark.parametrize("solver", ["snf", "mccoy"])
@@ -225,6 +219,24 @@ def test_certify_rejects_non_stationary_point(solver):
     rng = np.random.default_rng(14)
     moved = report.z + 0.5 * rng.normal(size=report.z.size)
     assert certify(residual, hessian, moved, n_x, report.trace) is False
+
+
+def test_solver_modules_call_lm_minimize_and_certify(monkeypatch):
+    # The benchmark tracer names the residual and Hessian spans after the
+    # module whose lm_minimize attribute is called, and times snf_opt.certify:
+    # a call moved into lmsolve would silently zero those per-solver counters.
+    calls = {}
+    for module, name in ((snf_opt, "lm_minimize"), (mccoy_opt, "lm_minimize"),
+                         (snf_opt, "certify")):
+        def counted(*args, _fn=getattr(module, name), _key=f"{module.__name__}.{name}"):
+            calls[_key] = calls.get(_key, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    for solver in ("snf", "mccoy"):
+        _certify_case(solver)
+    assert calls == {"polysmith.snf_opt.lm_minimize": 1, "polysmith.mccoy_opt.lm_minimize": 1,
+                     "polysmith.snf_opt.certify": 1}
 
 
 def test_solve_reversal_mode_on_unattainable_input():
@@ -337,7 +349,7 @@ def test_ex1_converges_in_few_iterations():
     a = cli.parse(str(FIXTURES / "ex1.json")).to_matpoly()
     report = solve(SnfProblem(a, PerturbStructure.support(a), deg_h=2), LmConfig())
     assert report.trace.termination == Termination.GRAD_TOL
-    assert report.iterations <= 30
+    assert report.trace.iterations <= 30
     assert report.certified
 
 
