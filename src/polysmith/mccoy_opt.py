@@ -1,13 +1,17 @@
-"""Lower McCoy rank approximation through an eigenvalue kernel formulation.
+"""Lower McCoy rank approximation through a kernel of (A + dA)(omega) itself.
 
-A rank drop of r at some omega is enforced as (P + dP)(omega) B = 0 with
-B'B = I_r, where P is the companion pencil of the matrix polynomial; for
-degree one the pencil is the input itself.  A constant input A_0 is padded to
-the pencil 0 t + A_0, whose zero leading coefficient is not perturbed.
+A rank drop of r at some omega is enforced as (A + dA(p))(omega) B = 0 with
+B = B0 + Q X, X complex of shape (n - r) x r: one affine chart of the
+Grassmannian, the kernel representation of structured low-rank approximation
+(Markovsky, Low Rank Approximation, 2012; Usevich & Markovsky, JCAM 2014).
+The frame V = [Q | B0] holds the right singular vectors of
+(A + dA(p0))(omega0) at the chart centre z0, the r smallest last, and is
+fixed for the run; B has full column rank for every X, so no kernel column
+can collapse.  At r = n, X is empty and the constraint is (A + dA)(omega) = 0.
 Complex quantities are split into real and imaginary parts so the whole state
 is real and the perturbation stays real by construction.
 
-State layout: z = (p, Re w, Im w, Re B, Im B, lam).
+State layout: z = (p, Re w, Im w, Re X, Im X, lam).
 
 An eigenvalue at infinity is reached by solving reversed_problem(problem),
 the one reversal of both solvers: the same problem on the coefficient-reversed
@@ -15,16 +19,15 @@ input and mask, reported in its own coordinates, where omega = 0 is the
 eigenvalue at infinity of the input.
 
 The residual and the Hessian come from lmsolve.KktWorkspace and share one
-linearization per iterate: the operator M(omega), its derivative, the
-constraint and its Jacobian J.  Each block of J and of the bordered Hessian
-is written by 2-D indexing at the positions its formula gives, with no
-Python loop over the parameters or the Gram pairs.
+linearization per iterate: (A + dA)(omega) with its first two omega
+derivatives, the constraint and its exact Jacobian J.  Each block of J and of
+H_xx is written by 2-D indexing at the positions its formula gives, with no
+Python loop over the parameters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +40,7 @@ from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 _OMEGA_DIVERGENCE = 1e8
 
 
+# Unused by the solver, which works on (A + dA)(omega); bench/tracer.py traces it.
 def companion_linearization(a: MatPoly) -> tuple[np.ndarray, np.ndarray]:
     """Block companion pencil E t - F as (E, F); for degree one this is the input itself."""
     if a.rows != a.cols:
@@ -82,183 +86,141 @@ class McCoyReport:
     z: np.ndarray = field(repr=False, default=None)
 
 
+def _powers(omega: complex, d: int) -> np.ndarray:
+    """Rows omega^k, k omega^(k-1) and k (k-1) omega^(k-2) for k = 0..d."""
+    k = np.arange(d + 1)
+    pw = np.append([0, 0], complex(omega) ** k)
+    return np.array([pw[2:], k * pw[1:-1], k * (k - 1) * pw[:-2]])
+
+
+def _param_cells(structure: PerturbStructure):
+    """Row i, column j and coefficient k of the entry each parameter perturbs."""
+    rows, _, width = structure.mask.shape
+    entry, coef = np.divmod(structure.param_indices(), width)
+    j, i = np.divmod(entry, rows)
+    return i, j, coef
+
+
+def _param_columns(cells, weights, b) -> np.ndarray:
+    """d(M B)/dp, complex, kernel row (i, a) = i r + a: column k holds
+    weights[coef] B[j, :] in the rows of i."""
+    i, j, coef = cells
+    out = np.zeros((*b.shape, i.size), dtype=complex)
+    out[i, :, np.arange(i.size)] = weights[coef, None] * b[j]
+    return out.reshape(b.size, i.size)
+
+
 @dataclass(frozen=True)
 class _Linearization:
-    """The iterate z unpacked, with the operator, constraint and its Jacobian at it."""
+    """The iterate z unpacked, with B, M' and M'' of M = (A + dA)(omega), the constraint and J."""
 
     p: np.ndarray
     omega: complex
-    bc: np.ndarray
+    b: np.ndarray
     lam: np.ndarray
-    m: np.ndarray
     dm: np.ndarray
+    d2m: np.ndarray
     c: np.ndarray
     jac: np.ndarray
 
 
 class _McCoyWorkspace(KktWorkspace):
-    def __init__(self, problem: McCoyProblem):
-        self.problem = problem
-        # A constant input becomes the pencil 0 t + A_0; the zero leading
-        # coefficient stays out of the mask, so p and the report keep the
-        # input's shape.
-        a, mask = problem.a, problem.structure.mask
-        if a.degree_bound == 0:
-            a = a.with_degree_bound(1)
-            mask = np.concatenate([mask, np.zeros_like(mask)], axis=2)
-        self.a, self.structure = a, PerturbStructure(mask)
-        self.n, self.d = a.rows, a.degree_bound
-        self.r = problem.r
-        self.size = self.n * self.d
+    """The chart centred at z0: its frame comes from one SVD at (p0, omega0)."""
+
+    def __init__(self, problem: McCoyProblem, z0):
+        self.a, self.structure, self.r = problem.a, problem.structure, problem.r
+        self.n, self.d = self.a.rows, self.a.degree_bound
+        self.cells = _param_cells(self.structure)
         self.m_p = self.structure.num_params
-        self.nr = self.size * self.r
-        self.n_x = self.m_p + 2 + 2 * self.nr
-        self.n_c = 2 * self.nr + 2 * self.r * self.r
+        self.nr, n_xr = self.n * self.r, (self.n - self.r) * self.r
+        self.n_x, self.n_c = self.m_p + 2 + 2 * n_xr, 2 * self.nr
         self.sl_p = slice(0, self.m_p)
         self.sl_w = slice(self.m_p, self.m_p + 2)
-        self.sl_br = slice(self.m_p + 2, self.m_p + 2 + self.nr)
-        self.sl_bi = slice(self.m_p + 2 + self.nr, self.n_x)
+        self.sl_xr = slice(self.m_p + 2, self.m_p + 2 + n_xr)
+        self.sl_xi = slice(self.m_p + 2 + n_xr, self.n_x)
         self.sl_lam = slice(self.n_x, self.n_x + self.n_c)
+        p0, omega0, _, _ = self.unpack(z0)
+        v = np.linalg.svd(self.structure.apply(self.a, p0).evaluate(omega0))[2].conj().T
+        self.q, self.b0 = v[:, : self.n - self.r], v[:, self.n - self.r :]
 
     def unpack(self, z):
         z = self.check_state(z)
-        omega = complex(*z[self.sl_w])
-        br = z[self.sl_br].reshape(self.size, self.r)
-        bi = z[self.sl_bi].reshape(self.size, self.r)
-        return z[self.sl_p], omega, br, bi, z[self.sl_lam]
-
-    def pack(self, p, omega, br, bi, lam):
-        return np.concatenate([p, [omega.real, omega.imag], br.ravel(), bi.ravel(), lam])
-
-    def perturbed(self, p) -> MatPoly:
-        return self.structure.apply(self.a, p)
+        x = (z[self.sl_xr] + 1j * z[self.sl_xi]).reshape(self.n - self.r, self.r)
+        return z[self.sl_p], complex(*z[self.sl_w]), x, z[self.sl_lam]
 
     def linearize(self, z) -> _Linearization:
         """Raises UnattainableProblem once |omega| passes _OMEGA_DIVERGENCE."""
-        p, omega, br, bi, lam = self.unpack(z)
+        p, omega, x, lam = self.unpack(z)
         if np.hypot(omega.real, omega.imag) > _OMEGA_DIVERGENCE:
             raise UnattainableProblem(
                 "the eigenvalue is diverging: the minimum lies at infinity; solve "
                 "mccoy_opt.reversed_problem(problem), where it is the eigenvalue 0"
             )
-        bc = br + 1j * bi
-        m, dm = self.operator(self.perturbed(p), omega)
-        return _Linearization(p, omega, bc, lam, m, dm, self.constraint(m, bc),
-                              self.constraint_jacobian(m, dm, bc, omega))
+        b = self.b0 + self.q @ x
+        powers = _powers(omega, self.d)
+        m, dm, d2m = np.tensordot(powers, self.structure.apply(self.a, p).coeff, axes=(1, 2))
+        mb = m @ b
+        c = np.concatenate([mb.real, mb.imag]).ravel()
+        return _Linearization(p, omega, b, lam, dm, d2m, c,
+                              self.constraint_jacobian(powers[0], m, dm, b))
 
-    def write_hxx(self, h_xx, lin: _Linearization):
-        """H_xx.  With W = lam_1 + i lam_2 the multipliers of the kernel rows,
-        those rows add Re sum(conj(W) * M B) to the Lagrangian: linear in p,
-        in B and in omega = x + iy (M is the pencil E omega - F), so
-        d/dy = i d/dx and the (omega, omega) block is zero.  The Gram rows add
-        the constant blocks kron(I, Q1 + Q1^T) and kron(I, Q2 - Q2^T).
-        """
-        bc, lam = lin.bc, lin.lam
-        size, r, nr, m_p = self.size, self.r, self.nr, self.m_p
-        wc = (lam[:nr] - 1j * lam[nr : 2 * nr]).reshape(size, r)
-        q1, q2 = lam[2 * nr :].reshape(2, r, r)
-        br0, bi0, w0 = self.sl_br.start, self.sl_bi.start, self.sl_w.start
-        row, col, coef = self._cells
-        # Upper off-diagonal blocks first; the lower ones are their transposes.
-        weights, d_weights = self._weights(lin.omega)
-        w_rows = wc[row]
-        wb = weights[coef, None] * w_rows
-        k, cols = np.arange(m_p)[:, None], col[:, None] * r + np.arange(r)
-        h_xx[k, br0 + cols], h_xx[k, bi0 + cols] = wb.real, -wb.imag
-        s = d_weights[coef] * (w_rows[:, None, :] @ bc[col][:, :, None])[:, 0, 0]
-        h_xx[:m_p, w0], h_xx[:m_p, w0 + 1] = s.real, -s.imag
-        t = (lin.dm.T @ wc).ravel()
-        h_xx[w0, self.sl_br], h_xx[w0, self.sl_bi] = t.real, -t.imag
-        h_xx[w0 + 1, self.sl_br], h_xx[w0 + 1, self.sl_bi] = -t.imag, -t.real
-        # kron(I, Q) puts Q at (i r + a, i r + b).
-        diag = np.arange(size)[:, None, None] * r
-        rows, cols = diag + np.arange(r)[:, None], diag + np.arange(r)
-        h_xx[br0 + rows, bi0 + cols] = q2 - q2.T
-        h_xx += h_xx.T
-        np.fill_diagonal(h_xx[self.sl_p, self.sl_p], 2.0)
-        h_xx[br0 + rows, br0 + cols] = h_xx[bi0 + rows, bi0 + cols] = q1 + q1.T
-
-    def operator(self, a_pert: MatPoly, omega):
-        """Companion pencil at omega and its omega derivative."""
-        e, f = companion_linearization(a_pert)
-        return e * complex(omega) - f, e.astype(complex)
-
-    def constraint(self, m, bc) -> np.ndarray:
-        mb = m @ bc
-        gram = bc.conj().T @ bc
-        return np.concatenate(
-            [
-                mb.real.ravel(),
-                mb.imag.ravel(),
-                (gram.real - np.eye(self.r)).ravel(),
-                gram.imag.ravel(),
-            ]
-        )
-
-    def _weights(self, omega):
-        """Weight in M = E omega - F of a unit perturbation, and its omega derivative."""
-        w, dw = np.ones(self.d + 1, dtype=complex), np.zeros(self.d + 1)
-        w[-1], dw[-1] = omega, 1.0
-        return w, dw
-
-    @cached_property
-    def _cells(self):
-        """Pencil row and column (in F below degree d, else E) and coefficient of each param."""
-        entry, coef = np.divmod(self.structure.param_indices(), self.d + 1)
-        j, i = np.divmod(entry, self.n)
-        base = (self.d - 1) * self.n
-        return base + i, np.where(coef < self.d, coef * self.n, base) + j, coef
-
-    def constraint_jacobian(self, m, dm, bc, omega) -> np.ndarray:
-        size, r, nr, m_p = self.size, self.r, self.nr, self.m_p
-        br, bi, w0 = self.sl_br, self.sl_bi, self.sl_w.start
+    def constraint_jacobian(self, weights, m, dm, b) -> np.ndarray:
+        """Real then imaginary kernel rows; columns p, omega, Re X, Im X."""
+        nr, w0 = self.nr, self.sl_w.start
         j = np.zeros((self.n_c, self.n_x))
-        # Column k holds w * B[col] in the kernel rows of `row`, real then imaginary.
-        row, col, coef = self._cells
-        weights, _ = self._weights(omega)
-        contrib = weights[coef, None] * bc[col]
-        rows, cols = row[:, None] * r + np.arange(r), np.arange(m_p)[:, None]
-        j[rows, cols], j[nr + rows, cols] = contrib.real, contrib.imag
-        dmb = (dm @ bc).ravel()
-        j[:nr, w0], j[nr : 2 * nr, w0] = dmb.real, dmb.imag
-        j[:nr, w0 + 1], j[nr : 2 * nr, w0 + 1] = -dmb.imag, dmb.real
-        # kron([[Re M, -Im M], [Im M, Re M]], I_r) in the kernel rows and the B
-        # columns (Im B follows Re B): entry (i, k) of a block goes to (i r + a, k r + a).
-        ar = np.arange(r)
-        kron = np.zeros((2, size, r, 2, size, r))
-        blocks = np.array([[m.real, -m.imag], [m.imag, m.real]])
-        kron[:, :, ar, :, :, ar] = blocks.transpose(0, 2, 1, 3)
-        j[: 2 * nr, br.start : bi.stop] = kron.reshape(2 * nr, 2 * nr)
-        # Gram row (a, b), column (i, c) of Re B or Im B: L = delta_ac X[i, b] and
-        # R = delta_bc X[i, a]; a cell sums at most two terms +-x, so every sum is exact.
-        left, right = np.zeros((2, 2, r, r, size, r))
-        left[:, ar, :, :, ar] = right[:, :, ar, :, ar] = np.stack((bc.real.T, bc.imag.T))
-        (l_re, l_im), (r_re, r_im) = left.reshape(2, r * r, nr), right.reshape(2, r * r, nr)
-        re_gram, im_gram = slice(2 * nr, 2 * nr + r * r), slice(2 * nr + r * r, None)
-        j[re_gram, br], j[re_gram, bi] = l_re + r_re, l_im + r_im
-        j[im_gram, br], j[im_gram, bi] = l_im - r_im, r_re - l_re
+        jp = _param_columns(self.cells, weights, b)
+        j[:nr, self.sl_p], j[nr:, self.sl_p] = jp.real, jp.imag
+        dmb = (dm @ b).ravel()
+        j[:nr, w0], j[nr:, w0] = dmb.real, dmb.imag
+        j[:nr, w0 + 1], j[nr:, w0 + 1] = -dmb.imag, dmb.real
+        # d(M B)/dX = (M Q) kron I_r, and i times it for Im X.
+        k = np.kron(m @ self.q, np.eye(self.r))
+        j[:nr, self.sl_xr], j[nr:, self.sl_xr] = k.real, k.imag
+        j[:nr, self.sl_xi], j[nr:, self.sl_xi] = -k.imag, k.real
         return j
 
+    def write_hxx(self, h_xx, lin: _Linearization):
+        """H_xx.  With W = lam_1 + i lam_2 the kernel rows' multipliers, the
+        constraint adds Re sum(conj(W) * M(omega) B) to the Lagrangian, which
+        is analytic in omega = x + iy (d/dy = i d/dx) and linear in p and in
+        X, with B = B0 + Q X.  So the p-p block is 2I, X-X is zero, p-omega
+        is k omega^(k-1) conj(W_ia) B_ja, p-X is omega^k conj(W_ia) Q_jb,
+        omega-omega is t = sum(conj(W) * M'' B) and omega-X is (M' Q)^T conj(W).
+        """
+        i, j, coef = self.cells
+        n_xr, w0 = self.sl_xr.stop - self.sl_xr.start, self.sl_w.start
+        wc = (lin.lam[: self.nr] - 1j * lin.lam[self.nr :]).reshape(self.n, self.r)
+        weights, d_weights, _ = _powers(lin.omega, self.d)
+        # Upper off-diagonal blocks first; the lower ones are their transposes.
+        px = np.einsum("k,kb,ka->kba", weights[coef], self.q[j], wc[i]).reshape(self.m_p, n_xr)
+        h_xx[self.sl_p, self.sl_xr], h_xx[self.sl_p, self.sl_xi] = px.real, -px.imag
+        s = d_weights[coef] * np.sum(wc[i] * lin.b[j], axis=1)
+        h_xx[self.sl_p, w0], h_xx[self.sl_p, w0 + 1] = s.real, -s.imag
+        u = ((lin.dm @ self.q).T @ wc).ravel()
+        h_xx[w0, self.sl_xr], h_xx[w0, self.sl_xi] = u.real, -u.imag
+        h_xx[w0 + 1, self.sl_xr], h_xx[w0 + 1, self.sl_xi] = -u.imag, -u.real
+        h_xx += h_xx.T
+        np.fill_diagonal(h_xx[self.sl_p, self.sl_p], 2.0)
+        t = np.sum(wc * (lin.d2m @ lin.b))
+        h_xx[self.sl_w, self.sl_w] = [[t.real, -t.imag], [-t.imag, -t.real]]
 
-def initial_guess_mccoy(problem: McCoyProblem, ws: _McCoyWorkspace | None = None,
-                        analysis: Analysis | None = None) -> np.ndarray:
-    """Eigenvalue candidate scoring, a least-norm perturbation and the kernel.
+
+def initial_guess_mccoy(problem: McCoyProblem, analysis: Analysis | None = None) -> np.ndarray:
+    """Eigenvalue candidate scoring and a least-norm perturbation.
 
     Candidates are the numeric roots of the determinant together with local
     minima of |det| on a Chebyshev grid; the winner minimizes the singular
     value that must vanish for the requested rank drop.  With B0 the r
     smallest right singular vectors of A(omega), (A + dA(p))(omega) B0 = 0 is
     linear in p, and its least-norm solution (the inner step of structured
-    total least norm) seeds p.  The kernel block comes from the perturbed
-    pencil, orthonormal by construction.  The solver passes its own
-    workspace and analysis.
+    total least norm) seeds p.  The seed is the chart centre, so X = 0, and
+    the multipliers start at zero.  The solver passes its own analysis.
     """
-    ws = ws or _McCoyWorkspace(problem)
-    a = problem.a
+    a, r = problem.a, problem.r
     analysis = analysis or Analysis(a)
     candidates = list(analysis.eigenvalues)
     candidates.extend(_grid_extrema(analysis))
-    drop_idx = a.rows - problem.r
+    drop_idx = a.rows - r
     # A(0) is the constant coefficient, finite for any input.
     omega, best_score = 0.0 + 0.0j, np.inf
     for cand in candidates:
@@ -268,20 +230,14 @@ def initial_guess_mccoy(problem: McCoyProblem, ws: _McCoyWorkspace | None = None
         score = np.linalg.svd(values, compute_uv=False)[drop_idx]
         if score < best_score:
             omega, best_score = complex(cand), score
-    # Row (i, a) of the system holds omega^k B0[j, a] in the column of the
-    # parameter at coefficient k of entry (i, j), whose pencil cell is (i, j)
-    # mod n; real rows, then imaginary.
-    row, col, coef = ws._cells
-    a_w = ws.a.evaluate(omega)
-    b0 = np.linalg.svd(a_w)[2][-problem.r :].conj().T
-    jp = np.zeros((ws.n, problem.r, ws.m_p), dtype=complex)
-    jp[row % ws.n, :, np.arange(ws.m_p)] = omega ** coef[:, None] * b0[col % ws.n]
-    jp, rhs = jp.reshape(ws.n * problem.r, ws.m_p), -(a_w @ b0).ravel()
+    a_w = a.evaluate(omega)
+    b0 = np.linalg.svd(a_w)[2][-r:].conj().T
+    jp = _param_columns(_param_cells(problem.structure), _powers(omega, a.degree_bound)[0], b0)
+    rhs = -(a_w @ b0).ravel()
     p = np.linalg.lstsq(np.vstack([jp.real, jp.imag]), np.concatenate([rhs.real, rhs.imag]),
                         rcond=None)[0]
-    m, _ = ws.operator(ws.perturbed(p), omega)
-    bc = np.linalg.svd(m)[2][-problem.r :].conj().T
-    return ws.pack(p, omega, bc.real, bc.imag, np.zeros(ws.n_c))
+    # X and lam have 2 (n - r) r + 2 n r entries.
+    return np.concatenate([p, [omega.real, omega.imag], np.zeros(2 * (2 * a.rows - r) * r)])
 
 
 def _grid_extrema(analysis: Analysis):
@@ -298,30 +254,30 @@ def _grid_extrema(analysis: Analysis):
 
 
 def solve_mccoy(problem: McCoyProblem, cfg: LmConfig | None = None, z0=None) -> McCoyReport:
-    """Drive the rank-drop system to stationarity and extract the record."""
+    """Drive the rank-drop system to stationarity in the chart centred at z0
+    (the seed by default) and extract the record."""
     cfg = cfg or LmConfig()
     analysis = Analysis(problem.a)
     analysis.require_nonsingular()
-    ws = _McCoyWorkspace(problem)
     if z0 is None:
-        z0 = initial_guess_mccoy(problem, ws, analysis)
+        z0 = initial_guess_mccoy(problem, analysis)
+    ws = _McCoyWorkspace(problem, z0)
     z, trace = lm_minimize(ws.residual, ws.hessian, z0, cfg)
     certified = certify(ws.residual, ws.hessian, z, ws.n_x, trace, cfg)
     return _extract_mccoy_report(ws, z, trace, certified)
 
 
 def _extract_mccoy_report(ws: _McCoyWorkspace, z, trace, certified: bool) -> McCoyReport:
-    p, omega, br, bi, _ = ws.unpack(z)
-    delta = ws.problem.structure.delta(p)
+    p, omega, x, _ = ws.unpack(z)
     if abs(omega.imag) <= 1e-8 * (1.0 + abs(omega.real)):
         factor = Poly([-omega.real, 1.0])
     else:
         factor = Poly([abs(omega) ** 2, -2.0 * omega.real, 1.0])
     return McCoyReport(
-        delta_a=delta,
+        delta_a=ws.structure.delta(p),
         distance=float(np.linalg.norm(p)),
         omega=omega,
-        kernel=br + 1j * bi,
+        kernel=np.linalg.qr(ws.b0 + ws.q @ x)[0],
         invariant_factor=factor,
         certified=certified,
         trace=trace,

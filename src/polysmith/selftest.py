@@ -196,8 +196,8 @@ def run_selftest(seed: int = 0):
     yield "snf KKT Hessian vs central differences", *_relative_check(ws.hessian(z), fd, 1e-6)
 
     mccoy = McCoyProblem(dense, PerturbStructure.full(dense), r=2)
-    ws = _McCoyWorkspace(mccoy)
     z = initial_guess_mccoy(mccoy)
+    ws = _McCoyWorkspace(mccoy, z)
     z = z + 0.02 * rng.normal(size=z.size)
     fd = fd_columns(ws.residual, z)
     yield "mccoy KKT Hessian vs central differences", *_relative_check(ws.hessian(z), fd, 1e-6)

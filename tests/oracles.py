@@ -103,95 +103,6 @@ def mccoy_all_entries_distance(a):
     return float(np.sqrt(val))
 
 
-def mccoy_param_cells(ws, omega):
-    """(pencil row, pencil column, weight, omega derivative) of each McCoy
-    parameter, one at a time from the mask: a unit perturbation of
-    coefficient k < d of entry (i, j) sits in the last block row of F, the
-    leading one in E, where M = E omega - F weighs it by omega."""
-    n, d = ws.n, ws.d
-    base = (d - 1) * n
-    out = []
-    for idx in ws.structure.param_indices():
-        entry, coef = divmod(int(idx), d + 1)
-        j, i = divmod(entry, n)
-        if coef < d:
-            out.append((base + i, coef * n + j, 1.0 + 0.0j, 0.0))
-        else:
-            out.append((base + i, base + j, complex(omega), 1.0))
-    return out
-
-
-def mccoy_constraint_jacobian_loop(ws, m, dm, bc, omega):
-    """Constraint Jacobian of a McCoy workspace, assembled in Python loops over
-    the parameters and the Gram pairs (a, b): the reference for the scatter
-    assembly, which must match it bit for bit.  It reads the workspace's
-    slices and mask; the parameter cells come from mccoy_param_cells."""
-    size, r, nr = ws.size, ws.r, ws.nr
-    j = np.zeros((ws.n_c, ws.n_x))
-    cols = np.arange(r)
-    for k, (row, col, w, _) in enumerate(mccoy_param_cells(ws, omega)):
-        contrib = w * bc[col, :]
-        j[row * r + cols, k] = contrib.real
-        j[nr + row * r + cols, k] = contrib.imag
-    dmb = dm @ bc
-    j[:nr, ws.sl_w.start] = dmb.real.ravel()
-    j[nr : 2 * nr, ws.sl_w.start] = dmb.imag.ravel()
-    j[:nr, ws.sl_w.start + 1] = -dmb.imag.ravel()
-    j[nr : 2 * nr, ws.sl_w.start + 1] = dmb.real.ravel()
-    eye_r = np.eye(r)
-    j[:nr, ws.sl_br] = np.kron(m.real, eye_r)
-    j[:nr, ws.sl_bi] = -np.kron(m.imag, eye_r)
-    j[nr : 2 * nr, ws.sl_br] = np.kron(m.imag, eye_r)
-    j[nr : 2 * nr, ws.sl_bi] = np.kron(m.real, eye_r)
-
-    br, bi = bc.real, bc.imag
-    off3 = 2 * nr
-    off4 = 2 * nr + r * r
-    unit = np.arange(size) * r
-    for a in range(r):
-        for b in range(r):
-            row3 = off3 + a * r + b
-            row4 = off4 + a * r + b
-            j[row3, ws.sl_br.start + unit + a] += br[:, b]
-            j[row3, ws.sl_br.start + unit + b] += br[:, a]
-            j[row3, ws.sl_bi.start + unit + a] += bi[:, b]
-            j[row3, ws.sl_bi.start + unit + b] += bi[:, a]
-            j[row4, ws.sl_br.start + unit + a] += bi[:, b]
-            j[row4, ws.sl_br.start + unit + b] -= bi[:, a]
-            j[row4, ws.sl_bi.start + unit + b] += br[:, a]
-            j[row4, ws.sl_bi.start + unit + a] -= br[:, b]
-    return j
-
-
-def mccoy_hessian_loop(ws, z):
-    """Bordered McCoy Hessian assembled with a Python loop over the parameters,
-    np.kron block diagonals and np.block: the reference for the scatter
-    assembly, which must match it bit for bit.  It reads the workspace's
-    linearization, slices and mask; the parameter cells come from
-    mccoy_param_cells."""
-    lin = ws.linearization_at(z)
-    omega, bc, lam, dm, jac = lin.omega, lin.bc, lin.lam, lin.dm, lin.jac
-    size, r, nr = ws.size, ws.r, ws.nr
-    wc = (lam[:nr] - 1j * lam[nr : 2 * nr]).reshape(size, r)
-    q1, q2 = lam[2 * nr :].reshape(2, r, r)
-    br0, bi0, w0 = ws.sl_br.start, ws.sl_bi.start, ws.sl_w.start
-    h_xx = np.zeros((ws.n_x, ws.n_x))
-    cols = np.arange(r)
-    for k, (row, col, w, dw) in enumerate(mccoy_param_cells(ws, omega)):
-        h_xx[k, br0 + col * r + cols] = (w * wc[row]).real
-        h_xx[k, bi0 + col * r + cols] = -(w * wc[row]).imag
-        s = dw * (wc[row] @ bc[col])
-        h_xx[k, w0 : w0 + 2] = s.real, -s.imag
-    t = (dm.T @ wc).ravel()
-    h_xx[w0, ws.sl_br], h_xx[w0, ws.sl_bi] = t.real, -t.imag
-    h_xx[w0 + 1, ws.sl_br], h_xx[w0 + 1, ws.sl_bi] = -t.imag, -t.real
-    h_xx[ws.sl_br, ws.sl_bi] = np.kron(np.eye(size), q2 - q2.T)
-    h_xx += h_xx.T
-    h_xx[ws.sl_p, ws.sl_p] = 2.0 * np.eye(ws.m_p)
-    h_xx[ws.sl_br, ws.sl_br] = h_xx[ws.sl_bi, ws.sl_bi] = np.kron(np.eye(size), q1 + q1.T)
-    return np.block([[h_xx, jac.T], [jac, np.zeros((ws.n_c, ws.n_c))]])
-
-
 def snf_kkt_hessian_block(ws, z):
     """Bordered SNF Hessian with J built from np.kron and stacked conv_matrix
     blocks, assembled by np.block and symmetrized whole: the reference for

@@ -240,25 +240,41 @@ def test_mccoy_small_instance_through_cli(capsys, tmp_path):
     assert len(report["invariant_factor"]) in (2, 3)
 
 
+def test_mccoy_constant_input_keeps_every_kernel_column(capsys, tmp_path):
+    # The rank-2 drop of a constant 2x2 is its zero matrix, at distance
+    # |A|_F; a kernel basis that lets a column shrink to zero stalls short
+    # of it.
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": [[[1], [2]], [[3], [4]]]}))
+    report, code = run_cli(capsys, ["mccoy", str(path), "--rank-drop", "2"])
+    assert code == cli.EXIT_OK and report["certified"] is True
+    assert report["distance"] == pytest.approx(5.477225575051661, rel=1e-10)
+
+
 def test_mccoy_reports_certificate(capsys, tmp_path):
-    # ex2 is a certified minimizer.  The third dense n=3 input drawn from
-    # seed 0 (d=1) converges to a saddle, uncertified with exit 0, above the
-    # distance snf --deg-h 1 reaches on it.
+    # ex2 is a certified minimizer, and so is the first dense n=3 input drawn
+    # from seed 0 (d=1), which a kernel chart from a row permutation of the
+    # seed kernel misses.  The third (d=1) converges to a saddle, uncertified
+    # with exit 0, above the distance snf --deg-h 1 reaches on it.
     report, code = run_cli(capsys, ["mccoy", str(FIXTURES / "ex1.json"), "--rank-drop", "4"])
     assert code == cli.EXIT_OK and report["certified"] is True
-    assert report["trace"]["iterations"] == 11
+    assert report["trace"]["iterations"] == 7
     rng = np.random.default_rng(0)
+    paths = []
     for k in range(3):
         a = random_full_rank_matpoly(rng, 3, 1 + k % 2)
-    doc = {"rows": 3, "cols": 3, "entries": [[a.coeff[i, j].tolist() for j in range(3)]
-                                             for i in range(3)]}
-    path = tmp_path / "dense2.json"
-    path.write_text(json.dumps(doc))
-    report, code = run_cli(capsys, ["mccoy", str(path), "--rank-drop", "2"])
+        doc = {"rows": 3, "cols": 3, "entries": [[a.coeff[i, j].tolist() for j in range(3)]
+                                                 for i in range(3)]}
+        paths.append(tmp_path / f"dense{k}.json")
+        paths[-1].write_text(json.dumps(doc))
+    report, code = run_cli(capsys, ["mccoy", str(paths[0]), "--rank-drop", "2"])
+    assert code == cli.EXIT_OK and report["certified"] is True
+    assert report["distance"] == pytest.approx(0.9142492814, abs=1e-8)
+    report, code = run_cli(capsys, ["mccoy", str(paths[2]), "--rank-drop", "2"])
     assert code == cli.EXIT_OK and report["certified"] is False
-    assert report["trace"]["termination"] == "GradTol" and report["trace"]["iterations"] == 8
+    assert report["trace"]["termination"] == "GradTol" and report["trace"]["iterations"] == 7
     assert report["distance"] == pytest.approx(1.238155, abs=1e-6)
-    report, code = run_cli(capsys, ["snf", str(path), "--deg-h", "1"])
+    report, code = run_cli(capsys, ["snf", str(paths[2]), "--deg-h", "1"])
     assert code == cli.EXIT_OK and report["certified"] is True
     assert report["distance"] == pytest.approx(1.117725, abs=1e-6)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polysmith import cli, gcdkit, mccoy_opt
+from polysmith import cli, gcdkit
 from polysmith.detadj import determinant
 from polysmith.errors import UnattainableProblem
 from polysmith.gcdkit import local_invariant_structure
@@ -19,13 +19,7 @@ from polysmith.snf_opt import SnfProblem, _Workspace, initial_guess
 from polysmith.structured import numeric_rank
 
 from conftest import FIXTURES
-from oracles import (
-    fd_columns,
-    mccoy_all_entries_distance,
-    mccoy_constraint_jacobian_loop,
-    mccoy_hessian_loop,
-    mccoy_rank2_instance,
-)
+from oracles import fd_columns, mccoy_all_entries_distance, mccoy_rank2_instance
 
 
 def pencil_as_matpoly(e, f):
@@ -72,25 +66,24 @@ def test_residual_zero_at_planted_solution():
     coeff[:, :, 1] = base
     a = MatPoly(coeff)
     problem = McCoyProblem(a, PerturbStructure.full(a), r=2)
-    ws = _McCoyWorkspace(problem)
-    m, _ = ws.operator(a, omega)
-    _, _, vh = np.linalg.svd(m)
-    bc = vh[-2:, :].conj().T
-    z = ws.pack(np.zeros(ws.m_p), complex(omega), bc.real.copy(), bc.imag.copy(), np.zeros(ws.n_c))
+    # p = 0, omega, no X at r = n, and 2 n r zero multipliers.
+    z = np.zeros(a.coeff.size + 2 + 2 * 2 * 2)
+    z[a.coeff.size] = omega
+    ws = _McCoyWorkspace(problem, z)
     assert np.linalg.norm(ws.residual(z)) <= 1e-10
 
 
 def test_residual_matches_finite_differences():
     a = mccoy_rank2_instance(0)
     problem = McCoyProblem(a, PerturbStructure.full(a), r=2)
-    ws = _McCoyWorkspace(problem)
+    z0 = initial_guess_mccoy(problem)
+    ws = _McCoyWorkspace(problem, z0)
     rng = np.random.default_rng(4)
-    z = initial_guess_mccoy(problem) + 0.02 * rng.normal(size=ws.n_x + ws.n_c)
+    z = z0 + 0.02 * rng.normal(size=z0.size)
 
     def lagrangian(v):
-        p, omega, br, bi, lam = ws.unpack(v)
-        m, _ = ws.operator(ws.perturbed(p), omega)
-        return np.array([p @ p + lam @ ws.constraint(m, br + 1j * bi)])
+        lin = ws.linearize(v)
+        return np.array([lin.p @ lin.p + lin.lam @ lin.c])
 
     fd = fd_columns(lagrangian, z, eps=1e-6).ravel()
     g = ws.residual(z)
@@ -106,31 +99,11 @@ def sparse_cubic(rng, n):
     return MatPoly(coeff)
 
 
-def test_hessian_matches_finite_differences():
-    rng = np.random.default_rng(7)
-    quad = MatPoly(rng.normal(size=(2, 2, 3)))
-    rev = mccoy_rank2_instance(4)
-    quad3 = MatPoly(rng.normal(size=(3, 3, 3)))
-    cubic = sparse_cubic(rng, 3)
-    constant = MatPoly(rng.normal(size=(3, 3, 1)))
-    problems = [
-        McCoyProblem(quad, PerturbStructure.full(quad), r=2),
-        reversed_problem(McCoyProblem(rev, PerturbStructure.full(rev), r=2)),
-        McCoyProblem(quad3, PerturbStructure.full(quad3), r=3),
-        McCoyProblem(cubic, PerturbStructure.support(cubic), r=2),
-        McCoyProblem(constant, PerturbStructure.full(constant), r=2),
-    ]
-    for problem in problems:
-        ws = _McCoyWorkspace(problem)
-        z = initial_guess_mccoy(problem) + 0.05 * rng.normal(size=ws.n_x + ws.n_c)
-        h_full = ws.hessian(z)
-        assert np.array_equal(h_full, h_full.T)
-        fd = fd_columns(ws.residual, z, eps=1e-6)
-        assert np.linalg.norm(h_full - fd) / np.linalg.norm(fd) <= 1e-8
-
-
 def _jacobian_case(kind, r):
     rng = np.random.default_rng(40 + r)
+    if kind == "reversed":  # an eigenvalue near infinity of the input
+        a = mccoy_rank2_instance(4)
+        return reversed_problem(McCoyProblem(a, PerturbStructure.full(a), r=r))
     if kind == "ex2":  # the paper's r = n shape: n = 4, d = 2, support mask
         a = cli.parse(str(FIXTURES / "ex1.json")).to_matpoly()
         return McCoyProblem(a, PerturbStructure.support(a), r=r)
@@ -149,48 +122,47 @@ JACOBIAN_CASES = [pytest.param(kind, r, id=f"{kind}-{r}")
 JACOBIAN_CASES.append(pytest.param("ex2", 4, id="ex2-4"))
 
 
-@pytest.mark.parametrize("kind, r", JACOBIAN_CASES)
-def test_constraint_jacobian_matches_loop_bitwise(kind, r):
+def _perturbed_state(kind, r, seed):
+    """A workspace centred at the seed of a case, and a state near the seed."""
     problem = _jacobian_case(kind, r)
-    ws = _McCoyWorkspace(problem)
-    rng = np.random.default_rng(50 + r)
-    for _ in range(3):
-        z = rng.normal(size=ws.n_x + ws.n_c)
-        p, omega, br, bi, _ = ws.unpack(z)
-        bc = br + 1j * bi
-        m, dm = ws.operator(ws.perturbed(p), omega)
-        want = mccoy_constraint_jacobian_loop(ws, m, dm, bc, omega)
-        assert np.array_equal(ws.constraint_jacobian(m, dm, bc, omega), want)
-        assert np.array_equal(ws.linearization_at(z).jac, want)
+    z0 = initial_guess_mccoy(problem)
+    z = z0 + 0.05 * np.random.default_rng(seed).normal(size=z0.size)
+    return _McCoyWorkspace(problem, z0), z
 
 
 @pytest.mark.parametrize("kind, r", JACOBIAN_CASES)
-def test_hessian_matches_loop_bitwise(kind, r):
-    ws = _McCoyWorkspace(_jacobian_case(kind, r))
-    rng = np.random.default_rng(60 + r)
-    for _ in range(3):
-        z = rng.normal(size=ws.n_x + ws.n_c)
-        got = ws.hessian(z)
-        assert np.array_equal(got, mccoy_hessian_loop(ws, z))
-        assert np.array_equal(got, got.T)
+def test_constraint_jacobian_matches_finite_differences(kind, r):
+    ws, z = _perturbed_state(kind, r, 50 + r)
+    fd = fd_columns(lambda v: ws.linearize(v).c, z)[:, : ws.n_x]
+    jac = ws.linearization_at(z).jac
+    assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) <= 1e-8
+
+
+@pytest.mark.parametrize("kind, r", [*JACOBIAN_CASES, pytest.param("reversed", 2, id="reversed-2")])
+def test_hessian_matches_finite_differences(kind, r):
+    ws, z = _perturbed_state(kind, r, 60 + r)
+    h_full = ws.hessian(z)
+    assert np.array_equal(h_full, h_full.T)
+    fd = fd_columns(ws.residual, z)
+    assert np.linalg.norm(h_full - fd) / np.linalg.norm(fd) <= 1e-8
 
 
 def test_residual_and_hessian_share_one_linearization(monkeypatch):
-    # One linearization for the seed plus one per residual; every Hessian is
-    # taken at the point whose residual was just accepted, so it reuses it.
+    # One linearization at the seed plus one per trial step; every Hessian
+    # is taken at the point whose residual was just accepted, so it reuses it.
     calls = []
-    original = mccoy_opt.companion_linearization
+    original = _McCoyWorkspace.linearize
 
-    def counted(a):
+    def counted(ws, z):
         calls.append(1)
-        return original(a)
+        return original(ws, z)
 
-    monkeypatch.setattr(mccoy_opt, "companion_linearization", counted)
+    monkeypatch.setattr(_McCoyWorkspace, "linearize", counted)
     a = cli.parse(str(FIXTURES / "ex1.json")).to_matpoly()
     report = solve_mccoy(McCoyProblem(a, PerturbStructure.support(a), r=4), LmConfig())
-    residuals = report.trace.iterations + 1 + sum(report.trace.rejected)
-    assert report.trace.iterations == 11
-    assert len(calls) == 1 + residuals == 13
+    trials = report.trace.iterations + sum(report.trace.rejected)
+    assert report.trace.iterations == 7
+    assert len(calls) == 1 + trials == 8
 
 
 def test_solve_interpolates_the_determinant_once(monkeypatch):
@@ -216,36 +188,44 @@ def test_linearization_cache_is_read_only(solver):
         ws, z = _Workspace(problem), initial_guess(problem)
     else:
         problem = McCoyProblem(a, PerturbStructure.full(a), r=2)
-        ws, z = _McCoyWorkspace(problem), initial_guess_mccoy(problem)
+        z = initial_guess_mccoy(problem)
+        ws = _McCoyWorkspace(problem, z)
     lin = ws.linearization_at(z)
     assert ws.linearization_at(z.copy()) is lin
-    names = ("p", "lam", "c", "jac") + (() if solver == "snf" else ("bc", "m", "dm"))
+    names = ("p", "lam", "c", "jac") + (() if solver == "snf" else ("b", "dm", "d2m"))
     for name in names:
         assert not getattr(lin, name).flags.writeable
     z[0] += 1.0
     assert ws.linearization_at(z) is not lin
 
 
-@pytest.mark.parametrize("seed", [0, 8])
-def test_constant_input_reaches_eckart_young_distance(seed):
-    # The nearest matrix of rank 1 drops the rank by 2 at every omega.
-    a = MatPoly(np.random.default_rng(seed).normal(size=(3, 3, 1)))
-    report = solve_mccoy(McCoyProblem(a, PerturbStructure.full(a), r=2), LmConfig())
+@pytest.mark.parametrize("seed", range(30))
+@pytest.mark.parametrize("n, r", [(n, r) for n in (2, 3, 4) for r in range(2, n + 1)])
+def test_constant_input_reaches_eckart_young_distance(n, r, seed):
+    # The nearest matrix of rank n - r drops the rank by r at every omega.
+    a = MatPoly(np.random.default_rng(seed).normal(size=(n, n, 1)))
+    report = solve_mccoy(McCoyProblem(a, PerturbStructure.full(a), r=r), LmConfig())
     assert report.trace.termination in (Termination.GRAD_TOL, Termination.STEP_TOL)
     s = np.linalg.svd(a.coeff[:, :, 0], compute_uv=False)
-    assert report.distance == pytest.approx(np.hypot(s[1], s[2]), rel=1e-10)
+    assert report.distance == pytest.approx(np.linalg.norm(s[n - r :]), rel=1e-10)
+    assert report.certified
     assert report.delta_a.coeff.shape == a.coeff.shape
-    assert numeric_rank((a + report.delta_a).coeff[:, :, 0]) == 1
+    # Rank n - r, measured against |A|: at r = n the solved matrix is zero.
+    solved = np.linalg.svd((a + report.delta_a).coeff[:, :, 0], compute_uv=False)
+    assert np.count_nonzero(solved > 1e-10 * s[0]) == n - r
 
 
 def test_initial_guess_candidates_and_orthonormal_kernel():
-    a = MatPoly.from_entries([[[-1, 1], [0]], [[0], [-2, 1]]])
+    # The seed is the chart centre (X = 0, lam = 0), where the frame [Q | B0]
+    # is unitary.
+    a = MatPoly.from_entries([[[-1, 1], [0], [0]], [[0], [-2, 1], [0]], [[0], [0], [3]]])
     problem = McCoyProblem(a, PerturbStructure.full(a), r=2)
-    ws = _McCoyWorkspace(problem)
     z0 = initial_guess_mccoy(problem)
-    _, omega, br, bi, _ = ws.unpack(z0)
-    bc = br + 1j * bi
-    assert np.linalg.norm(bc.conj().T @ bc - np.eye(2)) <= 1e-12
+    ws = _McCoyWorkspace(problem, z0)
+    _, omega, x, lam = ws.unpack(z0)
+    assert x.shape == (1, 2) and not x.any() and not lam.any()
+    frame = np.hstack([ws.q, ws.b0])
+    assert np.linalg.norm(frame.conj().T @ frame - np.eye(3)) <= 1e-12
     assert np.isfinite(omega.real) and np.isfinite(omega.imag)
 
 
@@ -267,12 +247,12 @@ def test_solve_matches_all_entries_vanish_oracle():
 
 def _assert_mccoy_invariants(a, report):
     bc = report.kernel
+    assert bc.shape[0] == a.rows
     assert np.linalg.norm(bc.conj().T @ bc - np.eye(bc.shape[1])) <= 1e-8
     solved = a + report.delta_a
-    # Kernel block columns really annihilate the solved pencil/matrix.
+    # Kernel columns really annihilate the solved matrix.
     m = solved.evaluate(report.omega)
-    if bc.shape[0] == a.rows:
-        assert np.linalg.norm(m @ bc) <= 1e-7 * (1.0 + np.linalg.norm(m))
+    assert np.linalg.norm(m @ bc) <= 1e-7 * (1.0 + np.linalg.norm(m))
     s = np.linalg.svd(m, compute_uv=False)
     assert s[-bc.shape[1]] <= 1e-8 * max(1.0, s[0])
     assert np.all(np.isfinite(report.delta_a.coeff))
@@ -283,11 +263,12 @@ def _assert_mccoy_invariants(a, report):
 def test_solve_conjugation_symmetry():
     a = mccoy_rank2_instance(2)
     problem = McCoyProblem(a, PerturbStructure.full(a), r=2)
-    ws = _McCoyWorkspace(problem)
     z0 = initial_guess_mccoy(problem)
+    ws = _McCoyWorkspace(problem, z0)
     report = solve_mccoy(problem, LmConfig(), z0=z0)
-    p, omega, br, bi, lam = ws.unpack(z0)
-    z0_conj = ws.pack(p, omega.conjugate(), br, -bi, lam)
+    z0_conj = z0.copy()
+    z0_conj[ws.sl_w.start + 1] *= -1.0
+    z0_conj[ws.sl_xi] *= -1.0
     report_conj = solve_mccoy(problem, LmConfig(), z0=z0_conj)
     assert report.distance == pytest.approx(report_conj.distance, abs=1e-8)
 
@@ -353,26 +334,21 @@ def test_linearized_kernel_maps_back_to_matrix_kernel():
     report = solve_mccoy(McCoyProblem(a, PerturbStructure.full(a), r=2), LmConfig())
     assert report.trace.termination == Termination.GRAD_TOL
     solved = a + report.delta_a
-    omega = report.omega
-    n, d = 2, 2
+    # The kernel is an orthonormal n x r basis of the kernel of the solved
+    # matrix polynomial itself at omega.
     kernel = report.kernel
-    assert kernel.shape[0] == n * d
-    top = kernel[:n, :]
-    # Pencil kernel vectors stack x, omega x, ..., so the top block is a
-    # kernel block of the solved matrix polynomial itself.
-    assert np.linalg.norm(solved.evaluate(omega) @ top) <= 1e-7
-    assert np.allclose(kernel[n:, :], omega * top, atol=1e-7)
-    s = np.linalg.svd(solved.evaluate(omega), compute_uv=False)
+    assert kernel.shape == (2, 2)
+    assert np.linalg.norm(kernel.conj().T @ kernel - np.eye(2)) <= 1e-12
+    assert np.linalg.norm(solved.evaluate(report.omega) @ kernel) <= 1e-7
+    s = np.linalg.svd(solved.evaluate(report.omega), compute_uv=False)
     assert s[-2] <= 1e-8 * max(1.0, s[0])
 
 
 def test_divergence_watchdog_raises():
     a = mccoy_rank2_instance(5)
     problem = McCoyProblem(a, PerturbStructure.full(a), r=2)
-    ws = _McCoyWorkspace(problem)
-    z0 = initial_guess_mccoy(problem)
-    p, omega, br, bi, lam = ws.unpack(z0)
-    z_far = ws.pack(p, 2e8 + 0j, br, bi, lam)
+    z_far = initial_guess_mccoy(problem)
+    z_far[a.coeff.size : a.coeff.size + 2] = 2e8, 0.0
     # There is no `mccoy --reversal`: the advice names the library's transform.
     with pytest.raises(UnattainableProblem, match=r"lies at infinity; solve "
                        r"mccoy_opt\.reversed_problem\(problem\)"):
@@ -380,7 +356,7 @@ def test_divergence_watchdog_raises():
 
 
 def test_ex2_converges_in_few_iterations():
-    # The gain-ratio shift reaches the quadratic phase early: 11 iterations.
+    # The gain-ratio shift reaches the quadratic phase early: 7 iterations.
     a = cli.parse(str(FIXTURES / "ex1.json")).to_matpoly()
     report = solve_mccoy(McCoyProblem(a, PerturbStructure.support(a), r=4), LmConfig())
     assert report.trace.termination == Termination.GRAD_TOL

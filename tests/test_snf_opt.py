@@ -11,6 +11,7 @@ from polysmith.matpoly import MatPoly, PerturbStructure, Poly
 from polysmith.mccoy_opt import (
     McCoyProblem,
     _McCoyWorkspace,
+    initial_guess_mccoy,
     reversed_problem,
     solve_mccoy,
 )
@@ -204,8 +205,9 @@ def _certify_case(solver):
     else:
         mat = mccoy_rank2_instance(0)
         problem = McCoyProblem(mat, PerturbStructure.full(mat), r=2)
-        ws = _McCoyWorkspace(problem)
-        report = solve_mccoy(problem, LmConfig())
+        z0 = initial_guess_mccoy(problem)
+        ws = _McCoyWorkspace(problem, z0)
+        report = solve_mccoy(problem, LmConfig(), z0=z0)
     return report, ws.residual, ws.hessian, ws.n_x
 
 
