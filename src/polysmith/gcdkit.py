@@ -32,6 +32,11 @@ EIGEN_RANK_TOL = 1e-6
 # Divisor seeds refined by the alternating fit.
 SEED_SHORTLIST = 4
 
+# Sweep cap of the alternating fit, and the number of recent sweep gains
+# whose rate decides whether it can converge before the cap (see approx_gcd).
+_ALS_SWEEPS = 100
+_ALS_WINDOW = 10
+
 
 @dataclass
 class TrivialityReport:
@@ -51,11 +56,20 @@ class TrivialityReport:
 
 @dataclass
 class ApproxGcdResult:
-    """Monic approximate common divisor with cofactors and fit residual."""
+    """Monic approximate common divisor with cofactors and fit residual.
+
+    sweeps counts the alternating-fit sweeps run, a discarded last one
+    included; stop says why the fit ended: "converged" (the residual gain
+    fell below 1e-12), "rate" (at its rate the gain could not do so before
+    the sweep cap), "rose" (a sweep raised the residual and was discarded)
+    or "cap" (all _ALS_SWEEPS sweeps ran).
+    """
 
     h: Poly
     cofactors: list
     residual: float
+    sweeps: int
+    stop: str
 
 
 def rank_at_point(a: MatPoly, omega) -> int:
@@ -343,7 +357,11 @@ def approx_gcd(f, deg_h: int, dprime) -> ApproxGcdResult:
     Root candidates pooled from the entries seed the divisor; the refinement
     then alternates between solving for cofactors with the divisor fixed and
     re-fitting the divisor (leading coefficient pinned to one) with the
-    cofactors fixed, until the residual stops improving.
+    cofactors fixed.  A fit ends when its residual gain per sweep falls below
+    1e-12, when a sweep raises the residual, or after _ALS_SWEEPS sweeps.
+    The fit converges only linearly, so it ends early once the geometric
+    rate of its last _ALS_WINDOW gains could not bring the gain below 1e-12
+    before that cap (lmsolve's Sublinear rule, applied to the fit).
     """
     return approx_gcd_candidates(f, deg_h, dprime)[0]
 
@@ -367,21 +385,23 @@ def approx_gcd_candidates(f, deg_h: int, dprime) -> list:
         if key not in unique or fit[2] < unique[key][2]:
             unique[key] = fit
     results = []
-    for h, cofactors, residual in sorted(unique.values(), key=lambda fit: fit[2]):
+    for h, cofactors, residual, sweeps, stop in sorted(unique.values(), key=lambda fit: fit[2]):
         polys = [Poly.zero(max(d - deg_h, 0)) for d in dprime]
         for i, u in zip(active, cofactors):
             polys[i] = Poly(u)
-        results.append(ApproxGcdResult(h=Poly(h), cofactors=polys, residual=residual))
+        results.append(ApproxGcdResult(Poly(h), polys, residual, sweeps, stop))
     return results
 
 
 def _alternating_fits(seeds, targets, deg_h: int) -> list:
-    """(h, cofactors, residual) from each seed by alternating least squares.
+    """(h, cofactors, residual, sweeps, stop) from each seed by alternating least squares.
 
     Cofactors of one declared degree come from one multi-right-hand-side
     solve, and the monic divisor from one solve against the stacked cofactor
     convolution matrices; both matrices are written by scatters with fixed
-    indices.  A sweep that raises the residual ends at the previous fit.
+    indices.  A sweep that raises the residual ends at the previous fit.  The
+    rate rule reads the gains from the second sweep on; the first one's,
+    from an infinite residual, is not kept.
     """
     counts = np.array([t.size - deg_h for t in targets])  # coefficients per cofactor
     ends = np.cumsum(counts)
@@ -400,8 +420,8 @@ def _alternating_fits(seeds, targets, deg_h: int) -> list:
     rows = np.repeat(deg_h * np.arange(counts.size), counts) + np.arange(ends[-1]) + cols
     fits = []
     for h in seeds:
-        cofactors, residual = np.zeros(ends[-1]), np.inf
-        for _ in range(100):
+        cofactors, residual, gains, stop = np.zeros(ends[-1]), np.inf, [], "cap"
+        for sweep in range(1, _ALS_SWEEPS + 1):
             new_cofactors = np.empty(ends[-1])
             for matrix, conv_rows, conv_cols, group_rhs, where in solves:
                 matrix[conv_rows, conv_cols] = h
@@ -415,12 +435,22 @@ def _alternating_fits(seeds, targets, deg_h: int) -> list:
                 total += float(diff @ diff)
             new_residual = math.sqrt(total)
             if not (new_residual <= residual + 1e-10 * (1.0 + residual)):
+                stop = "rose"
                 break
-            converged = abs(residual - new_residual) < 1e-12
+            gain = abs(residual - new_residual)
             h, cofactors, residual = new_h, new_cofactors, new_residual
-            if converged:
+            if gain < 1e-12:
+                stop = "converged"
                 break
-        fits.append((h, [cofactors[lo:hi] for lo, hi in bounds], residual))
+            if math.isfinite(gain):
+                gains.append(gain)
+            left = _ALS_SWEEPS - sweep
+            if len(gains) > _ALS_WINDOW and left > 0:
+                rate = (gain / gains[-1 - _ALS_WINDOW]) ** (1.0 / _ALS_WINDOW)
+                if gain * rate**left >= 1e-12:
+                    stop = "rate"
+                    break
+        fits.append((h, [cofactors[lo:hi] for lo, hi in bounds], residual, sweep, stop))
     return fits
 
 

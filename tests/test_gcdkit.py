@@ -193,19 +193,20 @@ def test_root_projection_score_matches_per_entry_loop():
 
 
 # Every candidate's divisor and residual as float.hex, and a SHA-256 over the
-# float.hex strings of all cofactors, as the per-entry alternating fit
-# computed them.  The seed decides which local minimum a solve reaches, so it
-# must stay bitwise the same.
+# float.hex strings of all cofactors: the seed as the alternating fit computes
+# it, its stop rules included.  The seed decides which local minimum a solve
+# reaches, so it must stay bitwise the same.  The ex1-1 and diagonal-1 fits
+# converge; the ex1-2 fits stop by their rate after 12 sweeps.
 SEED_GOLDEN = {
     "ex1-1": ([(["0x1.9367b2ce33f5cp-5", "0x1.0000000000000p+0"], "0x1.8f192e2128af0p+1"),
                (["0x1.936740f66cd41p-5", "0x1.0000000000000p+0"], "0x1.8f192e2128eaap+1"),
                (["0x1.93672fd858329p-5", "0x1.0000000000000p+0"], "0x1.8f192e2128fdcp+1")],
               "d9cce2c68ca6d9db12f2f53336d2feb9c18081f16f344c483c1f57950ca39fb0"),
-    "ex1-2": ([(["0x1.5104a0863c147p+0", "-0x1.418e75faaab77p-5", "0x1.0000000000000p+0"],
-                "0x1.d28041210b7bdp-6"),
-               (["0x1.10fe2b19c0420p+0", "0x1.f6497997dcbb0p-3", "0x1.0000000000000p+0"],
-                "0x1.05deb5f8a2c4ep-5")],
-              "9340db49ad1d7c780d0b6641042bdbe23a2fc539249fc1beba6665725e6f64b8"),
+    "ex1-2": ([(["0x1.51755bfbc45b9p+0", "-0x1.435cd0057dc25p-5", "0x1.0000000000000p+0"],
+                "0x1.d2f84b6410c18p-6"),
+               (["0x1.0fee68cceed1ap+0", "0x1.048224dc818aap-2", "0x1.0000000000000p+0"],
+                "0x1.0f3bb0aff2f39p-5")],
+              "6d8c4f74d28fb5266e36b22d27bbec90c9cd2baf7f90abb20e5655c2b939c905"),
     "diagonal-1": ([(["0x1.25d817261e2b6p-2", "0x1.0000000000000p+0"], "0x1.e308c949bdcbap-4"),
                     (["0x1.25d81b031e4bbp-2", "0x1.0000000000000p+0"], "0x1.e308c949be8d8p-4"),
                     (["0x1.25d81b2130ad7p-2", "0x1.0000000000000p+0"], "0x1.e308c949be996p-4"),
@@ -216,16 +217,47 @@ SEED_GOLDEN = {
 
 @pytest.mark.parametrize("case", sorted(SEED_GOLDEN))
 def test_approx_gcd_candidates_bitwise_golden(case):
-    source, deg_h = case.split("-")
-    a = EX1 if source == "ex1" else diagonal_snf_instance(3)[0]
-    entries = adjoint(a).pvec()
-    fits = approx_gcd_candidates(entries, int(deg_h), [entries[0].declared_degree] * len(entries))
+    fits = _seed_fits(case)
     digest = hashlib.sha256()
     for fit in fits:
         for u in fit.cofactors:
             digest.update(" ".join(float(x).hex() for x in u.coeffs).encode())
     found = [([float(x).hex() for x in fit.h.coeffs], float(fit.residual).hex()) for fit in fits]
     assert (found, digest.hexdigest()) == SEED_GOLDEN[case]
+
+
+def _seed_fits(case):
+    source, deg_h = case.split("-")
+    a = EX1 if source == "ex1" else diagonal_snf_instance(3)[0]
+    entries = adjoint(a).pvec()
+    return approx_gcd_candidates(entries, int(deg_h), [entries[0].declared_degree] * len(entries))
+
+
+def test_rate_stopped_seed_stays_near_the_full_fit():
+    # The best ex1 deg_h=2 candidate after all 100 sweeps, before the rate
+    # rule: its residual and divisor as float.hex.
+    full_residual = float.fromhex("0x1.d28041210b7bdp-6")
+    full_h = [float.fromhex(x) for x in ("0x1.5104a0863c147p+0", "-0x1.418e75faaab77p-5", "0x1.0p+0")]
+    best = _seed_fits("ex1-2")[0]
+    assert best.stop == "rate"
+    assert full_residual <= best.residual <= 1.005 * full_residual
+    assert np.max(np.abs(best.h.coeffs - full_h)) <= 1e-2
+
+
+@pytest.mark.parametrize("case, most_sweeps", [("ex1-1", 60), ("ex1-2", 50), ("diagonal-1", 49)])
+def test_alternating_fit_sweep_budget(monkeypatch, case, most_sweeps):
+    # Every seed is fitted, duplicates included, and each sweep of these
+    # inputs makes one cofactor solve and one divisor solve.  The four ex1-2
+    # seeds ran 400 sweeps before the rate rule; the other fits converge.
+    solves = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: solves.append(1) or lstsq(*args, **kw))
+    fits = _seed_fits(case)
+    assert len(solves) <= 2 * most_sweeps
+    assert sum(fit.sweeps for fit in fits) <= most_sweeps
+    expected = "rate" if case == "ex1-2" else "converged"
+    assert [fit.stop for fit in fits] == [expected] * len(fits)
+
 
 def test_triviality_report_identity():
     eye = MatPoly.identity(3, 0)
