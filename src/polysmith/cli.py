@@ -227,7 +227,8 @@ def _cmd_snf(args):
 def _cmd_mccoy(args):
     report = solve_mccoy(McCoyProblem(*_load(args), r=args.rank_drop), _lm_config(args))
     return _solved(report, report.omega, report.delta_a,
-                   invariant_factor=report.invariant_factor.coeffs.tolist())
+                   invariant_factor=report.invariant_factor.coeffs.tolist(),
+                   rank_gap=report.rank_gap)
 
 
 def _cmd_selftest(args):

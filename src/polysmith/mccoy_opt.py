@@ -27,6 +27,7 @@ Python loop over the parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -76,6 +77,11 @@ class McCoyProblem:
 
 @dataclass
 class McCoyReport:
+    """The solved point.  rank_gap is sigma_{n-r+1}((A + dA)(omega)) over
+    sigma_1(A(omega)): about eps where (A + dA)(omega) drops rank by r, so a
+    run that ended short of the constraint shows it; NaN where A(omega)
+    overflows."""
+
     delta_a: MatPoly
     distance: float
     omega: complex
@@ -83,6 +89,7 @@ class McCoyReport:
     invariant_factor: Poly
     certified: bool
     trace: LmTrace
+    rank_gap: float
     z: np.ndarray = field(repr=False, default=None)
 
 
@@ -281,8 +288,21 @@ def _extract_mccoy_report(ws: _McCoyWorkspace, z, trace, certified: bool) -> McC
         invariant_factor=factor,
         certified=certified,
         trace=trace,
+        rank_gap=_rank_gap(ws, p, omega),
         z=np.asarray(z, dtype=float),
     )
+
+
+def _rank_gap(ws: _McCoyWorkspace, p, omega: complex) -> float:
+    """sigma_{n-r+1}((A + dA(p))(omega)) / sigma_1(A(omega)); see McCoyReport."""
+    values = np.stack([ws.structure.apply(ws.a, p).evaluate(omega), ws.a.evaluate(omega)])
+    if not np.isfinite(values).all():
+        return math.nan
+    s = np.linalg.svd(values, compute_uv=False)
+    gap, top = s[0, ws.n - ws.r], s[1, 0]
+    if not gap:
+        return 0.0
+    return float(gap / top) if top else math.inf
 
 
 def reversed_problem(problem):

@@ -5,11 +5,21 @@ the adjoint entries to share the divisor h, which is equivalent to the last
 two invariant factors being non-trivial.  The first-order optimality system
 of the Lagrangian is driven to zero with the regularized Newton solver.
 
+Only the live adjugate entries are constrained: those the mask can make
+nonzero, with a finite reachable degree (gcdkit.reachable_adjoint_degrees,
+Murota's combinatorial bound).  Every permutation of a dead entry's
+complementary minor meets a coefficient that is zero and not perturbed, so
+the entry vanishes for every p; its rows would read 0 = F_e h with h monic
+and only pin F_e = 0.  Dropping them changes neither the feasible (p, h) nor
+the minimizers, and the report's cofactors carry F_e = 0 there.
+
 State layout: z = (p, vec(F), h, lam) where p holds the masked perturbation
-parameters, F is the cofactor matrix (degree bound (n-1)d - deg_h), h holds
-all deg_h + 1 coefficients (the monic normalization is a constraint), and
-lam stacks one multiplier per adjoint coefficient plus one for the
-normalization row.
+parameters, vec(F) stacks the cofactors of the live entries in column-major
+entry order (degree bound (n-1)d - deg_h each), h holds all deg_h + 1
+coefficients (the monic normalization is a constraint), and lam stacks one
+multiplier per coefficient of a live adjoint entry plus one for the
+normalization row.  Example 1's support mask leaves 8 of its 16 entries
+live, so its KKT system at deg_h = 2 has 165 rows; all 16 would make 309.
 
 An infimum at infinity is reached by solving reversed_problem(problem)
 (from mccoy_opt): the same problem on rev A(t) = t^d A(1/t) and the reversed
@@ -30,9 +40,9 @@ import numpy as np
 from .detadj import AdjugateNodes, adjoint, require_full_rank
 from .errors import DimensionMismatch, RankDeficientInput, UnattainableProblem, ValidationError
 from .gcdkit import (approx_gcd_candidates, detect_unattainable, local_invariant_structure,
-                     rank_at_point)
+                     rank_at_point, reachable_adjoint_degrees)
 from .lmsolve import CONVERGED, KktWorkspace, LmConfig, LmTrace, certify, lm_minimize
-from .matpoly import MatPoly, PerturbStructure, Poly
+from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 
 
 @dataclass
@@ -78,6 +88,13 @@ class _Linearization:
     jac: np.ndarray
 
 
+def live_entries(a: MatPoly, structure: PerturbStructure) -> np.ndarray:
+    """Column-major indices, as in vec(Adj), of the adjugate entries that the
+    mask can make nonzero: those with a finite reachable degree."""
+    reach = reachable_adjoint_degrees(a, structure).T.ravel()
+    return np.flatnonzero(reach != NEG_INF)
+
+
 class _Workspace(KktWorkspace):
     """Index bookkeeping and the KKT system of one problem instance."""
 
@@ -91,9 +108,13 @@ class _Workspace(KktWorkspace):
         self.deg_f = self.dadj - self.deg_h
         self.m_p = structure.num_params
         self.n_entries = self.n * self.n
-        self.n_f = self.n_entries * (self.deg_f + 1)
+        self.live = live_entries(a, structure)
+        self.n_live = self.live.size
+        # The rows of the live entries in d vec(Adj) / d vec(A).
+        self.live_rows = (self.live[:, None] * (self.dadj + 1) + np.arange(self.dadj + 1)).ravel()
+        self.n_f = self.n_live * (self.deg_f + 1)
         self.n_h = self.deg_h + 1
-        self.n_c = self.n_entries * (self.dadj + 1) + 1
+        self.n_c = self.n_live * (self.dadj + 1) + 1
         self.n_x = self.m_p + self.n_f + self.n_h
         self.sl_p = slice(0, self.m_p)
         self.sl_f = slice(self.m_p, self.m_p + self.n_f)
@@ -122,25 +143,30 @@ class _Workspace(KktWorkspace):
     def write_hxx(self, h_xx, lin: _Linearization):
         """H_xx: the (p, p) block is the quadratic objective plus the adjoint
         curvature from (n-3)-minors, symmetrized; the F h coupling is bilinear."""
-        lam_c = lin.lam[:-1]
-        curvature = lin.system.curvature(lam_c)
+        lam_blocks = lin.lam[:-1].reshape(self.n_live, self.dadj + 1)
+        curvature = lin.system.curvature(self.scatter_live(lam_blocks))
         pp = 2.0 * np.eye(self.m_p) + curvature[np.ix_(self.param_idx, self.param_idx)]
         h_xx[self.sl_p, self.sl_p] = 0.5 * (pp + pp.T)
         # Cross block between cofactors and divisor: bilinear, hence exact.
-        lam_blocks = lam_c.reshape(self.n_entries, self.dadj + 1)
         windows = np.lib.stride_tricks.sliding_window_view(lam_blocks, self.n_h, axis=1)
         cross = -windows.reshape(self.n_f, self.n_h)
         h_xx[self.sl_f, self.sl_h] = cross
         h_xx[self.sl_h, self.sl_f] = cross.T
 
+    def scatter_live(self, blocks) -> np.ndarray:
+        """Rows of the live entries scattered into vec over all n^2 entries, zero elsewhere."""
+        out = np.zeros((self.n_entries, blocks.shape[1]))
+        out[self.live] = blocks
+        return out.reshape(-1)
+
     def adjoint_jacobian(self, system: AdjugateNodes) -> np.ndarray:
-        return system.jacobian()[:, self.param_idx]
+        return system.jacobian()[np.ix_(self.live_rows, self.param_idx)]
 
     def _conv_grid(self):
-        """Entry e, cofactor coefficient j and divisor coefficient t, broadcast
-        against each other, and the row e ((n-1)d + 1) + j + t of vec(F h)
-        where F_e[j] h[t] lands."""
-        e = np.arange(self.n_entries)[:, None, None]
+        """Live entry e, cofactor coefficient j and divisor coefficient t,
+        broadcast against each other, and the row e ((n-1)d + 1) + j + t of
+        vec(F h) where F_e[j] h[t] lands."""
+        e = np.arange(self.n_live)[:, None, None]
         j, t = np.arange(self.deg_f + 1)[:, None], np.arange(self.n_h)
         return e, j, t, e * (self.dadj + 1) + j + t
 
@@ -154,15 +180,15 @@ class _Workspace(KktWorkspace):
     def cofactor_blocks(self, f_vec) -> np.ndarray:
         """Stacked matrix mapping h to vec(F h)."""
         _, _, t, rows = self._conv_grid()
-        out = np.zeros((self.n_entries * (self.dadj + 1), self.n_h))
-        out[rows, t] = f_vec.reshape(self.n_entries, self.deg_f + 1, 1)
+        out = np.zeros((self.n_live * (self.dadj + 1), self.n_h))
+        out[rows, t] = f_vec.reshape(self.n_live, self.deg_f + 1, 1)
         return out
 
     def constraint(self, system, f_vec, h) -> np.ndarray:
         # vec(Adj) without MatPoly.vec's degree scan: the bound is exactly dadj.
-        adj = system.adjoint().coeff.transpose(1, 0, 2).reshape(-1)
-        blocks = f_vec.reshape(self.n_entries, self.deg_f + 1)
-        residual = adj - (blocks @ self.divisor_matrix(h).T).reshape(-1)
+        adj = system.adjoint().coeff.transpose(1, 0, 2).reshape(self.n_entries, -1)[self.live]
+        blocks = f_vec.reshape(self.n_live, self.deg_f + 1)
+        residual = (adj - blocks @ self.divisor_matrix(h).T).reshape(-1)
         return np.concatenate([residual, [h[-1] - 1.0]])
 
     def constraint_jacobian(self, system, f_vec, h) -> np.ndarray:
@@ -180,13 +206,14 @@ def initial_guess(problem: SnfProblem, ws: _Workspace | None = None) -> np.ndarr
     """Zero perturbation and multipliers, divisor and cofactors from an approximate GCD.
 
     Among the candidate divisor fits, the one whose root A is closest to
-    dropping rank by two at wins (see _rank_drop_score).
+    dropping rank by two at wins (see _rank_drop_score).  The fit runs over
+    every adjugate entry; only the live entries' cofactors enter z.
     """
     ws = ws or _Workspace(problem)
     entries = adjoint(ws.a).pvec()
     fits = approx_gcd_candidates(entries, problem.deg_h, [ws.dadj] * len(entries))
     fit = min(fits, key=lambda cand: _rank_drop_score(ws, cand))
-    f_vec = np.concatenate([u.padded(ws.deg_f).coeffs for u in fit.cofactors])
+    f_vec = np.concatenate([fit.cofactors[e].padded(ws.deg_f).coeffs for e in ws.live])
     h = fit.h.padded(ws.deg_h).coeffs
     return ws.pack(np.zeros(ws.m_p), f_vec, h, np.zeros(ws.n_c))
 
@@ -238,7 +265,7 @@ def _extract_report(ws: _Workspace, z, trace, certified: bool) -> SnfReport:
     h = Poly(h_coeffs)
     if abs(h.coeffs[-1]) > 1e-8:
         h = Poly(h.coeffs / h.coeffs[-1])
-    cofactors = MatPoly.unvec(f_vec, ws.n, ws.n, ws.deg_f)
+    cofactors = MatPoly.unvec(ws.scatter_live(f_vec.reshape(ws.n_live, -1)), ws.n, ws.n, ws.deg_f)
     a_solved = ws.a + delta
     if rank_at_point(a_solved, 0) <= ws.n - 2:
         # A root of multiplicity m is only accurate to eps^(1/m), so the

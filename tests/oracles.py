@@ -107,21 +107,26 @@ def snf_kkt_hessian_block(ws, z):
     """Bordered SNF Hessian with J built from np.kron and stacked conv_matrix
     blocks, assembled by np.block and symmetrized whole: the reference for
     the band-scatter assembly, which must match it bit for bit.  It reads the
-    workspace's adjugate kernel and parameter indices."""
+    workspace's adjugate kernel, its live adjugate entries and its parameter
+    indices: the kron and conv blocks run over the live entries, and the
+    curvature takes lam scattered back to all n^2 entries, zero elsewhere."""
     p, f_vec, h, lam = ws.unpack(z)
     system = AdjugateNodes(ws.perturbed(p))
-    lam_c = lam[:-1]
+    n_live = len(ws.live)
     j = np.zeros((ws.n_c, ws.n_x))
     j[:-1, ws.sl_p] = ws.adjoint_jacobian(system)
-    j[:-1, ws.sl_f] = -np.kron(np.eye(ws.n_entries), conv_matrix(Poly(h), ws.deg_f))
-    blocks = f_vec.reshape(ws.n_entries, ws.deg_f + 1)
+    j[:-1, ws.sl_f] = -np.kron(np.eye(n_live), conv_matrix(Poly(h), ws.deg_f))
+    blocks = f_vec.reshape(n_live, ws.deg_f + 1)
     j[:-1, ws.sl_h] = -np.vstack([conv_matrix(Poly(b), ws.deg_h) for b in blocks])
     j[-1, ws.n_x - 1] = 1.0
 
     h_xx = np.zeros((ws.n_x, ws.n_x))
-    curvature = system.curvature(lam_c)
+    lam_blocks = lam[:-1].reshape(n_live, ws.dadj + 1)
+    lam_full = np.zeros((ws.n * ws.n, ws.dadj + 1))
+    for k, e in enumerate(ws.live):
+        lam_full[e] = lam_blocks[k]
+    curvature = system.curvature(lam_full.ravel())
     h_xx[ws.sl_p, ws.sl_p] = 2.0 * np.eye(ws.m_p) + curvature[np.ix_(ws.param_idx, ws.param_idx)]
-    lam_blocks = lam_c.reshape(ws.n_entries, ws.dadj + 1)
     windows = np.lib.stride_tricks.sliding_window_view(lam_blocks, ws.n_h, axis=1)
     cross = -windows.reshape(ws.n_f, ws.n_h)
     h_xx[ws.sl_f, ws.sl_h] = cross

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from polysmith import cli, gcdkit, snf_opt
 from polysmith.errors import ParseError, ValidationError
 from polysmith.lmsolve import LmTrace, Termination
-from polysmith.matpoly import PerturbStructure
+from polysmith.matpoly import MatPoly, PerturbStructure
 from polysmith.snf_opt import SnfProblem
 
 from conftest import FIXTURES
@@ -277,6 +277,30 @@ def test_mccoy_reports_certificate(capsys, tmp_path):
     report, code = run_cli(capsys, ["snf", str(paths[2]), "--deg-h", "1"])
     assert code == cli.EXIT_OK and report["certified"] is True
     assert report["distance"] == pytest.approx(1.117725, abs=1e-6)
+
+
+def test_mccoy_rank_gap_tells_a_feasible_point(capsys, tmp_path):
+    # ex2 drops rank by 4 at omega.  On ex1 scaled by 1e3 the run ends
+    # Sublinear at a distance below ex2's optimum, at a point where the
+    # rank has not dropped: the gap says so, the exit code stays 2.
+    report, code = run_cli(capsys, ["mccoy", str(FIXTURES / "ex1.json"), "--rank-drop", "4"])
+    assert code == cli.EXIT_OK and report["rank_gap"] <= 1e-10
+    doc = json.loads((FIXTURES / "ex1.json").read_text())
+    doc["entries"] = [[[1e3 * x for x in cell] for cell in row] for row in doc["entries"]]
+    path = tmp_path / "ex1_scaled.json"
+    path.write_text(json.dumps(doc))
+    report, code = run_cli(capsys, ["mccoy", str(path), "--rank-drop", "4"])
+    assert code == cli.EXIT_STALLED and report["certified"] is False
+    assert report["rank_gap"] >= 1e-2
+    # At r=2 the gap is the third singular value of 4, not the smallest.
+    report, code = run_cli(capsys, ["mccoy", str(path), "--rank-drop", "2"])
+    a = cli.parse(str(path)).to_matpoly()
+    omega = complex(*report["omega"])
+    solved = np.linalg.svd((a + MatPoly.from_entries(report["delta"])).evaluate(omega),
+                           compute_uv=False)
+    top = np.linalg.svd(a.evaluate(omega), compute_uv=False)[0]
+    assert code == cli.EXIT_STALLED
+    assert report["rank_gap"] == pytest.approx(solved[2] / top, rel=1e-9)
 
 
 def test_mask_file_structure(capsys, tmp_path):

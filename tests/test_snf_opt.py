@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from polysmith import cli, mccoy_opt, snf_opt
+from polysmith import cli, gcdkit, mccoy_opt, snf_opt
 from polysmith.detadj import adjoint
 from polysmith.gcdkit import distance_lower_bound
 from polysmith.lmsolve import LmConfig, Termination, certify
@@ -19,6 +19,7 @@ from polysmith.snf_opt import (
     SnfProblem,
     _Workspace,
     initial_guess,
+    live_entries,
     solve,
     solve_best_degree,
 )
@@ -100,10 +101,82 @@ def test_kkt_hessian_matches_block_assembly_bitwise(kind, reverse):
         assert np.array_equal(got, snf_kkt_hessian_block(ws, z))
         assert np.array_equal(got, got.T)
         _, f_vec, h, _ = ws.unpack(z)
-        blocks = f_vec.reshape(ws.n_entries, ws.deg_f + 1)
+        blocks = f_vec.reshape(ws.n_live, ws.deg_f + 1)
         assert np.array_equal(ws.divisor_matrix(h), conv_matrix(Poly(h), ws.deg_f))
         assert np.array_equal(ws.cofactor_blocks(f_vec),
                               np.vstack([conv_matrix(Poly(b), ws.deg_h) for b in blocks]))
+
+
+def _random_sparse_case(rng, n, d):
+    """Gaussian coefficients on a random set of entries, and a mask on
+    random coefficients of another random set of entries."""
+    entries, masked = rng.random((n, n, 1)) < 0.6, rng.random((n, n, 1)) < 0.2
+    a = MatPoly(np.where(entries, rng.normal(size=(n, n, d + 1)), 0.0))
+    return a, PerturbStructure(masked & (rng.random((n, n, d + 1)) < 0.7))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_dropped_adjugate_entries_vanish_for_every_perturbation(n, d):
+    # The workspace constrains only the live adjugate entries.  A dropped
+    # entry is zero at every admissible p, and a kept one is not
+    # identically zero, for the input and for its reversal (the data of
+    # reversed_problem).
+    rng = np.random.default_rng(1000 * n + d)
+    for _ in range(3):
+        a, structure = _random_sparse_case(rng, n, d)
+        for a, structure in ((a, structure), (a.reversed(), structure.reversed())):
+            live = live_entries(a, structure)
+            dead = np.setdiff1d(np.arange(n * n), live)
+            for k in range(3):
+                p = rng.normal(size=structure.num_params)
+                adj = adjoint(structure.apply(a, p)).coeff.transpose(1, 0, 2).reshape(n * n, -1)
+                scale = np.max(np.abs(adj))
+                assert np.max(np.abs(adj[dead]), initial=0.0) <= 1e-12 * scale
+                if k == 0:
+                    assert np.all(np.max(np.abs(adj[live]), axis=1) > 1e-8 * scale)
+            if (n - 1) * d >= 1:
+                ws = _Workspace(SnfProblem(a, structure, deg_h=1))
+                assert np.array_equal(ws.live, live)
+                assert ws.n_c == live.size * ((n - 1) * d + 1) + 1
+
+
+def test_kkt_size_counts_live_entries_only():
+    a = cli.parse(str(FIXTURES / "ex1.json")).to_matpoly()
+    for deg_h, rows in ((2, 165), (1, 172)):
+        ws = _Workspace(SnfProblem(a, PerturbStructure.support(a), deg_h=deg_h))
+        assert ws.live.size == 8 and ws.n_x + ws.n_c == rows
+    mat, _, _ = diagonal_snf_instance(0)
+    ws = _Workspace(SnfProblem(mat, PerturbStructure.degree(mat), deg_h=1))
+    assert ws.live.tolist() == [0, 3] and ws.n_x + ws.n_c == 19
+    dense = random_full_rank_matpoly(np.random.default_rng(3), 3, 2)
+    ws = _Workspace(SnfProblem(dense, PerturbStructure.full(dense), deg_h=1))
+    assert ws.live.tolist() == list(range(9)) and ws.n_x + ws.n_c == 111
+
+
+def test_reachable_degrees_run_once_per_workspace_outside_the_loop(monkeypatch):
+    # The permutation loop of reachable_adjoint_degrees is factorial in n;
+    # ex1's solve runs it for the attainability check and the workspace,
+    # never from inside lm_minimize.
+    calls, inside = [], []
+
+    def counted(*args, _fn=gcdkit.reachable_adjoint_degrees):
+        calls.append(1)
+        return _fn(*args)
+
+    def loop(*args, _fn=snf_opt.lm_minimize):
+        before = len(calls)
+        out = _fn(*args)
+        inside.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(gcdkit, "reachable_adjoint_degrees", counted)
+    monkeypatch.setattr(snf_opt, "reachable_adjoint_degrees", counted)
+    monkeypatch.setattr(snf_opt, "lm_minimize", loop)
+    a = cli.parse(str(FIXTURES / "ex1.json")).to_matpoly()
+    report = solve(SnfProblem(a, PerturbStructure.support(a), deg_h=2), LmConfig())
+    assert report.trace.iterations == 19
+    assert len(calls) <= 2 and inside == [0]
 
 
 def singular_at_one_3x3(seed):
