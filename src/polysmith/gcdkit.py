@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .detadj import adjoint, determinant, jacobian_adj
 from .errors import DegreeTooLarge, RankDeficientInput
@@ -191,20 +192,22 @@ class Analysis:
         power = self.k if self.a.degree_bound == 0 else self.k * (self.n - 1)
         return _rescaled(self.padded[1], power)
 
-    def unattainable(self, structure: PerturbStructure) -> bool:
+    def unattainable(self, structure: PerturbStructure, reach=None) -> bool:
         """True iff the nearest non-trivial Smith form is an infimum at infinity.
 
         Tests the adjoint entries at their actual degrees, at the maximal
         degrees reachable under the perturbation mask, and after reversal at
         those degrees: the infimum is unattainable exactly when padding to
         the reachable degrees kills full rank and the reversed entries share
-        a root at zero.
+        a root at zero.  reach is reachable_adjoint_degrees(self.a,
+        structure) when the caller has it.
         """
         self.require_nonsingular()
         if not self.gcd_trivial:
             return False
-        reach = reachable_adjoint_degrees(self.a, structure).T.ravel()
-        pairs = [(p, int(max(r, p.degree(), 0))) for p, r in zip(self.entries, reach)
+        if reach is None:
+            reach = reachable_adjoint_degrees(self.a, structure)
+        pairs = [(p, int(max(r, p.degree(), 0))) for p, r in zip(self.entries, reach.T.ravel())
                  if not (r == NEG_INF and p.degree() == NEG_INF)]
         if len(pairs) < 2 or max(dp for _, dp in pairs) == 0:
             return False
@@ -341,9 +344,9 @@ def reachable_adjoint_degrees(a: MatPoly, structure: PerturbStructure) -> np.nda
     return out
 
 
-def detect_unattainable(a: MatPoly, structure: PerturbStructure) -> bool:
+def detect_unattainable(a: MatPoly, structure: PerturbStructure, reach=None) -> bool:
     """True iff the nearest non-trivial Smith form is at infinity; see Analysis.unattainable."""
-    return Analysis(a).unattainable(structure)
+    return Analysis(a).unattainable(structure, reach)
 
 
 def distance_lower_bound(a: MatPoly):
@@ -361,7 +364,9 @@ def approx_gcd(f, deg_h: int, dprime) -> ApproxGcdResult:
     1e-12, when a sweep raises the residual, or after _ALS_SWEEPS sweeps.
     The fit converges only linearly, so it ends early once the geometric
     rate of its last _ALS_WINDOW gains could not bring the gain below 1e-12
-    before that cap (lmsolve's Sublinear rule, applied to the fit).
+    before that cap (lmsolve's Sublinear rule, applied to the fit).  The
+    shortlisted seeds' fits run in lockstep, with one stacked LAPACK call
+    per solve, bit for bit the fits run one by one (see _alternating_fits).
     """
     return approx_gcd_candidates(f, deg_h, dprime)[0]
 
@@ -393,65 +398,101 @@ def approx_gcd_candidates(f, deg_h: int, dprime) -> list:
     return results
 
 
+def _stacked_lstsq(a, b) -> np.ndarray:
+    """np.linalg.lstsq(a[k], b, rcond=None)[0] for every slice a[k], in one call.
+
+    b is one right-hand side shared by every slice, or a stack of them.  This
+    is the LAPACK gelsd gufunc that np.linalg.lstsq calls, with its rcond and
+    error state, so each slice is bit for bit that call's solution and a
+    failed SVD raises LinAlgError as it does.
+    """
+    rcond = np.finfo(float).eps * max(a.shape[-2:])
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore", divide="ignore",
+                     under="ignore"):
+        return _umath_linalg.lstsq(a, b, rcond, signature="ddd->ddid")[0]
+
+
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
 def _alternating_fits(seeds, targets, deg_h: int) -> list:
     """(h, cofactors, residual, sweeps, stop) from each seed by alternating least squares.
 
-    Cofactors of one declared degree come from one multi-right-hand-side
-    solve, and the monic divisor from one solve against the stacked cofactor
-    convolution matrices; both matrices are written by scatters with fixed
-    indices.  A sweep that raises the residual ends at the previous fit.  The
-    rate rule reads the gains from the second sweep on; the first one's,
-    from an infinite residual, is not kept.
+    The seeds' fits run in lockstep.  Each sweep solves the cofactors of one
+    declared degree for every running fit in one stacked call (their conv(h)
+    matrices against that degree's targets), then every monic divisor in one
+    more stacked call against the fits' cofactor convolution matrices; both
+    stacks are written by scatters with fixed indices, and each slice is bit
+    for bit the per-fit np.linalg.lstsq call (see _stacked_lstsq).  Each fit
+    keeps its own residual, summed per target in target order, its stop rule
+    and its sweep count, and leaves the stack when it stops.  A sweep that
+    raises a fit's residual ends it at its previous fit.  The rate rule reads
+    the gains from the second sweep on; the first one's, from an infinite
+    residual, is not kept.
     """
     counts = np.array([t.size - deg_h for t in targets])  # coefficients per cofactor
     ends = np.cumsum(counts)
     bounds = list(zip((ends - counts).tolist(), ends.tolist()))
+    n_seeds = len(seeds)
     solves = []
     for count in dict.fromkeys(counts.tolist()):
         members = np.flatnonzero(counts == count)
         shift = np.arange(count)[:, None]
-        solves.append((np.zeros((count + deg_h, count)), shift + np.arange(deg_h + 1), shift,
-                       np.column_stack([targets[k] for k in members]),
+        solves.append((np.zeros((n_seeds, count + deg_h, count)), shift + np.arange(deg_h + 1),
+                       shift, np.column_stack([targets[k] for k in members]),
                        (ends - counts)[members][:, None] + shift.T))
     rhs = np.concatenate(targets)
-    stacked = np.zeros((rhs.size, deg_h + 1))
+    stacked = np.zeros((n_seeds, rhs.size, deg_h + 1))
     # Coefficient t of cofactor k multiplies h_j in row k*deg_h + (its flat index) + j.
     cols = np.arange(deg_h + 1)[:, None]
     rows = np.repeat(deg_h * np.arange(counts.size), counts) + np.arange(ends[-1]) + cols
-    fits = []
-    for h in seeds:
-        cofactors, residual, gains, stop = np.zeros(ends[-1]), np.inf, [], "cap"
-        for sweep in range(1, _ALS_SWEEPS + 1):
-            new_cofactors = np.empty(ends[-1])
-            for matrix, conv_rows, conv_cols, group_rhs, where in solves:
-                matrix[conv_rows, conv_cols] = h
-                new_cofactors[where] = np.linalg.lstsq(matrix, group_rhs, rcond=None)[0].T
-            stacked[rows, cols] = new_cofactors
-            free = np.linalg.lstsq(stacked[:, :-1], rhs - stacked[:, -1], rcond=None)[0]
-            new_h = np.concatenate([free, [1.0]])
+    h = np.array(seeds, dtype=float)
+    cofactors = np.zeros((n_seeds, ends[-1]))
+    residual, gains = [np.inf] * n_seeds, [[] for _ in seeds]
+    sweeps, stop = [0] * n_seeds, ["cap"] * n_seeds
+    live = list(range(n_seeds))
+    for sweep in range(1, _ALS_SWEEPS + 1):
+        n_live = len(live)
+        new_cofactors = np.empty((n_live, ends[-1]))
+        for matrix, conv_rows, conv_cols, group_rhs, where in solves:
+            matrix[:n_live, conv_rows, conv_cols] = h[live, None]
+            new_cofactors[:, where] = _stacked_lstsq(matrix[:n_live], group_rhs).transpose(0, 2, 1)
+        stacked[:n_live, rows, cols] = new_cofactors[:, None]
+        free = _stacked_lstsq(stacked[:n_live, :, :-1],
+                              (rhs - stacked[:n_live, :, -1])[..., None])
+        new_h = np.ones((n_live, deg_h + 1))
+        new_h[:, :-1] = free[..., 0]
+        running = []
+        for s, new_c, new_hs in zip(live, new_cofactors, new_h):
             total = 0.0
             for target, (lo, hi) in zip(targets, bounds):
-                diff = target - np.convolve(new_cofactors[lo:hi], new_h)
+                diff = target - np.convolve(new_c[lo:hi], new_hs)
                 total += float(diff @ diff)
             new_residual = math.sqrt(total)
-            if not (new_residual <= residual + 1e-10 * (1.0 + residual)):
-                stop = "rose"
-                break
-            gain = abs(residual - new_residual)
-            h, cofactors, residual = new_h, new_cofactors, new_residual
+            sweeps[s] = sweep
+            if not (new_residual <= residual[s] + 1e-10 * (1.0 + residual[s])):
+                stop[s] = "rose"
+                continue
+            gain = abs(residual[s] - new_residual)
+            h[s], cofactors[s], residual[s] = new_hs, new_c, new_residual
             if gain < 1e-12:
-                stop = "converged"
-                break
+                stop[s] = "converged"
+                continue
             if math.isfinite(gain):
-                gains.append(gain)
+                gains[s].append(gain)
             left = _ALS_SWEEPS - sweep
-            if len(gains) > _ALS_WINDOW and left > 0:
-                rate = (gain / gains[-1 - _ALS_WINDOW]) ** (1.0 / _ALS_WINDOW)
+            if len(gains[s]) > _ALS_WINDOW and left > 0:
+                rate = (gain / gains[s][-1 - _ALS_WINDOW]) ** (1.0 / _ALS_WINDOW)
                 if gain * rate**left >= 1e-12:
-                    stop = "rate"
-                    break
-        fits.append((h, [cofactors[lo:hi] for lo, hi in bounds], residual, sweep, stop))
-    return fits
+                    stop[s] = "rate"
+                    continue
+            running.append(s)
+        live = running
+        if not live:
+            break
+    return [(h[s], [cofactors[s, lo:hi] for lo, hi in bounds], residual[s], sweeps[s], stop[s])
+            for s in range(n_seeds)]
 
 
 def _root_projection_score(entries):

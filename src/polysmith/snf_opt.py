@@ -34,6 +34,7 @@ adjugate's derivatives at an iterate all come from its one Jacobian J.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,9 @@ class SnfReport:
     certified: bool
     trace: LmTrace
     z: np.ndarray = field(repr=False, default=None)
+    # (ApproxGcdResult, _rank_drop_score) of each shortlisted seed, in
+    # candidate order; the solve starts from the first with the least score.
+    seeds: list = field(repr=False, default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -88,17 +92,20 @@ class _Linearization:
     jac: np.ndarray
 
 
-def live_entries(a: MatPoly, structure: PerturbStructure) -> np.ndarray:
+def live_entries(a: MatPoly, structure: PerturbStructure, reach=None) -> np.ndarray:
     """Column-major indices, as in vec(Adj), of the adjugate entries that the
-    mask can make nonzero: those with a finite reachable degree."""
-    reach = reachable_adjoint_degrees(a, structure).T.ravel()
-    return np.flatnonzero(reach != NEG_INF)
+    mask can make nonzero: those with a finite reachable degree.  reach is
+    reachable_adjoint_degrees(a, structure) when the caller has it."""
+    if reach is None:
+        reach = reachable_adjoint_degrees(a, structure)
+    return np.flatnonzero(reach.T.ravel() != NEG_INF)
 
 
 class _Workspace(KktWorkspace):
-    """Index bookkeeping and the KKT system of one problem instance."""
+    """Index bookkeeping and the KKT system of one problem instance; reach as
+    in live_entries."""
 
-    def __init__(self, problem: SnfProblem):
+    def __init__(self, problem: SnfProblem, reach=None):
         a, structure = problem.a, problem.structure
         self.a, self.structure = a, structure
         self.n = a.rows
@@ -108,7 +115,7 @@ class _Workspace(KktWorkspace):
         self.deg_f = self.dadj - self.deg_h
         self.m_p = structure.num_params
         self.n_entries = self.n * self.n
-        self.live = live_entries(a, structure)
+        self.live = live_entries(a, structure, reach)
         self.n_live = self.live.size
         # The rows of the live entries in d vec(Adj) / d vec(A).
         self.live_rows = (self.live[:, None] * (self.dadj + 1) + np.arange(self.dadj + 1)).ravel()
@@ -120,6 +127,15 @@ class _Workspace(KktWorkspace):
         self.sl_f = slice(self.m_p, self.m_p + self.n_f)
         self.sl_h = slice(self.m_p + self.n_f, self.n_x)
         self.param_idx = structure.param_indices()
+
+    @cached_property
+    def seeds(self) -> list:
+        """(ApproxGcdResult, _rank_drop_score) of each shortlisted divisor
+        fit of the input's adjugate, in candidate order.  The fit runs over
+        every adjugate entry."""
+        entries = adjoint(self.a).pvec()
+        fits = approx_gcd_candidates(entries, self.deg_h, [self.dadj] * len(entries))
+        return [(fit, _rank_drop_score(self, fit)) for fit in fits]
 
     def pack(self, p, f_vec, h, lam) -> np.ndarray:
         return np.concatenate([p, f_vec, h, lam])
@@ -205,14 +221,12 @@ class _Workspace(KktWorkspace):
 def initial_guess(problem: SnfProblem, ws: _Workspace | None = None) -> np.ndarray:
     """Zero perturbation and multipliers, divisor and cofactors from an approximate GCD.
 
-    Among the candidate divisor fits, the one whose root A is closest to
-    dropping rank by two at wins (see _rank_drop_score).  The fit runs over
-    every adjugate entry; only the live entries' cofactors enter z.
+    Among the candidate divisor fits (_Workspace.seeds), the first one whose
+    root A is closest to dropping rank by two at wins (see _rank_drop_score).
+    Only the live entries' cofactors enter z.
     """
     ws = ws or _Workspace(problem)
-    entries = adjoint(ws.a).pvec()
-    fits = approx_gcd_candidates(entries, problem.deg_h, [ws.dadj] * len(entries))
-    fit = min(fits, key=lambda cand: _rank_drop_score(ws, cand))
+    fit = min(ws.seeds, key=lambda seed: seed[1])[0]
     f_vec = np.concatenate([fit.cofactors[e].padded(ws.deg_f).coeffs for e in ws.live])
     h = fit.h.padded(ws.deg_h).coeffs
     return ws.pack(np.zeros(ws.m_p), f_vec, h, np.zeros(ws.n_c))
@@ -240,20 +254,21 @@ def _rank_drop_score(ws: _Workspace, fit) -> float:
 
 def solve(problem: SnfProblem, cfg: LmConfig | None = None) -> SnfReport:
     """Run the constrained iteration and extract the solution record."""
-    _require_attainable(problem)
-    return _minimize(problem, cfg or LmConfig())
+    reach = reachable_adjoint_degrees(problem.a, problem.structure)
+    _require_attainable(problem, reach)
+    return _minimize(problem, cfg or LmConfig(), reach)
 
 
-def _require_attainable(problem: SnfProblem):
-    if detect_unattainable(problem.a, problem.structure):
+def _require_attainable(problem: SnfProblem, reach):
+    if detect_unattainable(problem.a, problem.structure, reach):
         raise UnattainableProblem(
             "the nearest non-trivial Smith form lies at infinity; solve "
             "mccoy_opt.reversed_problem(problem) instead (snf: add or drop --reversal)"
         )
 
 
-def _minimize(problem: SnfProblem, cfg: LmConfig) -> SnfReport:
-    ws = _Workspace(problem)
+def _minimize(problem: SnfProblem, cfg: LmConfig, reach) -> SnfReport:
+    ws = _Workspace(problem, reach)
     z0 = initial_guess(problem, ws)
     z, trace = lm_minimize(ws.residual, ws.hessian, z0, cfg)
     return _extract_report(ws, z, trace, certify(ws.residual, ws.hessian, z, ws.n_x, trace, cfg))
@@ -287,6 +302,7 @@ def _extract_report(ws: _Workspace, z, trace, certified: bool) -> SnfReport:
         certified=certified,
         trace=trace,
         z=np.asarray(z, dtype=float),
+        seeds=ws.seeds,
     )
 
 
@@ -307,18 +323,20 @@ def _divisor_root(h: Poly, a_solved: MatPoly):
 def solve_best_degree(a: MatPoly, structure: PerturbStructure,
                       cfg: LmConfig | None = None) -> SnfReport:
     """Try divisor degrees 1 and 2 and keep the smaller distance; one
-    attainability verdict, taken on the input and mask, covers both."""
+    attainability verdict, taken on the input and mask, covers both, and one
+    reachable_adjoint_degrees serves it and both workspaces."""
     n, d = a.rows, a.degree_bound
     if (n - 1) * d == 0:
         raise ValidationError(f"no divisor degree is feasible for n={n}, d={d}")
     problems = [SnfProblem(a, structure, deg_h=deg_h) for deg_h in (1, 2)
                 if deg_h <= (n - 1) * d]
-    _require_attainable(problems[0])
+    reach = reachable_adjoint_degrees(a, structure)
+    _require_attainable(problems[0], reach)
     cfg = cfg or LmConfig()
     reports, errors = [], []
     for problem in problems:
         try:
-            reports.append(_minimize(problem, cfg))
+            reports.append(_minimize(problem, cfg, reach))
         except RankDeficientInput as exc:
             errors.append(exc)
     if not reports:

@@ -6,9 +6,12 @@ force searches.  The exact-arithmetic and finite-difference oracles live in
 polysmith.selftest, which the CLI's selftest runs too, and are re-exported.
 """
 
+import math
+
 import numpy as np
 
 from polysmith.detadj import AdjugateNodes
+from polysmith.gcdkit import _ALS_SWEEPS, _ALS_WINDOW
 from polysmith.matpoly import MatPoly, Poly
 from polysmith.selftest import (  # noqa: F401
     exact_determinant,
@@ -151,3 +154,67 @@ def perturb_apply_via_delta(structure, a, params):
     out = a.coeff.copy()
     out[structure.mask] += delta.coeff[structure.mask]
     return MatPoly(out)
+
+
+def per_seed_alternating_fits(seeds, targets, deg_h: int) -> list:
+    """(h, cofactors, residual, sweeps, stop) from each seed by alternating least squares,
+    one seed after another with one np.linalg.lstsq call per solve: the
+    reference for gcdkit._alternating_fits, whose lockstep fits must match it
+    bit for bit.
+
+    Cofactors of one declared degree come from one multi-right-hand-side
+    solve, and the monic divisor from one solve against the stacked cofactor
+    convolution matrices; both matrices are written by scatters with fixed
+    indices.  A sweep that raises the residual ends at the previous fit.  The
+    rate rule reads the gains from the second sweep on; the first one's,
+    from an infinite residual, is not kept.
+    """
+    counts = np.array([t.size - deg_h for t in targets])  # coefficients per cofactor
+    ends = np.cumsum(counts)
+    bounds = list(zip((ends - counts).tolist(), ends.tolist()))
+    solves = []
+    for count in dict.fromkeys(counts.tolist()):
+        members = np.flatnonzero(counts == count)
+        shift = np.arange(count)[:, None]
+        solves.append((np.zeros((count + deg_h, count)), shift + np.arange(deg_h + 1), shift,
+                       np.column_stack([targets[k] for k in members]),
+                       (ends - counts)[members][:, None] + shift.T))
+    rhs = np.concatenate(targets)
+    stacked = np.zeros((rhs.size, deg_h + 1))
+    # Coefficient t of cofactor k multiplies h_j in row k*deg_h + (its flat index) + j.
+    cols = np.arange(deg_h + 1)[:, None]
+    rows = np.repeat(deg_h * np.arange(counts.size), counts) + np.arange(ends[-1]) + cols
+    fits = []
+    for h in seeds:
+        cofactors, residual, gains, stop = np.zeros(ends[-1]), np.inf, [], "cap"
+        for sweep in range(1, _ALS_SWEEPS + 1):
+            new_cofactors = np.empty(ends[-1])
+            for matrix, conv_rows, conv_cols, group_rhs, where in solves:
+                matrix[conv_rows, conv_cols] = h
+                new_cofactors[where] = np.linalg.lstsq(matrix, group_rhs, rcond=None)[0].T
+            stacked[rows, cols] = new_cofactors
+            free = np.linalg.lstsq(stacked[:, :-1], rhs - stacked[:, -1], rcond=None)[0]
+            new_h = np.concatenate([free, [1.0]])
+            total = 0.0
+            for target, (lo, hi) in zip(targets, bounds):
+                diff = target - np.convolve(new_cofactors[lo:hi], new_h)
+                total += float(diff @ diff)
+            new_residual = math.sqrt(total)
+            if not (new_residual <= residual + 1e-10 * (1.0 + residual)):
+                stop = "rose"
+                break
+            gain = abs(residual - new_residual)
+            h, cofactors, residual = new_h, new_cofactors, new_residual
+            if gain < 1e-12:
+                stop = "converged"
+                break
+            if math.isfinite(gain):
+                gains.append(gain)
+            left = _ALS_SWEEPS - sweep
+            if len(gains) > _ALS_WINDOW and left > 0:
+                rate = (gain / gains[-1 - _ALS_WINDOW]) ** (1.0 / _ALS_WINDOW)
+                if gain * rate**left >= 1e-12:
+                    stop = "rate"
+                    break
+        fits.append((h, [cofactors[lo:hi] for lo, hi in bounds], residual, sweep, stop))
+    return fits

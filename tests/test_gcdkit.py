@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from polysmith import cli
+from polysmith import cli, gcdkit
 from polysmith.detadj import adjoint
 from polysmith.errors import DegreeTooLarge
 from polysmith.gcdkit import (
@@ -20,7 +20,12 @@ from polysmith.gcdkit import (
 from polysmith.matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 
 from conftest import FIXTURES
-from oracles import diagonal_snf_instance, grid_then_golden
+from oracles import (
+    diagonal_snf_instance,
+    grid_then_golden,
+    per_seed_alternating_fits,
+    random_full_rank_matpoly,
+)
 
 UNIMODULAR = MatPoly.from_entries([[[0, 1], [-1, 1]], [[1, 1], [0, 1]]])
 EX1 = MatPoly.from_entries(
@@ -244,19 +249,113 @@ def test_rate_stopped_seed_stays_near_the_full_fit():
     assert np.max(np.abs(best.h.coeffs - full_h)) <= 1e-2
 
 
+# Stacked solves of each case's lockstep fits; the per-seed fits made 120,
+# 96 and 98 np.linalg.lstsq calls.
+LOCKSTEP_SOLVES = {"ex1-1": 62, "ex1-2": 24, "diagonal-1": 34}
+
+
 @pytest.mark.parametrize("case, most_sweeps", [("ex1-1", 60), ("ex1-2", 50), ("diagonal-1", 49)])
 def test_alternating_fit_sweep_budget(monkeypatch, case, most_sweeps):
-    # Every seed is fitted, duplicates included, and each sweep of these
-    # inputs makes one cofactor solve and one divisor solve.  The four ex1-2
-    # seeds ran 400 sweeps before the rate rule; the other fits converge.
-    solves = []
-    lstsq = np.linalg.lstsq
-    monkeypatch.setattr(np.linalg, "lstsq", lambda *args, **kw: solves.append(1) or lstsq(*args, **kw))
+    # Every seed is fitted, duplicates included, and the fits run in
+    # lockstep: each lockstep sweep makes one stacked cofactor solve (these
+    # inputs have one declared degree) and one stacked divisor solve, until
+    # the longest fit stops.  The four ex1-2 seeds ran 400 sweeps before the
+    # rate rule; the other fits converge.
+    solves, raw = [], []
+
+    def counted(*args, _fn=gcdkit._stacked_lstsq):
+        solves.append(1)
+        return _fn(*args)
+
+    def recorded(*args, _fn=gcdkit._alternating_fits):
+        raw.extend(_fn(*args))
+        return raw
+
+    monkeypatch.setattr(gcdkit, "_stacked_lstsq", counted)
+    monkeypatch.setattr(gcdkit, "_alternating_fits", recorded)
     fits = _seed_fits(case)
-    assert len(solves) <= 2 * most_sweeps
+    assert len(solves) == 2 * max(fit[3] for fit in raw) == LOCKSTEP_SOLVES[case]
     assert sum(fit.sweeps for fit in fits) <= most_sweeps
     expected = "rate" if case == "ex1-2" else "converged"
     assert [fit.stop for fit in fits] == [expected] * len(fits)
+
+
+def _ill_conditioned_fit(seed):
+    # Targets conv(u, h) plus noise with nearly geometric cofactors u, so the
+    # divisor solve is close to rank deficient and some fits end "rose".
+    rng = np.random.default_rng(seed)
+    m, r, count = int(rng.integers(3, 8)), 10.0 ** rng.uniform(0.5, 4), int(rng.integers(1, 4))
+    h = np.concatenate([rng.normal(size=2), [1.0]])
+    targets = []
+    for _ in range(count):
+        u = r ** np.arange(m) * (1 + 1e-3 * rng.normal(size=m))
+        targets.append(np.convolve(u, h) + 10.0 ** rng.uniform(-3, 3) * rng.normal(size=m + 2))
+    seeds = [np.concatenate([rng.normal(size=2) * 10.0 ** rng.uniform(-2, 2), [1.0]])
+             for _ in range(4)]
+    return seeds, targets, 2
+
+
+def _fit_bits(fit):
+    h, cofactors, residual, sweeps, stop = fit
+    return h.tobytes(), [u.tobytes() for u in cofactors], float(residual).hex(), sweeps, stop
+
+
+def test_lockstep_fits_match_per_seed_fits_bitwise(monkeypatch):
+    # The seeds and targets that approx_gcd_candidates hands to the fits, on
+    # adjugates of 2x2 diagonal, dense n=3 and ex1 inputs, then seeded fits
+    # whose near rank-deficient divisor solves end some seeds early by
+    # "rose" while the others run on.  No adjugate input here stops by rose.
+    calls, lockstep = [], gcdkit._alternating_fits
+
+    def recorded(seeds, targets, deg_h):
+        calls.append((seeds, targets, deg_h))
+        return lockstep(seeds, targets, deg_h)
+
+    monkeypatch.setattr(gcdkit, "_alternating_fits", recorded)
+    inputs = [(diagonal_snf_instance(seed)[0], 1) for seed in range(30)]
+    inputs += [(random_full_rank_matpoly(np.random.default_rng(seed), 3, d), deg_h)
+               for d in (1, 2) for seed in range(10) for deg_h in (1, 2)]
+    inputs += [(EX1, 1), (EX1, 2)]
+    for a, deg_h in inputs:
+        entries = adjoint(a).pvec()
+        approx_gcd_candidates(entries, deg_h, [entries[0].declared_degree] * len(entries))
+    calls += [_ill_conditioned_fit(seed) for seed in (34, 233, 391, 593)]
+    stops = set()
+    for seeds, targets, deg_h in calls:
+        fits = lockstep(seeds, targets, deg_h)
+        reference = per_seed_alternating_fits(seeds, targets, deg_h)
+        assert [_fit_bits(fit) for fit in fits] == [_fit_bits(fit) for fit in reference]
+        stops.update(fit[4] for fit in fits)
+    assert {"converged", "rate", "rose"} <= stops
+
+
+def test_stacked_lstsq_is_lstsq_slice_by_slice():
+    # The shapes of the fits' solves: conv(h) stacks against one shared
+    # multi-column right-hand side, and divisor stacks with one column per
+    # slice; tall and square slices, one rank-deficient slice, and one with
+    # singular values at 0.7 and 1.5 times np.linalg.lstsq's cutoff
+    # eps * max(rows, cols) * s_max, so any other cutoff shows.
+    rng = np.random.default_rng(11)
+    for rows, cols in ((9, 3), (5, 4), (4, 4), (12, 1)):
+        a = rng.normal(size=(4, rows, cols))
+        a[2, :, -1] = a[2, :, 0]
+        u, _, vt = np.linalg.svd(a[3], full_matrices=False)
+        cutoff = np.finfo(float).eps * max(rows, cols)
+        a[3] = (u * [1.0, 0.7 * cutoff, 1.5 * cutoff, 0.5][:cols]) @ vt
+        for b in (rng.normal(size=(rows, 3)), rng.normal(size=(rows, 1)),
+                  rng.normal(size=(4, rows, 1))):
+            x = gcdkit._stacked_lstsq(a, b)
+            for k in range(4):
+                want = np.linalg.lstsq(a[k], b[k] if b.ndim == 3 else b, rcond=None)[0]
+                assert x[k].tobytes() == want.tobytes()
+            if b.ndim == 3:
+                one = np.linalg.lstsq(a[0], b[0, :, 0], rcond=None)[0]
+                assert x[0, :, 0].tobytes() == one.tobytes()
+    bad = np.full((2, 3, 2), np.nan)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(bad[0], np.ones((3, 1)), rcond=None)
+    with pytest.raises(np.linalg.LinAlgError):
+        gcdkit._stacked_lstsq(bad, np.ones((3, 1)))
 
 
 def test_triviality_report_identity():

@@ -34,6 +34,7 @@ from oracles import (
     random_full_rank_matpoly,
     snf_kkt_hessian_block,
 )
+from test_gcdkit import SEED_GOLDEN
 
 
 def nontrivial_2x2():
@@ -156,8 +157,8 @@ def test_kkt_size_counts_live_entries_only():
 
 def test_reachable_degrees_run_once_per_workspace_outside_the_loop(monkeypatch):
     # The permutation loop of reachable_adjoint_degrees is factorial in n;
-    # ex1's solve runs it for the attainability check and the workspace,
-    # never from inside lm_minimize.
+    # one call per input serves the attainability verdict and every
+    # divisor degree's workspace, and none runs from inside lm_minimize.
     calls, inside = [], []
 
     def counted(*args, _fn=gcdkit.reachable_adjoint_degrees):
@@ -176,7 +177,27 @@ def test_reachable_degrees_run_once_per_workspace_outside_the_loop(monkeypatch):
     a = cli.parse(str(FIXTURES / "ex1.json")).to_matpoly()
     report = solve(SnfProblem(a, PerturbStructure.support(a), deg_h=2), LmConfig())
     assert report.trace.iterations == 19
-    assert len(calls) <= 2 and inside == [0]
+    assert len(calls) == 1 and inside == [0]
+    calls.clear()
+    inside.clear()
+    solve_best_degree(a, PerturbStructure.support(a), LmConfig())
+    assert len(calls) == 1 and inside == [0, 0]
+
+
+def test_report_records_every_seed_and_its_score():
+    # ex1 --deg-h 2: the shortlisted fits of SEED_GOLDEN["ex1-2"] with their
+    # rank-drop scores, in candidate order; the solve starts from the first
+    # with the least score.
+    a = cli.parse(str(FIXTURES / "ex1.json")).to_matpoly()
+    problem = SnfProblem(a, PerturbStructure.support(a), deg_h=2)
+    report = solve(problem, LmConfig())
+    fits, scores = zip(*report.seeds)
+    assert [float(fit.residual).hex() for fit in fits] == \
+        [residual for _, residual in SEED_GOLDEN["ex1-2"][0]]
+    chosen = scores.index(min(scores))
+    ws = _Workspace(problem)
+    z0 = initial_guess(problem, ws)
+    assert np.array_equal(ws.unpack(z0)[2], fits[chosen].h.coeffs)
 
 
 def singular_at_one_3x3(seed):
