@@ -49,7 +49,6 @@ from .snf_opt import (
 from .mccoy_opt import (
     McCoyProblem,
     McCoyReport,
-    companion_linearization,
     initial_guess_mccoy,
     reversed_problem,
     solve_mccoy,

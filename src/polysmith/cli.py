@@ -86,7 +86,10 @@ def _mask_from_grid(grid, a: MatPoly) -> PerturbStructure:
                 raise ValidationError(f"mask entry ({i},{j}) must be a list of flags")
             if len(cells) > a.degree_bound + 1:
                 raise ValidationError(f"mask entry ({i},{j}) longer than degree bound")
-            mask[i, j, : len(cells)] = [bool(c) for c in cells]
+            # Only true/false or 0/1: bool("no") would make a coefficient perturbable.
+            if not all(type(c) in (bool, int) and c in (0, 1) for c in cells):
+                raise ValidationError(f"mask entry ({i},{j}) flags must be true/false or 0/1")
+            mask[i, j, : len(cells)] = cells
     return PerturbStructure(mask)
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, RankDeficientInput
 from .matpoly import MatPoly, Poly
-from .structured import block_conv_matrix
+from .structured import block_conv_matrix, conv_index
 
 
 def _require_square(a: MatPoly):
@@ -153,10 +153,10 @@ class AdjugateNodes:
         """
         n, d, deg = self.n, self.d, (self.n - 2) * self.d
         second = _coeffs_from_values(self._derivative(2))[: deg + 1]  # (m, b, r, a, s)
-        blocks = second.transpose(1, 3, 0, 4, 2).reshape(n * n, deg + 1, n * n)
         jac = np.zeros((n * n, self.dadj + 1, n * n, d + 1))
-        for k in range(d + 1):
-            jac[:, k : k + deg + 1, :, k] = blocks
+        # Each (adj_ab, A_rs) block is the convolution matrix of that polynomial.
+        rows, cols = conv_index(deg + 1, d + 1)
+        jac[:, rows, :, cols] = second.transpose(0, 1, 3, 4, 2).reshape(deg + 1, 1, n * n, n * n)
         return jac.reshape(n * n * (self.dadj + 1), n * n * (d + 1))
 
     def curvature(self, lam) -> np.ndarray:

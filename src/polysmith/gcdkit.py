@@ -19,7 +19,7 @@ from numpy.linalg import _umath_linalg
 from .detadj import adjoint, determinant, jacobian_adj
 from .errors import DegreeTooLarge, RankDeficientInput
 from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
-from .structured import generalized_sylvester, numeric_rank
+from .structured import conv_matrices, generalized_sylvester, numeric_rank
 
 # Computed adjoints and determinants carry interpolation noise around 1e-16;
 # trailing coefficients below this relative size are treated as zero.
@@ -272,25 +272,23 @@ def local_invariant_structure(a: MatPoly, omega):
     n = a.rows
     d = a.degree_bound
     omega = complex(omega)
-    taylor = []
+    taylor = np.zeros((n, n, d + 1), dtype=complex)
     powers = np.array([omega**m for m in range(d + 1)])
     for j in range(d + 1):
         binom = np.array([float(math.comb(m, j)) for m in range(d + 1)])
         weights = np.zeros(d + 1, dtype=complex)
         weights[j:] = (binom[j:] * powers[: d + 1 - j])
-        taylor.append(np.tensordot(a.coeff, weights, axes=([2], [0])))
+        taylor[:, :, j] = np.tensordot(a.coeff, weights, axes=([2], [0]))
 
     counts = []
     prev_kernel = 0
     max_power = n * max(d, 1) + 1
+    # Block lower-triangular Toeplitz: block (i, j) is Taylor block i - j, and
+    # T_k is its leading k x k blocks.
+    t = conv_matrices(taylor, max_power)[:, :, :max_power].transpose(2, 0, 3, 1)
+    t = t.reshape(max_power * n, max_power * n)
     for k in range(1, max_power + 1):
-        t_k = np.zeros((k * n, k * n), dtype=complex)
-        for i in range(k):
-            for j in range(i + 1):
-                block = taylor[i - j] if i - j <= d else None
-                if block is not None:
-                    t_k[i * n : (i + 1) * n, j * n : (j + 1) * n] = block
-        s = np.linalg.svd(t_k, compute_uv=False)
+        s = np.linalg.svd(t[: k * n, : k * n], compute_uv=False)
         rank = int(np.count_nonzero(s > EIGEN_RANK_TOL * max(1.0, s[0])))
         kernel = k * n - rank
         count = kernel - prev_kernel
@@ -422,9 +420,10 @@ def _alternating_fits(seeds, targets, deg_h: int) -> list:
     The seeds' fits run in lockstep.  Each sweep solves the cofactors of one
     declared degree for every running fit in one stacked call (their conv(h)
     matrices against that degree's targets), then every monic divisor in one
-    more stacked call against the fits' cofactor convolution matrices; both
-    stacks are written by scatters with fixed indices, and each slice is bit
-    for bit the per-fit np.linalg.lstsq call (see _stacked_lstsq).  Each fit
+    more stacked call against the fits' cofactor convolution matrices, stacked
+    in target order.  Both stacks come from structured.conv_matrices, one
+    call per declared cofactor degree, and each slice is bit for bit the
+    per-fit np.linalg.lstsq call (see _stacked_lstsq).  Each fit
     keeps its own residual, summed per target in target order, its stop rule
     and its sweep count, and leaves the stack when it stops.  A sweep that
     raises a fit's residual ends it at its previous fit.  The rate rule reads
@@ -434,19 +433,16 @@ def _alternating_fits(seeds, targets, deg_h: int) -> list:
     counts = np.array([t.size - deg_h for t in targets])  # coefficients per cofactor
     ends = np.cumsum(counts)
     bounds = list(zip((ends - counts).tolist(), ends.tolist()))
-    n_seeds = len(seeds)
-    solves = []
+    # Cofactor k's block of the stacked system starts in row k*deg_h + (its first flat index).
+    starts = ends - counts + deg_h * np.arange(counts.size)
+    groups = []
     for count in dict.fromkeys(counts.tolist()):
         members = np.flatnonzero(counts == count)
-        shift = np.arange(count)[:, None]
-        solves.append((np.zeros((n_seeds, count + deg_h, count)), shift + np.arange(deg_h + 1),
-                       shift, np.column_stack([targets[k] for k in members]),
-                       (ends - counts)[members][:, None] + shift.T))
+        groups.append((count, np.column_stack([targets[k] for k in members]),
+                       (ends - counts)[members][:, None] + np.arange(count),
+                       (starts[members][:, None] + np.arange(count + deg_h)).ravel()))
     rhs = np.concatenate(targets)
-    stacked = np.zeros((n_seeds, rhs.size, deg_h + 1))
-    # Coefficient t of cofactor k multiplies h_j in row k*deg_h + (its flat index) + j.
-    cols = np.arange(deg_h + 1)[:, None]
-    rows = np.repeat(deg_h * np.arange(counts.size), counts) + np.arange(ends[-1]) + cols
+    n_seeds = len(seeds)
     h = np.array(seeds, dtype=float)
     cofactors = np.zeros((n_seeds, ends[-1]))
     residual, gains = [np.inf] * n_seeds, [[] for _ in seeds]
@@ -455,12 +451,12 @@ def _alternating_fits(seeds, targets, deg_h: int) -> list:
     for sweep in range(1, _ALS_SWEEPS + 1):
         n_live = len(live)
         new_cofactors = np.empty((n_live, ends[-1]))
-        for matrix, conv_rows, conv_cols, group_rhs, where in solves:
-            matrix[:n_live, conv_rows, conv_cols] = h[live, None]
-            new_cofactors[:, where] = _stacked_lstsq(matrix[:n_live], group_rhs).transpose(0, 2, 1)
-        stacked[:n_live, rows, cols] = new_cofactors[:, None]
-        free = _stacked_lstsq(stacked[:n_live, :, :-1],
-                              (rhs - stacked[:n_live, :, -1])[..., None])
+        stacked = np.empty((n_live, rhs.size, deg_h + 1))
+        for count, group_rhs, where, rows in groups:
+            solved = _stacked_lstsq(conv_matrices(h[live], count), group_rhs).transpose(0, 2, 1)
+            new_cofactors[:, where] = solved
+            stacked[:, rows] = conv_matrices(solved, deg_h + 1).reshape(n_live, -1, deg_h + 1)
+        free = _stacked_lstsq(stacked[..., :-1], (rhs - stacked[..., -1])[..., None])
         new_h = np.ones((n_live, deg_h + 1))
         new_h[:, :-1] = free[..., 0]
         running = []

@@ -252,7 +252,7 @@ class PerturbStructure:
     mask: np.ndarray
 
     def __post_init__(self):
-        # A read-only copy, so the slot table built on first use stays valid.
+        # A read-only copy, so the tables built on first use stay valid.
         self.mask = np.array(self.mask, dtype=bool)
         if self.mask.ndim != 3:
             raise DimensionMismatch("mask must have shape (rows, cols, degree_bound+1)")
@@ -287,16 +287,25 @@ class PerturbStructure:
     def num_params(self) -> int:
         return int(self.mask.sum())
 
+    @cached_property
+    def cells(self) -> tuple:
+        """Row i, column j and coefficient k of each parameter, in parameter
+        order: the column-major entry order of MatPoly.vec, then k."""
+        j, i, k = np.nonzero(self.mask.transpose(1, 0, 2))
+        for table in (i, j, k):
+            table.flags.writeable = False
+        return i, j, k
+
     def param_indices(self) -> np.ndarray:
         """Positions of the masked coefficients inside vec(., degree_bound)."""
-        # Flattened in the same column-major entry order as MatPoly.vec.
-        return np.nonzero(self.mask.transpose(1, 0, 2).reshape(-1))[0]
+        rows, cols, width = self.mask.shape
+        i, j, k = self.cells
+        return np.ravel_multi_index((j, i, k), (cols, rows, width))
 
     @cached_property
     def _slots(self) -> np.ndarray:
         """Flat positions in the coefficient array of the params, in order."""
-        flat = np.arange(self.mask.size).reshape(self.mask.shape)
-        return flat.transpose(1, 0, 2)[self.mask.transpose(1, 0, 2)]
+        return np.ravel_multi_index(self.cells, self.mask.shape)
 
     def _params(self, params) -> np.ndarray:
         params = np.asarray(params, dtype=float).reshape(-1)

@@ -100,14 +100,6 @@ def _powers(omega: complex, d: int) -> np.ndarray:
     return np.array([pw[2:], k * pw[1:-1], k * (k - 1) * pw[:-2]])
 
 
-def _param_cells(structure: PerturbStructure):
-    """Row i, column j and coefficient k of the entry each parameter perturbs."""
-    rows, _, width = structure.mask.shape
-    entry, coef = np.divmod(structure.param_indices(), width)
-    j, i = np.divmod(entry, rows)
-    return i, j, coef
-
-
 def _param_columns(cells, weights, b) -> np.ndarray:
     """d(M B)/dp, complex, kernel row (i, a) = i r + a: column k holds
     weights[coef] B[j, :] in the rows of i."""
@@ -137,7 +129,7 @@ class _McCoyWorkspace(KktWorkspace):
     def __init__(self, problem: McCoyProblem, z0):
         self.a, self.structure, self.r = problem.a, problem.structure, problem.r
         self.n, self.d = self.a.rows, self.a.degree_bound
-        self.cells = _param_cells(self.structure)
+        self.cells = self.structure.cells
         self.m_p = self.structure.num_params
         self.nr, n_xr = self.n * self.r, (self.n - self.r) * self.r
         self.n_x, self.n_c = self.m_p + 2 + 2 * n_xr, 2 * self.nr
@@ -239,7 +231,7 @@ def initial_guess_mccoy(problem: McCoyProblem, analysis: Analysis | None = None)
             omega, best_score = complex(cand), score
     a_w = a.evaluate(omega)
     b0 = np.linalg.svd(a_w)[2][-r:].conj().T
-    jp = _param_columns(_param_cells(problem.structure), _powers(omega, a.degree_bound)[0], b0)
+    jp = _param_columns(problem.structure.cells, _powers(omega, a.degree_bound)[0], b0)
     rhs = -(a_w @ b0).ravel()
     p = np.linalg.lstsq(np.vstack([jp.real, jp.imag]), np.concatenate([rhs.real, rhs.imag]),
                         rcond=None)[0]

@@ -28,7 +28,9 @@ zero there is an eigenvalue at infinity of A.  The report stays in the
 coordinates of the problem solved; `snf --reversal` maps omega and dA back.
 
 The residual and the Hessian come from lmsolve.KktWorkspace, so the
-adjugate's derivatives at an iterate all come from its one Jacobian J.
+adjugate's derivatives at an iterate all come from its one Jacobian J.  The
+blocks of J and H_xx in F and h are convolution layouts of h, of the
+cofactors and of lam: structured.conv_matrices and conv_index write them.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .gcdkit import (approx_gcd_candidates, detect_unattainable, local_invariant
                      rank_at_point, reachable_adjoint_degrees)
 from .lmsolve import CONVERGED, KktWorkspace, LmConfig, LmTrace, certify, lm_minimize
 from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
+from .structured import conv_index, conv_matrices
 
 
 @dataclass
@@ -164,8 +167,8 @@ class _Workspace(KktWorkspace):
         pp = 2.0 * np.eye(self.m_p) + curvature[np.ix_(self.param_idx, self.param_idx)]
         h_xx[self.sl_p, self.sl_p] = 0.5 * (pp + pp.T)
         # Cross block between cofactors and divisor: bilinear, hence exact.
-        windows = np.lib.stride_tricks.sliding_window_view(lam_blocks, self.n_h, axis=1)
-        cross = -windows.reshape(self.n_f, self.n_h)
+        # Row (e, j) and column t hold -lam_e[j + t], lam_e's multiplier of F_e[j] h[t].
+        cross = -lam_blocks[:, conv_index(self.deg_f + 1, self.n_h)[0]].reshape(self.n_f, self.n_h)
         h_xx[self.sl_f, self.sl_h] = cross
         h_xx[self.sl_h, self.sl_f] = cross.T
 
@@ -178,27 +181,14 @@ class _Workspace(KktWorkspace):
     def adjoint_jacobian(self, system: AdjugateNodes) -> np.ndarray:
         return system.jacobian()[np.ix_(self.live_rows, self.param_idx)]
 
-    def _conv_grid(self):
-        """Live entry e, cofactor coefficient j and divisor coefficient t,
-        broadcast against each other, and the row e ((n-1)d + 1) + j + t of
-        vec(F h) where F_e[j] h[t] lands."""
-        e = np.arange(self.n_live)[:, None, None]
-        j, t = np.arange(self.deg_f + 1)[:, None], np.arange(self.n_h)
-        return e, j, t, e * (self.dadj + 1) + j + t
-
     def divisor_matrix(self, h) -> np.ndarray:
         """conv(h), acting on the coefficients of one cofactor."""
-        _, j, t, _ = self._conv_grid()
-        out = np.zeros((self.dadj + 1, self.deg_f + 1))
-        out[j + t, j] = h
-        return out
+        return conv_matrices(h, self.deg_f + 1)
 
     def cofactor_blocks(self, f_vec) -> np.ndarray:
         """Stacked matrix mapping h to vec(F h)."""
-        _, _, t, rows = self._conv_grid()
-        out = np.zeros((self.n_live * (self.dadj + 1), self.n_h))
-        out[rows, t] = f_vec.reshape(self.n_live, self.deg_f + 1, 1)
-        return out
+        blocks = conv_matrices(f_vec.reshape(self.n_live, self.deg_f + 1), self.n_h)
+        return blocks.reshape(-1, self.n_h)
 
     def constraint(self, system, f_vec, h) -> np.ndarray:
         # vec(Adj) without MatPoly.vec's degree scan: the bound is exactly dadj.
@@ -210,9 +200,10 @@ class _Workspace(KktWorkspace):
     def constraint_jacobian(self, system, f_vec, h) -> np.ndarray:
         jac = np.zeros((self.n_c, self.n_x))
         jac[:-1, self.sl_p] = self.adjoint_jacobian(system)
-        # -kron(I, conv(h)): the column of F_e[j] holds -h[t] in the row of F_e[j] h[t].
-        e, j, _, rows = self._conv_grid()
-        jac[rows, self.sl_f.start + e * (self.deg_f + 1) + j] = -h
+        # -kron(I, conv(h)), written block by block on its diagonal.
+        e = np.arange(self.n_live)
+        f_cols = jac[:-1, self.sl_f].reshape(self.n_live, self.dadj + 1, self.n_live, -1)
+        f_cols[e, :, e] = self.divisor_matrix(-h)
         jac[:-1, self.sl_h] = -self.cofactor_blocks(f_vec)
         jac[-1, self.n_x - 1] = 1.0
         return jac

@@ -8,10 +8,46 @@ are plain 2-D numpy arrays.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import DegreeBoundViolation
 from .matpoly import NEG_INF, MatPoly, Poly
+
+
+@functools.lru_cache(maxsize=None)
+def conv_index(m: int, width: int):
+    """Row and column of every coefficient in a convolution matrix.
+
+    Coefficient i of a length-m vector lands at row i + j of column j, for
+    each of the width columns; both tables have shape (m, width) and are
+    read-only, built once per (m, width).  This is the package's one
+    statement of the layout: conv_matrices writes matrices from it, and
+    callers that scatter a band into a larger array, or gather one, index
+    with it directly.
+    """
+    shift = np.arange(width)
+    rows, cols = np.arange(m)[:, None] + shift, np.broadcast_to(shift, (m, width))
+    rows.flags.writeable = False
+    return rows, cols
+
+
+def conv_matrices(c, width: int) -> np.ndarray:
+    """Convolution matrices of the vectors on the last axis of c.
+
+    The vector of length m becomes the (m + width - 1) x width Toeplitz
+    matrix T[i, j] = c[i - j], so T @ b = np.convolve(c, b) for b of length
+    width.  Leading axes are batched and the dtype is kept; every
+    convolution, block Toeplitz and Sylvester matrix of the package is
+    built here.
+    """
+    c = np.asarray(c)
+    m = c.shape[-1]
+    out = np.zeros(c.shape[:-1] + (m + width - 1, width), dtype=c.dtype)
+    rows, cols = conv_index(m, width)
+    out[..., rows, cols] = c[..., :, None]
+    return out
 
 
 def conv_matrix(a: Poly, d2: int) -> np.ndarray:
@@ -23,36 +59,19 @@ def conv_matrix(a: Poly, d2: int) -> np.ndarray:
     """
     if d2 < 0:
         raise DegreeBoundViolation("d2 must be nonnegative")
-    c = a.coeffs
-    d1 = c.size - 1
-    out = np.zeros((d1 + d2 + 1, d2 + 1))
-    for j in range(d2 + 1):
-        out[j : j + d1 + 1, j] = c
-    return out
+    return conv_matrices(a.coeffs, d2 + 1)
 
 
 def block_conv_matrix(a: MatPoly, d2: int) -> np.ndarray:
     """Block Toeplitz matrix with vec(A @ b) = block_conv_matrix(A, d2) @ vec(b).
 
     Block (i, j) is conv_matrix of entry (i, j) at the declared degree bound
-    of A, so the shape is rows*(d1+d2+1) x cols*(d2+1).  Zero entries are
-    skipped, and all bands are written in one scatter.
+    of A, so the shape is rows*(d1+d2+1) x cols*(d2+1).
     """
     if d2 < 0:
         raise DegreeBoundViolation("d2 must be nonnegative")
-    d1 = a.degree_bound
-    br, bc = d1 + d2 + 1, d2 + 1
-    out = np.zeros((a.rows * br, a.cols * bc))
-    ii, jj = np.nonzero(np.any(a.coeff != 0.0, axis=2))
-    if ii.size == 0:
-        return out
-    shifts = np.arange(bc)
-    taps = np.arange(d1 + 1)
-    row_template = (shifts[:, None] + taps[None, :]).ravel()
-    col_template = np.repeat(shifts, d1 + 1)
-    values = a.coeff[ii, jj][:, np.tile(taps, bc)]
-    out[ii[:, None] * br + row_template, jj[:, None] * bc + col_template] = values
-    return out
+    blocks = conv_matrices(a.coeff, d2 + 1)  # (rows, cols, d1 + d2 + 1, d2 + 1)
+    return blocks.transpose(0, 2, 1, 3).reshape(a.rows * blocks.shape[2], a.cols * (d2 + 1))
 
 
 def generalized_sylvester(f, dprime) -> np.ndarray:
@@ -76,25 +95,11 @@ def generalized_sylvester(f, dprime) -> np.ndarray:
         if dp < 0:
             raise DegreeBoundViolation("declared degrees must be nonnegative")
     order = sorted(range(len(f)), key=lambda i: -dprime[i])
-    f = [f[i] for i in order]
-    dprime = [dprime[i] for i in order]
-
-    d = dprime[0]
-    ell = max(dprime[1:])
-    width = ell + d
-    blocks = []
-    lead = f[0].padded(d).coeffs
-    block0 = np.zeros((ell, width))
-    for j in range(ell):
-        block0[j, j : j + d + 1] = lead
-    blocks.append(block0)
-    for p in f[1:]:
-        c = p.padded(ell).coeffs
-        block = np.zeros((d, width))
-        for j in range(d):
-            block[j, j : j + ell + 1] = c
-        blocks.append(block)
-    return np.vstack(blocks) if width > 0 else np.zeros((ell + (len(f) - 1) * d, 0))
+    d = dprime[order[0]]
+    ell = dprime[order[1]]
+    lead = conv_matrices(f[order[0]].padded(d).coeffs, ell).T
+    rest = conv_matrices(np.array([f[i].padded(ell).coeffs for i in order[1:]]), d)
+    return np.vstack([lead, rest.transpose(0, 2, 1).reshape((len(f) - 1) * d, ell + d)])
 
 
 def numeric_rank(m) -> int:

@@ -12,7 +12,7 @@ import numpy as np
 
 from polysmith.detadj import AdjugateNodes
 from polysmith.gcdkit import _ALS_SWEEPS, _ALS_WINDOW
-from polysmith.matpoly import MatPoly, Poly
+from polysmith.matpoly import MatPoly
 from polysmith.selftest import (  # noqa: F401
     exact_determinant,
     exact_gcd_degree,
@@ -21,7 +21,6 @@ from polysmith.selftest import (  # noqa: F401
     frac_trim,
     random_integer_matpoly,
 )
-from polysmith.structured import conv_matrix
 
 
 def random_full_rank_matpoly(rng, n, d, scale=1.0):
@@ -106,21 +105,33 @@ def mccoy_all_entries_distance(a):
     return float(np.sqrt(val))
 
 
+def conv_matrix_loop(c, width):
+    """Convolution matrix of the vector c on width columns, column j holding
+    c shifted down by j, written one column at a time: the reference for
+    structured.conv_matrices."""
+    c = np.asarray(c)
+    out = np.zeros((c.size + width - 1, width), dtype=c.dtype)
+    for j in range(width):
+        out[j : j + c.size, j] = c
+    return out
+
+
 def snf_kkt_hessian_block(ws, z):
-    """Bordered SNF Hessian with J built from np.kron and stacked conv_matrix
-    blocks, assembled by np.block and symmetrized whole: the reference for
-    the band-scatter assembly, which must match it bit for bit.  It reads the
-    workspace's adjugate kernel, its live adjugate entries and its parameter
-    indices: the kron and conv blocks run over the live entries, and the
-    curvature takes lam scattered back to all n^2 entries, zero elsewhere."""
+    """Bordered SNF Hessian with J built from np.kron and stacked
+    conv_matrix_loop blocks, assembled by np.block and symmetrized whole: the
+    reference for the band-scatter assembly, which must match it bit for
+    bit.  It reads the workspace's adjugate kernel, its live adjugate entries
+    and its parameter indices: the kron and conv blocks run over the live
+    entries, and the curvature takes lam scattered back to all n^2 entries,
+    zero elsewhere."""
     p, f_vec, h, lam = ws.unpack(z)
     system = AdjugateNodes(ws.perturbed(p))
     n_live = len(ws.live)
     j = np.zeros((ws.n_c, ws.n_x))
     j[:-1, ws.sl_p] = ws.adjoint_jacobian(system)
-    j[:-1, ws.sl_f] = -np.kron(np.eye(n_live), conv_matrix(Poly(h), ws.deg_f))
+    j[:-1, ws.sl_f] = -np.kron(np.eye(n_live), conv_matrix_loop(h, ws.deg_f + 1))
     blocks = f_vec.reshape(n_live, ws.deg_f + 1)
-    j[:-1, ws.sl_h] = -np.vstack([conv_matrix(Poly(b), ws.deg_h) for b in blocks])
+    j[:-1, ws.sl_h] = -np.vstack([conv_matrix_loop(b, ws.n_h) for b in blocks])
     j[-1, ws.n_x - 1] = 1.0
 
     h_xx = np.zeros((ws.n_x, ws.n_x))

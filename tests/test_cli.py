@@ -318,6 +318,27 @@ def test_mask_file_structure(capsys, tmp_path):
     assert "is_trivial" in report
 
 
+@pytest.mark.parametrize("flag", ["no", "false", "", None, 2, -1, 0.0, 1.5, [True]])
+def test_mask_flags_other_than_booleans_or_bits_are_invalid(capsys, tmp_path, flag):
+    # bool("no") is True, so reading flags with bool() made a "no" perturbable.
+    doc = {"rows": 2, "cols": 2, "entries": [[[1.0, 1.0], [0.0]], [[0.0], [1.0, -1.0]]]}
+    matrix_path = tmp_path / "m.json"
+    matrix_path.write_text(json.dumps(doc))
+    mask_path = tmp_path / "mask.json"
+    mask_path.write_text(json.dumps({"mask": [[[flag, flag], []], [[], [flag]]]}))
+    report, code = run_cli(capsys, ["check", str(matrix_path), "--structure", str(mask_path)])
+    assert code == cli.EXIT_INVALID
+    assert "flags" in report["error"]
+
+
+def test_mask_bits_read_as_booleans(tmp_path):
+    a = MatPoly.from_entries([[[1.0, 1.0], [0.0]], [[0.0], [1.0, -1.0]]])
+    bits = cli._mask_from_grid([[[1, 0], [0]], [[0], [True, False]]], a)
+    flags = cli._mask_from_grid([[[True, False], [False]], [[False], [1, 0]]], a)
+    assert np.array_equal(bits.mask, flags.mask)
+    assert bits.mask.tolist() == [[[True, False], [False, False]], [[False, False], [True, False]]]
+
+
 def test_selftest_command(capsys):
     report, code = run_cli(capsys, ["selftest", "--seed", "0"])
     assert code == 0

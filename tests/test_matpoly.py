@@ -143,6 +143,20 @@ def test_apply_matches_delta_route_bitwise(kind):
         assert delta.tobytes() == perturb_delta_via_vec(structure, params).coeff.tobytes()
 
 
+def test_parameter_positions_come_from_one_cell_table():
+    # Parameters run over the entries column-major, as in MatPoly.vec, then
+    # over the coefficients; every position table reads the same cells.
+    rng = np.random.default_rng(4)
+    structure = PerturbStructure(rng.random((3, 2, 3)) < 0.5)
+    i, j, k = structure.cells
+    assert structure.cells is structure.cells and not i.flags.writeable
+    order = sorted(zip(*np.nonzero(structure.mask)), key=lambda c: (c[1], c[0], c[2]))
+    assert list(zip(i, j, k)) == order
+    vec_mask = structure.mask.transpose(1, 0, 2).reshape(-1)
+    assert np.array_equal(structure.param_indices(), np.flatnonzero(vec_mask))
+    assert np.array_equal(np.unravel_index(structure._slots, structure.mask.shape), (i, j, k))
+
+
 def test_structure_holds_a_read_only_copy_of_the_mask():
     mask = np.ones((2, 2, 2), dtype=bool)
     structure = PerturbStructure(mask)

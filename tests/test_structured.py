@@ -5,12 +5,14 @@ from polysmith.errors import DegreeBoundViolation
 from polysmith.matpoly import MatPoly, Poly
 from polysmith.structured import (
     block_conv_matrix,
+    conv_index,
+    conv_matrices,
     conv_matrix,
     generalized_sylvester,
     numeric_rank,
 )
 
-from oracles import exact_gcd_degree, frac_poly_mul
+from oracles import conv_matrix_loop, exact_gcd_degree, frac_poly_mul
 from fractions import Fraction
 
 
@@ -34,6 +36,47 @@ def test_conv_matrix_toeplitz_structure():
         assert np.all(m[:j, j] == 0.0)
     diagonals = {j - i for i in range(m.shape[0]) for j in range(m.shape[1]) if m[i, j] != 0}
     assert len(diagonals) == a.declared_degree + 1
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_conv_matrices_match_column_loop_and_convolve(m, dtype):
+    # Batched vectors on the last axis; width 0 is what generalized_sylvester
+    # asks of a degree-0 entry.
+    rng = np.random.default_rng(m)
+    c = rng.normal(size=(2, 3, m))
+    if dtype is complex:
+        c = c + 1j * rng.normal(size=c.shape)
+    for width in (0, 1, m, m + 3):
+        got = conv_matrices(c, width)
+        assert got.shape == (2, 3, m + width - 1, width) and got.dtype == c.dtype
+        b = rng.normal(size=width)
+        for idx in np.ndindex(c.shape[:-1]):
+            want = conv_matrix_loop(c[idx], width)
+            assert got[idx].tobytes() == want.tobytes()
+            if width:
+                assert np.allclose(got[idx] @ b, np.convolve(c[idx], b), atol=1e-12)
+
+
+def test_conv_index_is_cached_and_read_only():
+    rows, cols = conv_index(3, 2)
+    assert conv_index(3, 2)[0] is rows
+    assert rows.tolist() == [[0, 1], [1, 2], [2, 3]] and cols.tolist() == [[0, 1]] * 3
+    with pytest.raises(ValueError):
+        rows[0, 0] = 5
+
+
+def test_block_conv_blocks_are_the_column_loop():
+    rng = np.random.default_rng(2)
+    a = MatPoly(rng.normal(size=(3, 2, 3)))
+    a.coeff[1, 0] = 0.0
+    for d2 in (0, 2):
+        big = block_conv_matrix(a, d2)
+        br, bc = a.degree_bound + d2 + 1, d2 + 1
+        assert big.shape == (3 * br, 2 * bc)
+        for i, j in np.ndindex(3, 2):
+            block = big[i * br : (i + 1) * br, j * bc : (j + 1) * bc]
+            assert np.array_equal(block, conv_matrix_loop(a.coeff[i, j], bc))
 
 
 def test_block_conv_identity_blocks():
@@ -105,6 +148,14 @@ def test_sylvester_coefficient_replication_count():
     syl = generalized_sylvester(fs, [gamma] * 3)
     expected = gamma * sum(p.norm() ** 2 for p in fs)
     assert np.sum(syl**2) == pytest.approx(expected)
+
+
+def test_sylvester_degree_zero_entries():
+    # Every entry but the leading one has declared degree 0, so l = 0: the
+    # leading block has no rows and each constant fills a d x d diagonal.
+    syl = generalized_sylvester([Poly([3.0, 2.0, 1.0]), Poly([5.0]), Poly([7.0])], [2, 0, 0])
+    assert np.array_equal(syl, [[5, 0], [0, 5], [7, 0], [0, 7]])
+    assert generalized_sylvester([Poly([2.0]), Poly([3.0])], [0, 0]).shape == (0, 0)
 
 
 def test_numeric_rank_basics():
