@@ -18,7 +18,7 @@ from numpy.linalg import _umath_linalg
 
 from .detadj import adjoint, determinant, jacobian_adj
 from .errors import DegreeTooLarge, RankDeficientInput
-from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
+from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly, last_index
 from .structured import conv_matrices, generalized_sylvester, numeric_rank
 
 # Computed adjoints and determinants carry interpolation noise around 1e-16;
@@ -119,13 +119,20 @@ class Analysis:
             raise RankDeficientInput("matrix polynomial is singular over the rational functions")
 
     @cached_property
-    def entries(self) -> list:
-        """Trimmed adjugate entries of the normalized input, column-major."""
-        return [p.trimmed(TRIM_TOL) for p in adjoint(self.norm).pvec()]
+    def table(self):
+        """(coefficients, degrees) of the adjugate of the normalized input, one row
+        per entry in column-major order, each trimmed as Poly.trimmed(TRIM_TOL)
+        trims it: zero past its degree, which is NEG_INF for a vanishing entry."""
+        rows = adjoint(self.norm).coeff.transpose(1, 0, 2).reshape(self.n * self.n, -1)
+        size = np.abs(rows)
+        deg = last_index(size > TRIM_TOL * np.fmax(1.0, size.max(axis=1, keepdims=True)))
+        rows[np.arange(rows.shape[1]) > deg[:, None]] = 0.0
+        return rows, deg
 
     @cached_property
-    def nonzero(self) -> list:
-        return [p for p in self.entries if p.degree() != NEG_INF]
+    def live(self) -> np.ndarray:
+        """Indices of the table rows that do not vanish."""
+        return np.flatnonzero(self.table[1] >= 0)
 
     @cached_property
     def gcd_degree(self) -> int:
@@ -134,15 +141,14 @@ class Analysis:
         This is the nullity of their generalized Sylvester matrix; 0 when
         every entry vanishes.
         """
-        f = self.nonzero
-        if len(f) < 2:
-            return int(f[0].degree()) if f else 0
-        syl = generalized_sylvester(f, [int(p.degree()) for p in f])
+        if self.live.size < 2:
+            return int(self.table[1].max(initial=0))
+        syl = generalized_sylvester(self.table[0][self.live], self.table[1][self.live])
         return syl.shape[1] - numeric_rank(syl)
 
     @property
     def gcd_trivial(self) -> bool:
-        return bool(self.nonzero) and self.gcd_degree == 0
+        return self.live.size > 0 and self.gcd_degree == 0
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
@@ -178,9 +184,9 @@ class Analysis:
             s = np.linalg.svd(self.norm.evaluate(0.0).real, compute_uv=False)
             e = int(np.count_nonzero(s > s[0] * n * 1e-12)) if s[0] else 0
             return e, float(s[n - 2]) if n >= 2 else 0.0
-        if len(self.nonzero) < 2:
+        if self.live.size < 2:
             return 0, 0.0
-        syl = generalized_sylvester(self.nonzero, [reach] * len(self.nonzero))
+        syl = generalized_sylvester(self.table[0][self.live], [reach] * self.live.size)
         s = np.linalg.svd(syl, compute_uv=False)
         e = int(np.count_nonzero(s > s[0] * max(syl.shape) * 1e-12)) if s[0] else 0
         return e, float(s[e - 1]) if e else 0.0
@@ -207,15 +213,17 @@ class Analysis:
             return False
         if reach is None:
             reach = reachable_adjoint_degrees(self.a, structure)
-        pairs = [(p, int(max(r, p.degree(), 0))) for p, r in zip(self.entries, reach.T.ravel())
-                 if not (r == NEG_INF and p.degree() == NEG_INF)]
-        if len(pairs) < 2 or max(dp for _, dp in pairs) == 0:
+        top = np.maximum(reach.T.ravel(), self.table[1])  # NEG_INF where both are
+        kept = top != NEG_INF
+        rows, dprime = self.table[0][kept], np.maximum(top[kept], 0).astype(int)
+        if dprime.size < 2 or dprime.max() == 0:
             return False
-        dprime = [dp for _, dp in pairs]
-        syl = generalized_sylvester([p for p, _ in pairs], dprime)
+        syl = generalized_sylvester(rows, dprime)
         if numeric_rank(syl) == syl.shape[1]:
             return False
-        syl = generalized_sylvester([p.reversed(dp) for p, dp in pairs], dprime)
+        # Reversal at dprime: coefficient i is dprime - i; i > dprime wraps to the zero tail.
+        flip = dprime[:, None] - np.arange(rows.shape[1])
+        syl = generalized_sylvester(np.take_along_axis(rows, flip, axis=1), dprime)
         return numeric_rank(syl) < syl.shape[1]
 
     def lower_bound(self):
@@ -236,7 +244,7 @@ class Analysis:
             # Constant matrix: non-triviality means rank at most n-2, and the
             # unstructured distance to that set is the (n-1)-th singular value.
             bound = sigma
-        elif e == 0 or len(self.nonzero) < 2:
+        elif e == 0 or self.live.size < 2:
             bound = 0.0
         else:
             gradient_scale = float(np.linalg.norm(jacobian_adj(self.norm)))
@@ -255,7 +263,7 @@ class Analysis:
         trivial = self.gcd_trivial and self.mccoy_rank >= n - 1
         unattainable = trivial and self.unattainable(structure)
         bound = self.lower_bound()[0] if trivial and not unattainable else 0.0
-        e, sigma = (self.padded[0], self.sylvester_sigma) if self.nonzero else (0, 0.0)
+        e, sigma = (self.padded[0], self.sylvester_sigma) if self.live.size else (0, 0.0)
         profile = local_invariant_structure(self.norm.reversed(), 0.0) if unattainable else []
         return TrivialityReport(trivial, self.mccoy_rank, self.gcd_degree, float(bound),
                                 unattainable, e, sigma, profile)
@@ -310,13 +318,7 @@ def local_invariant_structure(a: MatPoly, omega):
 
 def reachable_entry_degrees(a: MatPoly, structure: PerturbStructure) -> np.ndarray:
     """Largest coefficient index of each entry that is nonzero or perturbable."""
-    out = np.full((a.rows, a.cols), NEG_INF)
-    for i in range(a.rows):
-        for j in range(a.cols):
-            live = np.nonzero((a.coeff[i, j] != 0.0) | structure.mask[i, j])[0]
-            if live.size:
-                out[i, j] = float(live[-1])
-    return out
+    return last_index((a.coeff != 0.0) | structure.mask)
 
 
 def reachable_adjoint_degrees(a: MatPoly, structure: PerturbStructure) -> np.ndarray:
@@ -435,13 +437,16 @@ def _alternating_fits(seeds, targets, deg_h: int) -> list:
     bounds = list(zip((ends - counts).tolist(), ends.tolist()))
     # Cofactor k's block of the stacked system starts in row k*deg_h + (its first flat index).
     starts = ends - counts + deg_h * np.arange(counts.size)
-    groups = []
+    groups, rows = [], []
     for count in dict.fromkeys(counts.tolist()):
         members = np.flatnonzero(counts == count)
         groups.append((count, np.column_stack([targets[k] for k in members]),
-                       (ends - counts)[members][:, None] + np.arange(count),
-                       (starts[members][:, None] + np.arange(count + deg_h)).ravel()))
+                       (ends - counts)[members][:, None] + np.arange(count)))
+        rows.append((starts[members][:, None] + np.arange(count + deg_h)).ravel())
     rhs = np.concatenate(targets)
+    # Gathers the groups' blocks into row order; one group (every snf seed) is in order.
+    order = np.empty(rhs.size, dtype=int)
+    order[np.concatenate(rows)] = np.arange(rhs.size)
     n_seeds = len(seeds)
     h = np.array(seeds, dtype=float)
     cofactors = np.zeros((n_seeds, ends[-1]))
@@ -451,11 +456,12 @@ def _alternating_fits(seeds, targets, deg_h: int) -> list:
     for sweep in range(1, _ALS_SWEEPS + 1):
         n_live = len(live)
         new_cofactors = np.empty((n_live, ends[-1]))
-        stacked = np.empty((n_live, rhs.size, deg_h + 1))
-        for count, group_rhs, where, rows in groups:
+        blocks = []
+        for count, group_rhs, where in groups:
             solved = _stacked_lstsq(conv_matrices(h[live], count), group_rhs).transpose(0, 2, 1)
             new_cofactors[:, where] = solved
-            stacked[:, rows] = conv_matrices(solved, deg_h + 1).reshape(n_live, -1, deg_h + 1)
+            blocks.append(conv_matrices(solved, deg_h + 1).reshape(n_live, -1, deg_h + 1))
+        stacked = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)[:, order]
         free = _stacked_lstsq(stacked[..., :-1], (rhs - stacked[..., -1])[..., None])
         new_h = np.ones((n_live, deg_h + 1))
         new_h[:, :-1] = free[..., 0]

@@ -18,6 +18,11 @@ from .errors import DimensionMismatch, PadTooSmall
 NEG_INF = float("-inf")
 
 
+def last_index(flags) -> np.ndarray:
+    """Index of the last True along the last axis of flags, as a float; NEG_INF where none is."""
+    return np.where(flags, np.arange(flags.shape[-1]), NEG_INF).max(-1)
+
+
 class Poly:
     """A univariate real polynomial, coefficient of t^i at index i."""
 

@@ -13,7 +13,7 @@ import functools
 import numpy as np
 
 from .errors import DegreeBoundViolation
-from .matpoly import NEG_INF, MatPoly, Poly
+from .matpoly import MatPoly, Poly, last_index
 
 
 @functools.lru_cache(maxsize=None)
@@ -77,6 +77,8 @@ def block_conv_matrix(a: MatPoly, d2: int) -> np.ndarray:
 def generalized_sylvester(f, dprime) -> np.ndarray:
     """Stacked transposed convolution blocks of several polynomials.
 
+    f holds one coefficient row per polynomial (t^i in column i), at least
+    max(dprime) + 1 wide, or is a list of Poly values, turned into such rows.
     The polynomials are sorted (stably) by non-increasing declared degree
     dprime.  With d the largest and l the second-largest declared degree, the
     leading polynomial contributes l shift rows and every other polynomial d
@@ -84,21 +86,18 @@ def generalized_sylvester(f, dprime) -> np.ndarray:
     (l + (k-1)d) x (l + d).  Full column rank is equivalent to the entries
     having a trivial GCD at the declared degrees.
     """
-    f = list(f)
     dprime = [int(x) for x in dprime]
+    if not isinstance(f, np.ndarray):
+        width = max([p.coeffs.size for p in f] + [max(dprime, default=0) + 1])
+        f = np.array([np.pad(p.coeffs, (0, width - p.coeffs.size)) for p in f]).reshape(-1, width)
     if len(f) < 2 or len(f) != len(dprime):
         raise DegreeBoundViolation("need at least two polynomials with matching degree bounds")
-    for p, dp in zip(f, dprime):
-        deg = p.degree()
-        if deg != NEG_INF and dp < deg:
-            raise DegreeBoundViolation(f"declared degree {dp} < actual degree {deg}")
-        if dp < 0:
-            raise DegreeBoundViolation("declared degrees must be nonnegative")
+    if min(dprime) < 0 or np.any(np.array(dprime) < last_index(np.abs(f) > 0.0)):
+        raise DegreeBoundViolation("a declared degree is negative or below the actual degree")
     order = sorted(range(len(f)), key=lambda i: -dprime[i])
-    d = dprime[order[0]]
-    ell = dprime[order[1]]
-    lead = conv_matrices(f[order[0]].padded(d).coeffs, ell).T
-    rest = conv_matrices(np.array([f[i].padded(ell).coeffs for i in order[1:]]), d)
+    d, ell = dprime[order[0]], dprime[order[1]]
+    lead = conv_matrices(f[order[0], : d + 1], ell).T
+    rest = conv_matrices(f[order[1:], : ell + 1], d)
     return np.vstack([lead, rest.transpose(0, 2, 1).reshape((len(f) - 1) * d, ell + d)])
 
 

@@ -7,12 +7,15 @@ polysmith.selftest, which the CLI's selftest runs too, and are re-exported.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
-from polysmith.detadj import AdjugateNodes
-from polysmith.gcdkit import _ALS_SWEEPS, _ALS_WINDOW
-from polysmith.matpoly import MatPoly
+from polysmith.detadj import AdjugateNodes, adjoint, determinant
+from polysmith.errors import DegreeBoundViolation, RankDeficientInput
+from polysmith.gcdkit import _ALS_SWEEPS, _ALS_WINDOW, TRIM_TOL
+from polysmith.matpoly import NEG_INF, MatPoly
+from polysmith.structured import conv_matrices, numeric_rank
 from polysmith.selftest import (  # noqa: F401
     exact_determinant,
     exact_gcd_degree,
@@ -229,3 +232,102 @@ def per_seed_alternating_fits(seeds, targets, deg_h: int) -> list:
                     break
         fits.append((h, [cofactors[lo:hi] for lo, hi in bounds], residual, sweep, stop))
     return fits
+
+
+def reachable_entry_degrees_loop(a, structure):
+    """Largest coefficient index of each entry that is nonzero or perturbable,
+    one entry at a time: the reference for gcdkit.reachable_entry_degrees."""
+    out = np.full((a.rows, a.cols), NEG_INF)
+    for i in range(a.rows):
+        for j in range(a.cols):
+            live = np.nonzero((a.coeff[i, j] != 0.0) | structure.mask[i, j])[0]
+            if live.size:
+                out[i, j] = float(live[-1])
+    return out
+
+
+def per_entry_sylvester(f, dprime):
+    """Generalized Sylvester matrix of a list of Poly values, built from each
+    Poly's padded coefficients: the reference for
+    structured.generalized_sylvester on coefficient rows."""
+    f = list(f)
+    dprime = [int(x) for x in dprime]
+    if len(f) < 2 or len(f) != len(dprime):
+        raise DegreeBoundViolation("need at least two polynomials with matching degree bounds")
+    for p, dp in zip(f, dprime):
+        deg = p.degree()
+        if deg != NEG_INF and dp < deg:
+            raise DegreeBoundViolation(f"declared degree {dp} < actual degree {deg}")
+        if dp < 0:
+            raise DegreeBoundViolation("declared degrees must be nonnegative")
+    order = sorted(range(len(f)), key=lambda i: -dprime[i])
+    d = dprime[order[0]]
+    ell = dprime[order[1]]
+    lead = conv_matrices(f[order[0]].padded(d).coeffs, ell).T
+    rest = conv_matrices(np.array([f[i].padded(ell).coeffs for i in order[1:]]), d)
+    return np.vstack([lead, rest.transpose(0, 2, 1).reshape((len(f) - 1) * d, ell + d)])
+
+
+class PerEntryAnalysis:
+    """gcd_degree, padded and unattainable of gcdkit.Analysis computed on one
+    trimmed Poly per adjugate entry (Poly.trimmed, Poly.degree, Poly.padded,
+    Poly.reversed): the reference for Analysis's coefficient table, which must
+    build the same Sylvester matrices bit for bit.  Every matrix built is
+    appended to self.matrices, in call order."""
+
+    def __init__(self, a):
+        self.a = a
+        self.n = a.rows
+        self.k = int(np.frexp(np.max(np.abs(a.coeff)))[1])
+        self.norm = MatPoly(np.ldexp(a.coeff, -self.k))
+        self.matrices = []
+
+    @cached_property
+    def entries(self):
+        return [p.trimmed(TRIM_TOL) for p in adjoint(self.norm).pvec()]
+
+    @cached_property
+    def nonzero(self):
+        return [p for p in self.entries if p.degree() != NEG_INF]
+
+    def sylvester(self, f, dprime):
+        self.matrices.append(per_entry_sylvester(f, dprime))
+        return self.matrices[-1]
+
+    @cached_property
+    def gcd_degree(self):
+        f = self.nonzero
+        if len(f) < 2:
+            return int(f[0].degree()) if f else 0
+        syl = self.sylvester(f, [int(p.degree()) for p in f])
+        return syl.shape[1] - numeric_rank(syl)
+
+    def padded(self):
+        n, reach = self.n, (self.n - 1) * self.a.degree_bound
+        if reach == 0:
+            s = np.linalg.svd(self.norm.evaluate(0.0).real, compute_uv=False)
+            e = int(np.count_nonzero(s > s[0] * n * 1e-12)) if s[0] else 0
+            return e, float(s[n - 2]) if n >= 2 else 0.0
+        if len(self.nonzero) < 2:
+            return 0, 0.0
+        syl = self.sylvester(self.nonzero, [reach] * len(self.nonzero))
+        s = np.linalg.svd(syl, compute_uv=False)
+        e = int(np.count_nonzero(s > s[0] * max(syl.shape) * 1e-12)) if s[0] else 0
+        return e, float(s[e - 1]) if e else 0.0
+
+    def unattainable(self, reach):
+        """reach is reachable_adjoint_degrees of the input and the mask."""
+        if determinant(self.norm).trimmed(TRIM_TOL).degree() == NEG_INF:
+            raise RankDeficientInput("matrix polynomial is singular over the rational functions")
+        if not (self.nonzero and self.gcd_degree == 0):
+            return False
+        pairs = [(p, int(max(r, p.degree(), 0))) for p, r in zip(self.entries, reach.T.ravel())
+                 if not (r == NEG_INF and p.degree() == NEG_INF)]
+        if len(pairs) < 2 or max(dp for _, dp in pairs) == 0:
+            return False
+        dprime = [dp for _, dp in pairs]
+        syl = self.sylvester([p for p, _ in pairs], dprime)
+        if numeric_rank(syl) == syl.shape[1]:
+            return False
+        syl = self.sylvester([p.reversed(dp) for p, dp in pairs], dprime)
+        return numeric_rank(syl) < syl.shape[1]

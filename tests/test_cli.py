@@ -402,16 +402,23 @@ def test_exit_code_stalled(capsys, monkeypatch, tmp_path, termination):
 
 
 def test_check_builds_adjugate_and_determinant_once(capsys, monkeypatch):
-    calls = {"adjoint": 0, "determinant": 0}
-    for name in calls:
+    # Sylvester builds and ranks are counted where the benchmark's tracer
+    # wraps them for gcdkit: ex1 builds the matrix at the actual degrees,
+    # the padded one and the reachable one; unattainable_C also its reversal.
+    calls = {}
+    for name in ("adjoint", "determinant", "generalized_sylvester", "numeric_rank"):
         def counted(*args, _fn=getattr(gcdkit, name), _name=name):
-            calls[_name] += 1
+            calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
 
         monkeypatch.setattr(gcdkit, name, counted)
     report, code = run_cli(capsys, ["check", str(FIXTURES / "ex1.json")])
     assert code == 0 and report["is_trivial"]
-    assert calls == {"adjoint": 1, "determinant": 1}
+    assert calls == {"adjoint": 1, "determinant": 1, "generalized_sylvester": 3, "numeric_rank": 2}
+    calls.clear()
+    report, code = run_cli(capsys, ["check", str(FIXTURES / "unattainable_C.json")])
+    assert code == 0 and report["unattainable"]
+    assert calls == {"adjoint": 1, "determinant": 1, "generalized_sylvester": 4, "numeric_rank": 3}
 
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from polysmith import cli, gcdkit
 from polysmith.detadj import adjoint
-from polysmith.errors import DegreeTooLarge
+from polysmith.errors import DegreeTooLarge, PolysmithError
 from polysmith.gcdkit import (
     Analysis,
     _root_projection_score,
@@ -15,16 +15,19 @@ from polysmith.gcdkit import (
     distance_lower_bound,
     local_invariant_structure,
     reachable_adjoint_degrees,
+    reachable_entry_degrees,
     triviality_report,
 )
 from polysmith.matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 
 from conftest import FIXTURES
 from oracles import (
+    PerEntryAnalysis,
     diagonal_snf_instance,
     grid_then_golden,
     per_seed_alternating_fits,
     random_full_rank_matpoly,
+    reachable_entry_degrees_loop,
 )
 
 UNIMODULAR = MatPoly.from_entries([[[0, 1], [-1, 1]], [[1, 1], [0, 1]]])
@@ -85,6 +88,86 @@ def test_reachable_adjoint_degrees_support_vs_full():
     assert reach[0, 2] == NEG_INF
     full = reachable_adjoint_degrees(c, PerturbStructure.full(c))
     assert np.all(full == 3.0)
+
+
+def test_reachable_entry_degrees_match_the_entry_loop():
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        rows, cols, d = rng.integers(1, 6), rng.integers(1, 6), rng.integers(0, 4)
+        coeff = rng.normal(size=(rows, cols, d + 1)) * (rng.random((rows, cols, d + 1)) < 0.4)
+        structure = PerturbStructure(rng.random(coeff.shape) < rng.uniform(0.0, 0.6))
+        got = reachable_entry_degrees(MatPoly(coeff), structure)
+        want = reachable_entry_degrees_loop(MatPoly(coeff), structure)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def _table_case(rng, case):
+    """Seeded square input for the table-versus-per-entry comparison: sparse
+    entries, a triangular or block-diagonal pattern (identically zero
+    adjugate entries), 2x2 blocks [[t, t - c], [t + c, t]] whose infimum
+    lies at infinity, or a column scaled down by 1e-8 to 1e-12, which puts
+    adjugate entries below the trimming floor; scaled by 2**-40, 1 or 2**40."""
+    # reachable_adjoint_degrees takes 0.07 s at n = 7, so n = 7 is rare.
+    n, d, kind = 7 if case % 24 == 23 else 1 + case % 6, int(rng.integers(0, 4)), rng.integers(5)
+    coeff = rng.normal(size=(n, n, d + 1))
+    if kind == 0:
+        coeff *= rng.random(coeff.shape) < rng.uniform(0.3, 0.9)
+    elif kind == 1:
+        coeff *= np.triu(np.ones((n, n)))[:, :, None]
+    elif kind == 2:
+        coeff[: n // 2, n // 2 :] = coeff[n // 2 :, : n // 2] = 0.0
+    elif kind == 3:
+        coeff[:, 0] *= 10.0 ** -rng.uniform(8, 12)
+    else:
+        coeff = np.zeros((n, n, max(d, 1) + 1))
+        coeff[-1, -1, 0] = 1.0
+        for i in range(0, n - 1, 2):
+            s, c = rng.uniform(0.5, 2.0, 2)
+            coeff[i : i + 2, i : i + 2, :2] = s * np.array([[[0, 1], [-c, 1]], [[c, 1], [0, 1]]])
+    return MatPoly(2.0 ** rng.choice([-40, 0, 40]) * coeff)
+
+
+def test_table_analysis_matches_per_entry_analysis_bitwise(monkeypatch):
+    # The coefficient table of Analysis against one trimmed Poly per adjugate
+    # entry: the same Sylvester matrices, in the same order, and the same
+    # GCD degree, padded rank and sigma and unattainable verdict.
+    built = []
+
+    def recorded(f, dprime, _fn=gcdkit.generalized_sylvester):
+        built.append(_fn(f, dprime))
+        return built[-1]
+
+    monkeypatch.setattr(gcdkit, "generalized_sylvester", recorded)
+    rng = np.random.default_rng(26)
+    seen = {"dead entries": 0, "unattainable": 0, "reversed": 0, "singular": 0, "1x1": 0}
+    for case in range(240):
+        a = _table_case(rng, case)
+        structure = (PerturbStructure.full, PerturbStructure.support,
+                     PerturbStructure.degree)[rng.integers(3)](a)
+        table, reference = Analysis(a), PerEntryAnalysis(a)
+        built.clear()
+        assert _outcome(lambda: table.gcd_degree) == _outcome(lambda: reference.gcd_degree)
+        assert _outcome(lambda: table.padded) == _outcome(reference.padded)
+        trivial = _outcome(lambda: table.gcd_trivial) is True
+        reach = reachable_adjoint_degrees(a, structure) if trivial else None
+        verdict = _outcome(lambda: table.unattainable(structure, reach))
+        assert verdict == _outcome(lambda: reference.unattainable(reach))
+        assert len(built) == len(reference.matrices)
+        assert all(np.array_equal(x, y) for x, y in zip(built, reference.matrices))
+        seen["dead entries"] += a.rows > 1 and 0 < table.live.size < a.rows**2
+        seen["unattainable"] += verdict is True
+        seen["reversed"] += len(built) == 4
+        seen["singular"] += verdict == "RankDeficientInput"
+        seen["1x1"] += verdict == "DimensionMismatch"
+    assert min(seen.values()) >= 5, seen
+
+
+def _outcome(fn):
+    """fn() or the name of the library error it raised."""
+    try:
+        return fn()
+    except PolysmithError as err:
+        return type(err).__name__
 
 
 def test_distance_lower_bound_nontrivial_input_is_zero():
@@ -327,6 +410,21 @@ def test_lockstep_fits_match_per_seed_fits_bitwise(monkeypatch):
         assert [_fit_bits(fit) for fit in fits] == [_fit_bits(fit) for fit in reference]
         stops.update(fit[4] for fit in fits)
     assert {"converged", "rate", "rose"} <= stops
+
+
+def test_lockstep_fits_with_mixed_declared_degrees_match_per_seed_fits_bitwise():
+    # Targets of up to four declared degrees: each sweep solves one stack per
+    # degree and gathers their cofactor blocks into target order.
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        deg_h = int(rng.integers(1, 3))
+        h = np.concatenate([rng.normal(size=deg_h), [1.0]])
+        targets = [np.convolve(rng.normal(size=int(m)), h) + 1e-3 * rng.normal(size=m + deg_h)
+                   for m in rng.integers(1, 5, size=int(rng.integers(2, 7)))]
+        seeds = [h + 0.3 * np.append(rng.normal(size=deg_h), 0.0) for _ in range(3)]
+        fits = gcdkit._alternating_fits(seeds, targets, deg_h)
+        reference = per_seed_alternating_fits(seeds, targets, deg_h)
+        assert [_fit_bits(fit) for fit in fits] == [_fit_bits(fit) for fit in reference]
 
 
 def test_stacked_lstsq_is_lstsq_slice_by_slice():
