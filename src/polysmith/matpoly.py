@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 
 import numpy as np
 
@@ -119,23 +120,19 @@ class MatPoly:
     @classmethod
     def from_entries(cls, entries, degree_bound=None) -> "MatPoly":
         """Build from a grid of ascending coefficient lists (or Poly values)."""
-        rows = len(entries)
-        cols = len(entries[0])
-        grids = [
-            [np.atleast_1d(np.asarray(getattr(e, "coeffs", e), dtype=float)) for e in row]
-            for row in entries
-        ]
-        if any(len(row) != cols for row in grids):
+        rows, cols = len(entries), len(entries[0])
+        if any(len(row) != cols for row in entries):
             raise DimensionMismatch("entry grid is ragged")
-        longest = max(g.size for row in grids for g in row) - 1
+        flat = [getattr(e, "coeffs", e) for row in entries for e in row]
+        # Row k holds coefficient k of every entry, zero past an entry's length.
+        table = np.array(list(zip_longest(*flat, fillvalue=0.0)), dtype=float)
+        longest = len(table) - 1
         if degree_bound is None:
             degree_bound = longest
         elif degree_bound < longest:
             raise PadTooSmall(f"degree bound {degree_bound} < entry length {longest}")
         arr = np.zeros((rows, cols, degree_bound + 1))
-        for i in range(rows):
-            for j in range(cols):
-                arr[i, j, : grids[i][j].size] = grids[i][j]
+        arr[:, :, : longest + 1] = table.T.reshape(rows, cols, -1)
         return cls(arr)
 
     @property
@@ -218,13 +215,8 @@ class MatPoly:
         return MatPoly(arr)
 
     def __sub__(self, other: "MatPoly") -> "MatPoly":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("matrix shapes differ")
-        d = max(self.degree_bound, other.degree_bound)
-        arr = np.zeros((self.rows, self.cols, d + 1))
-        arr[:, :, : self.degree_bound + 1] += self.coeff
-        arr[:, :, : other.degree_bound + 1] -= other.coeff
-        return MatPoly(arr)
+        # x - y and x + (-y) round alike, so this is the entry-wise difference.
+        return self + -1.0 * other
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -273,13 +265,8 @@ class PerturbStructure:
 
     @classmethod
     def degree(cls, a: MatPoly) -> "PerturbStructure":
-        mask = np.zeros_like(a.coeff, dtype=bool)
-        for i in range(a.rows):
-            for j in range(a.cols):
-                deg = a.entry(i, j).degree()
-                if deg != NEG_INF:
-                    mask[i, j, : int(deg) + 1] = True
-        return cls(mask)
+        """Every coefficient of an entry up to its degree (Poly.degree)."""
+        return cls(np.arange(a.coeff.shape[2]) <= last_index(np.abs(a.coeff) > 0.0)[..., None])
 
     def reversed(self) -> "PerturbStructure":
         """The mask of the reversed matrix polynomial (see MatPoly.reversed)."""

@@ -78,7 +78,7 @@ class SnfReport:
     certified: bool
     trace: LmTrace
     z: np.ndarray = field(repr=False, default=None)
-    # (ApproxGcdResult, _rank_drop_score) of each shortlisted seed, in
+    # (ApproxGcdResult, rank-drop score) of each shortlisted seed, in
     # candidate order; the solve starts from the first with the least score.
     seeds: list = field(repr=False, default_factory=list)
 
@@ -133,12 +133,12 @@ class _Workspace(KktWorkspace):
 
     @cached_property
     def seeds(self) -> list:
-        """(ApproxGcdResult, _rank_drop_score) of each shortlisted divisor
+        """(ApproxGcdResult, rank-drop score) of each shortlisted divisor
         fit of the input's adjugate, in candidate order.  The fit runs over
         every adjugate entry."""
         entries = adjoint(self.a).pvec()
         fits = approx_gcd_candidates(entries, self.deg_h, [self.dadj] * len(entries))
-        return [(fit, _rank_drop_score(self, fit)) for fit in fits]
+        return list(zip(fits, _rank_drop_scores(self, fits)))
 
     def pack(self, p, f_vec, h, lam) -> np.ndarray:
         return np.concatenate([p, f_vec, h, lam])
@@ -213,7 +213,7 @@ def initial_guess(problem: SnfProblem, ws: _Workspace | None = None) -> np.ndarr
     """Zero perturbation and multipliers, divisor and cofactors from an approximate GCD.
 
     Among the candidate divisor fits (_Workspace.seeds), the first one whose
-    root A is closest to dropping rank by two at wins (see _rank_drop_score).
+    root A is closest to dropping rank by two at wins (see _rank_drop_scores).
     Only the live entries' cofactors enter z.
     """
     ws = ws or _Workspace(problem)
@@ -223,24 +223,26 @@ def initial_guess(problem: SnfProblem, ws: _Workspace | None = None) -> np.ndarr
     return ws.pack(np.zeros(ws.m_p), f_vec, h, np.zeros(ws.n_c))
 
 
-def _rank_drop_score(ws: _Workspace, fit) -> float:
-    """First-order distance to rank n-2 at the divisor roots (min over roots).
+def _rank_drop_scores(ws: _Workspace, fits) -> list:
+    """First-order distance to rank n-2 at each fit's divisor roots (min over roots).
 
     A perturbation p moves A_ij(omega) by at most ||p|| w_ij(omega), with
     w_ij(omega)^2 = sum_k mask_ijk |omega|^(2k); so the two smallest singular
-    values of A(omega), in 2-norm, over the largest weight estimate it.
+    values of A(omega), in 2-norm, over the largest weight estimate it.  All
+    roots share one stacked SVD of A, evaluated in complex as MatPoly.evaluate.
     """
-    h = fit.h.trimmed(1e-12)
-    if h.degree() < 1:
-        return np.inf
-    best = np.inf
-    for root in np.roots(h.coeffs[::-1]):
-        s = np.linalg.svd(ws.a.evaluate(root), compute_uv=False)
-        powers = np.abs(root) ** (2 * np.arange(ws.d + 1))
-        weight = np.sqrt(np.max(ws.structure.mask @ powers))
-        if weight > 0:
-            best = min(best, float(np.hypot(s[-2], s[-1]) / weight))
-    return best
+    roots = [np.roots(h.coeffs[::-1]) if (h := fit.h.trimmed(1e-12)).degree() >= 1
+             else np.zeros(0) for fit in fits]
+    z = np.concatenate(roots).astype(complex)
+    values = np.polynomial.polynomial.polyval(z[:, None], ws.a.coeff.reshape(-1, ws.d + 1).T,
+                                              tensor=False)
+    s = np.linalg.svd(values.reshape(-1, ws.n, ws.n), compute_uv=False)
+    powers = np.abs(z)[:, None] ** (2 * np.arange(ws.d + 1))
+    weight = np.sqrt(np.max(ws.structure.mask @ powers[:, None, :, None], axis=(1, 2, 3)))
+    score = np.divide(np.hypot(s[:, -2], s[:, -1]), weight, out=np.full(z.size, np.inf),
+                      where=weight > 0)
+    parts = np.split(score, np.cumsum([r.size for r in roots])[:-1])
+    return [float(part.min(initial=np.inf)) for part in parts]
 
 
 def solve(problem: SnfProblem, cfg: LmConfig | None = None) -> SnfReport:

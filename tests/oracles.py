@@ -56,6 +56,26 @@ def grid_then_golden(fn, lo, hi, samples=4001):
     return golden_minimize(fn, a, b)
 
 
+def golden_section_roots(score, radius):
+    """Real-line minimizers of the projection score, each local minimum of the
+    256-point Chebyshev grid refined by 60 golden-section steps on its two
+    grid cells: the reference for gcdkit._real_candidate_roots, whose zoom
+    rounds must find as many roots, each scoring no worse."""
+    grid = np.sort(radius * np.cos(np.pi * (np.arange(256) + 0.5) / 256))
+    vals = score(grid)
+    keep = np.nonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
+    if keep.size == 0:
+        return []
+    lo, hi = grid[keep - 1], grid[keep + 1]
+    for _ in range(60):
+        m1 = lo + 0.381966 * (hi - lo)
+        m2 = hi - 0.381966 * (hi - lo)
+        scores = score(np.concatenate([m1, m2]))
+        left = scores[: keep.size] < scores[keep.size :]
+        lo, hi = np.where(left, lo, m1), np.where(left, m2, hi)
+    return list(0.5 * (lo + hi))
+
+
 def diagonal_snf_instance(seed):
     """Seeded 2x2 diagonal instance with an interior nearest-common-root."""
     rng = np.random.default_rng(100 + seed)
@@ -150,6 +170,38 @@ def snf_kkt_hessian_block(ws, z):
     h_xx[ws.sl_h, ws.sl_f] = cross.T
     full = np.block([[h_xx, j.T], [j, np.zeros((ws.n_c, ws.n_c))]])
     return 0.5 * (full + full.T)
+
+
+def per_root_rank_drop_score(ws, fit) -> float:
+    """First-order distance to rank n-2 at the divisor roots of one fit (min
+    over roots), with one MatPoly.evaluate and one SVD per root: the reference
+    for snf_opt._rank_drop_scores, which must match it bit for bit."""
+    h = fit.h.trimmed(1e-12)
+    if h.degree() < 1:
+        return np.inf
+    best = np.inf
+    for root in np.roots(h.coeffs[::-1]):
+        s = np.linalg.svd(ws.a.evaluate(root), compute_uv=False)
+        powers = np.abs(root) ** (2 * np.arange(ws.d + 1))
+        weight = np.sqrt(np.max(ws.structure.mask @ powers))
+        if weight > 0:
+            best = min(best, float(np.hypot(s[-2], s[-1]) / weight))
+    return best
+
+
+def from_entries_per_entry(entries, degree_bound=None) -> np.ndarray:
+    """Coefficient array of a grid of coefficient lists (or Poly values),
+    each entry converted by np.atleast_1d and copied in on its own: the
+    reference for MatPoly.from_entries, whose array must equal it."""
+    grids = [[np.atleast_1d(np.asarray(getattr(e, "coeffs", e), dtype=float)) for e in row]
+             for row in entries]
+    if degree_bound is None:
+        degree_bound = max(g.size for row in grids for g in row) - 1
+    arr = np.zeros((len(grids), len(grids[0]), degree_bound + 1))
+    for i, row in enumerate(grids):
+        for j, g in enumerate(row):
+            arr[i, j, : g.size] = g
+    return arr
 
 
 def perturb_delta_via_vec(structure, params):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from polysmith import cli, selftest
 from polysmith.errors import DimensionMismatch, PadTooSmall
 from polysmith.matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 
-from oracles import perturb_apply_via_delta, perturb_delta_via_vec
+from conftest import FIXTURES
+from oracles import from_entries_per_entry, perturb_apply_via_delta, perturb_delta_via_vec
 
 EXAMPLE = MatPoly.from_entries([[[0, 1], [-1, 1]], [[1, 1], [0, 1]]])  # [[t, t-1], [t+1, t]]
 
@@ -202,3 +204,71 @@ def test_degree_mask_stops_at_entry_degree():
     assert mask[0, 1].tolist() == [False, False, False]
     assert mask[1, 0].tolist() == [True, True, True]
     assert mask[1, 1].tolist() == [True, False, False]
+
+
+def _entry_grid(rng):
+    # Ragged degrees with trailing zeros kept; integer lists, float lists,
+    # numpy arrays or Poly values.
+    rows, cols = rng.integers(1, 6, 2)
+    grid = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            c = rng.normal(size=rng.integers(1, 5)) * (rng.random() < 0.8)
+            ints = [int(x) for x in rng.integers(-9, 10, c.size)]
+            row.append([ints, list(c), c, Poly(c)][rng.integers(4)])
+        grid.append(row)
+    return grid
+
+
+def test_from_entries_matches_the_per_entry_fill(monkeypatch):
+    # Seeded grids, the CLI's parsed documents and the selftest's call.
+    rng = np.random.default_rng(27)
+    cases = [(_entry_grid(rng), None) for _ in range(200)]
+    cases += [(grid, max(len(getattr(e, "coeffs", e)) for row in grid for e in row) + 1)
+              for grid, _ in cases[:20]]
+    cases += [(cli.parse(str(path)).entries, None) for path in sorted(FIXTURES.glob("*.json"))]
+    recorded = []
+
+    def recording(cls, entries, degree_bound=None, _fn=MatPoly.from_entries.__func__):
+        recorded.append((entries, degree_bound))
+        return _fn(cls, entries, degree_bound)
+
+    monkeypatch.setattr(MatPoly, "from_entries", classmethod(recording))
+    next(name for name, *_ in selftest.run_selftest(0) if name.startswith("snf solve"))
+    assert len(recorded) == 1
+    for entries, degree_bound in cases + recorded:
+        got = MatPoly.from_entries(entries, degree_bound).coeff
+        want = from_entries_per_entry(entries, degree_bound)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_from_entries_rejects_ragged_grid_and_short_bound():
+    with pytest.raises(DimensionMismatch):
+        MatPoly.from_entries([[[1.0], [2.0]], [[3.0]]])
+    with pytest.raises(PadTooSmall):
+        MatPoly.from_entries([[[1.0, 2.0, 3.0]]], degree_bound=1)
+
+
+def test_degree_mask_matches_the_entry_degrees():
+    rng = np.random.default_rng(28)
+    for _ in range(100):
+        # Half the coefficients zero: trailing zeros and vanishing entries.
+        shape = (*rng.integers(1, 5, 2), rng.integers(1, 5))
+        a = MatPoly(rng.normal(size=shape) * (rng.random(shape) < 0.5))
+        mask = PerturbStructure.degree(a).mask
+        for i in range(a.rows):
+            for j in range(a.cols):
+                deg = a.entry(i, j).degree()
+                want = np.arange(a.degree_bound + 1) <= deg
+                assert np.array_equal(mask[i, j], want)
+
+
+def test_difference_matches_entry_wise_subtraction():
+    rng = np.random.default_rng(29)
+    a, b = MatPoly(rng.normal(size=(2, 3, 3))), MatPoly(rng.normal(size=(2, 3, 2)))
+    want = a.coeff.copy()
+    want[:, :, :2] -= b.coeff
+    assert np.array_equal((a - b).coeff, want)
+    with pytest.raises(DimensionMismatch):
+        a - MatPoly(rng.normal(size=(3, 2, 3)))

@@ -7,7 +7,7 @@ from polysmith import cli, gcdkit, mccoy_opt, snf_opt
 from polysmith.detadj import adjoint
 from polysmith.gcdkit import distance_lower_bound
 from polysmith.lmsolve import LmConfig, Termination, certify
-from polysmith.matpoly import MatPoly, PerturbStructure
+from polysmith.matpoly import MatPoly, PerturbStructure, Poly
 from polysmith.mccoy_opt import (
     McCoyProblem,
     _McCoyWorkspace,
@@ -31,6 +31,7 @@ from oracles import (
     diagonal_snf_instance,
     fd_columns,
     mccoy_rank2_instance,
+    per_root_rank_drop_score,
     random_full_rank_matpoly,
     snf_kkt_hessian_block,
 )
@@ -198,6 +199,45 @@ def test_report_records_every_seed_and_its_score():
     ws = _Workspace(problem)
     z0 = initial_guess(problem, ws)
     assert np.array_equal(ws.unpack(z0)[2], fits[chosen].h.coeffs)
+
+
+def _rank_drop_cases():
+    # Workspaces of 2x2 diagonal, dense n=3 (d=1, 2) and ex1 inputs under
+    # every mask kind, with their shortlisted fits, then random monic
+    # divisors (real and complex roots, a constant one, roots at zero under
+    # a mask without constant terms, where the weight vanishes).
+    rng = np.random.default_rng(27)
+    ex1 = cli.parse(str(FIXTURES / "ex1.json")).to_matpoly()
+    inputs = [(diagonal_snf_instance(seed)[0], 1) for seed in range(20)]
+    inputs += [(random_full_rank_matpoly(rng, 3, d), deg_h) for d in (1, 2) for deg_h in (1, 2)
+               for _ in range(4)]
+    inputs += [(ex1, 1), (ex1, 2)]
+    for k, (a, deg_h) in enumerate(inputs):
+        kind = (PerturbStructure.degree, PerturbStructure.support, PerturbStructure.full)[k % 3]
+        ws = _Workspace(SnfProblem(a, kind(a), deg_h=deg_h))
+        yield ws, [fit for fit, _ in ws.seeds]
+        divisors = [np.concatenate([rng.normal(size=deg_h) * 10.0 ** rng.uniform(-3, 3), [1.0]])
+                    for _ in range(6)] + [np.array([1.0]), np.eye(deg_h + 1)[-1]]
+        yield ws, [gcdkit.ApproxGcdResult(Poly(h), [], 0.0, 0, "converged") for h in divisors]
+    a = random_full_rank_matpoly(rng, 3, 2)
+    mask = np.ones(a.coeff.shape, dtype=bool)
+    mask[:, :, 0] = False
+    ws = _Workspace(SnfProblem(a, PerturbStructure(mask), deg_h=2))
+    yield ws, [gcdkit.ApproxGcdResult(Poly(h), [], 0.0, 0, "converged")
+               for h in ([0.0, 1.0], [0.0, 0.0, 1.0], [0.0, -0.5, 1.0])]
+
+
+def test_batched_rank_drop_scores_match_per_root_loop_bitwise():
+    seen = {"finite": 0, "inf": 0, "complex roots": 0}
+    for ws, fits in _rank_drop_cases():
+        got = snf_opt._rank_drop_scores(ws, fits)
+        want = [per_root_rank_drop_score(ws, fit) for fit in fits]
+        assert [float(x).hex() for x in got] == [float(x).hex() for x in want]
+        seen["finite"] += sum(np.isfinite(want))
+        seen["inf"] += sum(np.isinf(want))
+        seen["complex roots"] += sum(fit.h.coeffs[1] ** 2 < 4 * fit.h.coeffs[0]
+                                     for fit in fits if fit.h.coeffs.size == 3)
+    assert min(seen.values()) >= 5, seen
 
 
 def singular_at_one_3x3(seed):
