@@ -66,11 +66,11 @@ class TrivialityReport:
 class ApproxGcdResult:
     """Monic approximate common divisor with cofactors and fit residual.
 
-    sweeps counts the alternating-fit sweeps run, a discarded last one
-    included; stop says why the fit ended: "converged" (the residual gain
-    fell below 1e-12), "rate" (at its rate the gain could not do so before
-    the sweep cap), "rose" (a sweep raised the residual and was discarded)
-    or "cap" (all _ALS_SWEEPS sweeps ran).
+    sweeps counts the alternating-fit sweeps run, discarded ones included;
+    stop says why the fit ended: "converged" (the residual gain fell below
+    1e-12), "rate" (at the rate of its plain sweeps' gains, secant sweeps
+    left out, the gain could not do so before the sweep cap), "rose" (a plain
+    sweep raised the residual and was discarded) or "cap" (all sweeps ran).
     """
 
     h: Poly
@@ -367,13 +367,13 @@ def approx_gcd(f, deg_h: int, dprime) -> ApproxGcdResult:
     Root candidates pooled from the entries seed the divisor; the refinement
     then alternates between solving for cofactors with the divisor fixed and
     re-fitting the divisor (leading coefficient pinned to one) with the
-    cofactors fixed.  A fit ends when its residual gain per sweep falls below
-    1e-12, when a sweep raises the residual, or after _ALS_SWEEPS sweeps.
-    The fit converges only linearly, so it ends early once the geometric
-    rate of its last _ALS_WINDOW gains could not bring the gain below 1e-12
-    before that cap (lmsolve's Sublinear rule, applied to the fit).  The
-    shortlisted seeds' fits run in lockstep, with one stacked LAPACK call
-    per solve, bit for bit the fits run one by one (see _alternating_fits).
+    cofactors fixed, a linearly converging map that a secant step every
+    deg_h + 1 sweeps extrapolates to its fixed point.  A fit ends when its
+    residual gain falls below 1e-12, when a plain sweep raises the residual,
+    after _ALS_SWEEPS sweeps, or once the geometric rate of its last
+    _ALS_WINDOW plain gains could not bring the gain below 1e-12 before then
+    (lmsolve's Sublinear rule).  The shortlisted seeds' fits run in lockstep,
+    bit for bit the fits run one by one (see _alternating_fits).
     """
     return approx_gcd_candidates(f, deg_h, dprime)[0]
 
@@ -424,7 +424,7 @@ def _lstsq_failed(err, flag):
 
 
 def _alternating_fits(seeds, targets, deg_h: int) -> list:
-    """(h, cofactors, residual, sweeps, stop) from each seed by alternating least squares.
+    """(h, cofactors, residual, sweeps, stop) from each monic seed by alternating least squares.
 
     The seeds' fits run in lockstep.  Each sweep solves the cofactors of one
     declared degree for every running fit in one stacked call (their conv(h)
@@ -432,12 +432,13 @@ def _alternating_fits(seeds, targets, deg_h: int) -> list:
     more stacked call against the fits' cofactor convolution matrices, stacked
     in target order.  Both stacks come from structured.conv_matrices, one
     call per declared cofactor degree, and each slice is bit for bit the
-    per-fit np.linalg.lstsq call (see _stacked_lstsq).  Each fit
-    keeps its own residual, summed per target in target order, its stop rule
-    and its sweep count, and leaves the stack when it stops.  A sweep that
-    raises a fit's residual ends it at its previous fit.  The rate rule reads
-    the gains from the second sweep on; the first one's, from an infinite
-    residual, is not kept.
+    per-fit np.linalg.lstsq call (see _stacked_lstsq); every residual, rhs -
+    stacked @ h, comes from one product.  Each fit leaves the stack when it
+    stops.  After deg_h + 1 accepted sweeps from its last restart, a fit
+    restarts at the _secant_points of their divisors.  A sweep from there
+    that raises the residual, or a point that is not finite, restarts it at
+    its last divisor; any other sweep that does so ends it at its previous
+    fit.  The rate rule reads the other sweeps' gains from the second on.
     """
     counts = np.array([t.size - deg_h for t in targets])  # coefficients per cofactor
     ends = np.cumsum(counts)
@@ -456,6 +457,7 @@ def _alternating_fits(seeds, targets, deg_h: int) -> list:
     order[np.concatenate(rows)] = np.arange(rhs.size)
     n_seeds = len(seeds)
     h = np.array(seeds, dtype=float)
+    start, chains, leaped = h.copy(), [[x] for x in h[:, :-1].copy()], [False] * n_seeds
     cofactors = np.zeros((n_seeds, ends[-1]))
     residual, gains = [np.inf] * n_seeds, [[] for _ in seeds]
     sweeps, stop = [0] * n_seeds, ["cap"] * n_seeds
@@ -465,43 +467,62 @@ def _alternating_fits(seeds, targets, deg_h: int) -> list:
         new_cofactors = np.empty((n_live, ends[-1]))
         blocks = []
         for count, group_rhs, where in groups:
-            solved = _stacked_lstsq(conv_matrices(h[live], count), group_rhs).transpose(0, 2, 1)
+            solved = _stacked_lstsq(conv_matrices(start[live], count), group_rhs).transpose(0, 2, 1)
             new_cofactors[:, where] = solved
             blocks.append(conv_matrices(solved, deg_h + 1).reshape(n_live, -1, deg_h + 1))
         stacked = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)[:, order]
         free = _stacked_lstsq(stacked[..., :-1], (rhs - stacked[..., -1])[..., None])
         new_h = np.ones((n_live, deg_h + 1))
         new_h[:, :-1] = free[..., 0]
+        diff = rhs - (stacked @ new_h[..., None])[..., 0]
+        new_residual = np.sqrt(np.einsum("ij,ij->i", diff, diff)).tolist()
         running = []
-        for s, new_c, new_hs in zip(live, new_cofactors, new_h):
-            total = 0.0
-            for target, (lo, hi) in zip(targets, bounds):
-                diff = target - np.convolve(new_c[lo:hi], new_hs)
-                total += float(diff @ diff)
-            new_residual = math.sqrt(total)
-            sweeps[s] = sweep
-            if not (new_residual <= residual[s] + 1e-10 * (1.0 + residual[s])):
-                stop[s] = "rose"
+        for s, new_c, new_hs, new_res in zip(live, new_cofactors, new_h, new_residual):
+            sweeps[s], leap, leaped[s] = sweep, leaped[s], False
+            if not (new_res <= residual[s] + 1e-10 * (1.0 + residual[s])):
+                if leap:
+                    start[s], chains[s] = h[s], [h[s, :-1].copy()]
+                    running.append(s)
+                else:
+                    stop[s] = "rose"
                 continue
-            gain = abs(residual[s] - new_residual)
-            h[s], cofactors[s], residual[s] = new_hs, new_c, new_residual
+            gain = abs(residual[s] - new_res)
+            h[s], start[s], cofactors[s], residual[s] = new_hs, new_hs, new_c, new_res
+            chains[s].append(new_hs[:-1])
             if gain < 1e-12:
                 stop[s] = "converged"
                 continue
-            if math.isfinite(gain):
+            if not leap and math.isfinite(gain):
                 gains[s].append(gain)
             left = _ALS_SWEEPS - sweep
-            if len(gains[s]) > _ALS_WINDOW and left > 0:
+            if not leap and len(gains[s]) > _ALS_WINDOW and left > 0:
                 rate = (gain / gains[s][-1 - _ALS_WINDOW]) ** (1.0 / _ALS_WINDOW)
                 if gain * rate**left >= 1e-12:
                     stop[s] = "rate"
                     continue
             running.append(s)
         live = running
+        due = [s for s in live if len(chains[s]) == deg_h + 2]
+        points = _secant_points(np.array([chains[s] for s in due])) if due else []
+        for s, point in zip(due, points):
+            leaped[s] = bool(np.isfinite(point).all())
+            chains[s] = [point] if leaped[s] else [h[s, :-1].copy()]
+            start[s, :-1] = chains[s][0]
         if not live:
             break
     return [(h[s], [cofactors[s, lo:hi] for lo, hi in bounds], residual[s], sweeps[s], stop[s])
             for s in range(n_seeds)]
+
+
+def _secant_points(chains) -> np.ndarray:
+    """x_last + sum_i a_i (x_{i+1} - x_last), with sum_i a_i (u_i - u_last) = -u_last and
+    u_i = x_{i+1} - x_i, per chain x_0 ... x_{m+1} of m-vectors: the fixed point of an affine
+    sweep (Aitken's delta-squared for m = 1); NaN if np.linalg.solve's gesv finds it singular."""
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore", under="ignore"):
+        steps = np.diff(chains, axis=1)
+        system = (steps[:, :-1] - steps[:, -1:]).transpose(0, 2, 1)
+        a = _umath_linalg.solve1(system, -steps[:, -1], signature="dd->d")
+        return chains[:, -1] + (a[..., None] * (chains[:, 1:-1] - chains[:, -1:])).sum(axis=1)
 
 
 def _root_projection_score(entries):

@@ -172,8 +172,8 @@ class _McCoyWorkspace(KktWorkspace):
         dmb = (dm @ b).ravel()
         j[:nr, w0], j[nr:, w0] = dmb.real, dmb.imag
         j[:nr, w0 + 1], j[nr:, w0 + 1] = -dmb.imag, dmb.real
-        # d(M B)/dX = (M Q) kron I_r, and i times it for Im X.
-        k = np.kron(m @ self.q, np.eye(self.r))
+        # d(M B)/dX = (M Q) kron I_r, as a broadcast product, and i times it for Im X.
+        k = ((m @ self.q)[:, None, :, None] * np.eye(self.r)[None, :, None, :]).reshape(self.nr, -1)
         j[:nr, self.sl_xr], j[nr:, self.sl_xr] = k.real, k.imag
         j[:nr, self.sl_xi], j[nr:, self.sl_xi] = -k.imag, k.real
         return j

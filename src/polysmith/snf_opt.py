@@ -231,8 +231,7 @@ def _rank_drop_scores(ws: _Workspace, fits) -> list:
     values of A(omega), in 2-norm, over the largest weight estimate it.  All
     roots share one stacked SVD of A, evaluated in complex as MatPoly.evaluate.
     """
-    roots = [np.roots(h.coeffs[::-1]) if (h := fit.h.trimmed(1e-12)).degree() >= 1
-             else np.zeros(0) for fit in fits]
+    roots = [_divisor_roots(fit.h) for fit in fits]
     z = np.concatenate(roots).astype(complex)
     values = np.polynomial.polynomial.polyval(z[:, None], ws.a.coeff.reshape(-1, ws.d + 1).T,
                                               tensor=False)
@@ -299,10 +298,15 @@ def _extract_report(ws: _Workspace, z, trace, certified: bool) -> SnfReport:
     )
 
 
+def _divisor_roots(h: Poly) -> np.ndarray:
+    """np.roots of h trimmed at 1e-12, a linear h's bit for bit without eigvals (+0.0 at h0 = 0)."""
+    c = h.trimmed(1e-12).coeffs
+    return np.array([0.0 - c[0] / c[1]]) if c.size == 2 else np.roots(c[::-1])
+
+
 def _divisor_root(h: Poly, a_solved: MatPoly):
     """The root of h to report, an eigenvalue of a_solved."""
-    trimmed = h.trimmed(1e-12)
-    roots = np.roots(trimmed.coeffs[::-1]) if trimmed.degree() >= 1 else np.array([])
+    roots = _divisor_roots(h)
     if roots.size == 0:
         return complex(0.0)
     complex_roots = roots[np.abs(roots.imag) > 1e-10]

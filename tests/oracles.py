@@ -223,10 +223,101 @@ def perturb_apply_via_delta(structure, a, params):
 
 
 def per_seed_alternating_fits(seeds, targets, deg_h: int) -> list:
-    """(h, cofactors, residual, sweeps, stop) from each seed by alternating least squares,
-    one seed after another with one np.linalg.lstsq call per solve: the
-    reference for gcdkit._alternating_fits, whose lockstep fits must match it
-    bit for bit.
+    """(h, cofactors, residual, sweeps, stop) from each monic seed by alternating
+    least squares with a secant step every deg_h + 1 accepted sweeps, one seed
+    after another with one np.linalg.lstsq call per solve and one
+    np.linalg.solve per secant step: the reference for
+    gcdkit._alternating_fits, whose lockstep fits must match it bit for bit.
+
+    Cofactors of one declared degree come from one multi-right-hand-side
+    solve, and the monic divisor from one solve against the stacked cofactor
+    convolution matrices; both matrices are written by scatters with fixed
+    indices.  The residual is rhs - stacked @ h.  The free coefficients of
+    the divisors since the last restart x_0, x_1, ... (x_0 the seed) give,
+    once deg_h + 2 are in, the point x_last + sum_i alpha_i (x_{i+1} -
+    x_last) with sum_i alpha_i (u_i - u_last) = -u_last, u_i = x_{i+1} - x_i;
+    the next sweep starts there, and the list restarts at it.  A sweep from
+    it that raises the residual is dropped and the fit goes on from its last
+    divisor; any other sweep that raises the residual ends the fit at the
+    previous one.  A singular system or a point that is not finite restarts
+    the list at the last divisor.  The rate rule reads the gains of the
+    sweeps that did not start from such a point, from the second sweep on.
+    """
+    counts = np.array([t.size - deg_h for t in targets])  # coefficients per cofactor
+    ends = np.cumsum(counts)
+    bounds = list(zip((ends - counts).tolist(), ends.tolist()))
+    solves = []
+    for count in dict.fromkeys(counts.tolist()):
+        members = np.flatnonzero(counts == count)
+        shift = np.arange(count)[:, None]
+        solves.append((np.zeros((count + deg_h, count)), shift + np.arange(deg_h + 1), shift,
+                       np.column_stack([targets[k] for k in members]),
+                       (ends - counts)[members][:, None] + shift.T))
+    rhs = np.concatenate(targets)
+    stacked = np.zeros((rhs.size, deg_h + 1))
+    # Coefficient t of cofactor k multiplies h_j in row k*deg_h + (its flat index) + j.
+    cols = np.arange(deg_h + 1)[:, None]
+    rows = np.repeat(deg_h * np.arange(counts.size), counts) + np.arange(ends[-1]) + cols
+    fits = []
+    for h in seeds:
+        cofactors, residual, gains, stop = np.zeros(ends[-1]), np.inf, [], "cap"
+        start, chain, leaped = h, [h[:-1]], False
+        for sweep in range(1, _ALS_SWEEPS + 1):
+            new_cofactors = np.empty(ends[-1])
+            for matrix, conv_rows, conv_cols, group_rhs, where in solves:
+                matrix[conv_rows, conv_cols] = start
+                new_cofactors[where] = np.linalg.lstsq(matrix, group_rhs, rcond=None)[0].T
+            stacked[rows, cols] = new_cofactors
+            free = np.linalg.lstsq(stacked[:, :-1], rhs - stacked[:, -1], rcond=None)[0]
+            new_h = np.concatenate([free, [1.0]])
+            diff = rhs - stacked @ new_h
+            new_residual = math.sqrt(np.einsum("i,i->", diff, diff))
+            lowered = new_residual <= residual + 1e-10 * (1.0 + residual)
+            if leaped and not lowered:
+                start, chain, leaped = h, [h[:-1]], False
+                continue
+            if not lowered:
+                stop = "rose"
+                break
+            gain = abs(residual - new_residual)
+            h = start = new_h
+            cofactors, residual = new_cofactors, new_residual
+            chain.append(free)
+            if gain < 1e-12:
+                stop = "converged"
+                break
+            if not leaped:
+                if math.isfinite(gain):
+                    gains.append(gain)
+                left = _ALS_SWEEPS - sweep
+                if len(gains) > _ALS_WINDOW and left > 0:
+                    rate = (gain / gains[-1 - _ALS_WINDOW]) ** (1.0 / _ALS_WINDOW)
+                    if gain * rate**left >= 1e-12:
+                        stop = "rate"
+                        break
+            leaped = False
+            if len(chain) == deg_h + 2:
+                x = np.array(chain)
+                u = np.diff(x, axis=0)
+                try:
+                    alpha = np.linalg.solve((u[:-1] - u[-1]).T, -u[-1])
+                except np.linalg.LinAlgError:
+                    alpha = np.full(deg_h, np.nan)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    leap = x[-1] + (alpha[:, None] * (x[1:-1] - x[-1])).sum(axis=0)
+                if np.isfinite(leap).all():
+                    start, leaped = np.concatenate([leap, [1.0]]), True
+                chain = [start[:-1]]
+        fits.append((h, [cofactors[lo:hi] for lo, hi in bounds], residual, sweep, stop))
+    return fits
+
+
+def plain_alternating_fits(seeds, targets, deg_h: int) -> list:
+    """(h, cofactors, residual, sweeps, stop) from each seed by plain alternating
+    least squares, one seed after another with one np.linalg.lstsq call per
+    solve and no secant step: the fit that gcdkit._alternating_fits
+    accelerates, whose fits end at or below this one's where neither stops by
+    its rate rule.
 
     Cofactors of one declared degree come from one multi-right-hand-side
     solve, and the monic divisor from one solve against the stacked cofactor

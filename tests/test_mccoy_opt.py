@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from polysmith import cli, gcdkit
+from polysmith import cli, gcdkit, mccoy_opt
 from polysmith.detadj import determinant
 from polysmith.errors import UnattainableProblem
 from polysmith.gcdkit import local_invariant_structure
@@ -136,6 +136,25 @@ def test_constraint_jacobian_matches_finite_differences(kind, r):
     fd = fd_columns(lambda v: ws.linearize(v).c, z)[:, : ws.n_x]
     jac = ws.linearization_at(z).jac
     assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) <= 1e-8
+
+
+@pytest.mark.parametrize("kind, r", JACOBIAN_CASES)
+def test_constraint_jacobian_kernel_blocks_equal_the_kron_product(kind, r):
+    # The Re X and Im X columns are (M Q) kron I_r and i times it, written by
+    # a broadcast product: bit for bit np.kron, signed zeros included, at
+    # r < n and at r = n (no X).  M has a row of signed zeros.
+    ws, z = _perturbed_state(kind, r, 70 + r)
+    rng = np.random.default_rng(r)
+    p, omega, x, _ = ws.unpack(z)
+    m = rng.normal(size=(ws.n, ws.n)) + 1j * rng.normal(size=(ws.n, ws.n))
+    m[0] = complex(-0.0, 0.0)
+    jac = ws.constraint_jacobian(mccoy_opt._powers(omega, ws.d)[0], m, m, ws.b0 + ws.q @ x)
+    k = np.kron(m @ ws.q, np.eye(ws.r))
+    assert k.shape == (ws.nr, (ws.n - ws.r) * ws.r)
+    for got, want in ((jac[: ws.nr, ws.sl_xr], k.real), (jac[ws.nr :, ws.sl_xr], k.imag),
+                      (jac[: ws.nr, ws.sl_xi], -k.imag), (jac[ws.nr :, ws.sl_xi], k.real)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 @pytest.mark.parametrize("kind, r", [*JACOBIAN_CASES, pytest.param("reversed", 2, id="reversed-2")])

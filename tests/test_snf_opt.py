@@ -240,6 +240,26 @@ def test_batched_rank_drop_scores_match_per_root_loop_bitwise():
     assert min(seen.values()) >= 5, seen
 
 
+def test_linear_divisor_root_is_np_roots_bitwise():
+    # A trimmed linear divisor's root is -h0/h1 without np.roots' eigvals;
+    # random pairs over sixteen decades each, zero constant terms of both
+    # signs, and pairs that trim to a constant.  Quadratics keep np.roots.
+    rng = np.random.default_rng(28)
+    pairs = rng.normal(size=(5000, 2)) * 10.0 ** rng.uniform(-8, 8, size=(5000, 2))
+    pairs = np.vstack([pairs, [[0.0, 1.0], [-0.0, 2.5], [0.0, -3.0], [1.0, 1e-13]]])
+    seen = {0: 0, 1: 0}
+    for h0, h1 in pairs:
+        h = Poly([h0, h1])
+        trimmed = h.trimmed(1e-12)
+        want = np.roots(trimmed.coeffs[::-1]) if trimmed.degree() >= 1 else np.zeros(0)
+        got = snf_opt._divisor_roots(h)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (h0, h1)
+        seen[got.size] += 1
+    assert seen[0] >= 1 and seen[1] >= 4500
+    quadratic = Poly([0.5, -0.3, 1.0])
+    assert snf_opt._divisor_roots(quadratic).tobytes() == np.roots([1.0, -0.3, 0.5]).tobytes()
+
+
 def singular_at_one_3x3(seed):
     # A(1) has rank 2, so det A has a root at t = 1, one of the nodes.
     rng = np.random.default_rng(seed)
