@@ -19,7 +19,7 @@ from numpy.linalg import _umath_linalg
 from .detadj import adjoint, determinant, jacobian_adj
 from .errors import DegreeTooLarge, RankDeficientInput
 from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly, last_index
-from .structured import conv_matrices, generalized_sylvester, numeric_rank
+from .structured import conv_matrices, generalized_sylvester, numeric_rank, rank_of
 
 # Computed adjoints and determinants carry interpolation noise around 1e-16;
 # trailing coefficients below this relative size are treated as zero.
@@ -150,8 +150,14 @@ class Analysis:
         """
         if self.live.size < 2:
             return int(self.table[1].max(initial=0))
+        s, shape = self.gcd_svd
+        return shape[1] - rank_of(s, shape)
+
+    @cached_property
+    def gcd_svd(self):
+        """Singular values and shape of gcd_degree's Sylvester matrix, one SVD."""
         syl = generalized_sylvester(self.table[0][self.live], self.table[1][self.live])
-        return syl.shape[1] - numeric_rank(syl)
+        return np.linalg.svd(syl, compute_uv=False), syl.shape
 
     @property
     def gcd_trivial(self) -> bool:
@@ -180,8 +186,8 @@ class Analysis:
 
     @cached_property
     def padded(self):
-        """Rank and rank-th singular value of the adjugate's Sylvester matrix
-        at the padded degree (n-1)d, both from one SVD of the normalized input.
+        """Rank and rank-th singular value of the adjugate's Sylvester matrix at
+        the padded degree (n-1)d, from one SVD: gcd_degree's if every live entry has it.
 
         A constant matrix has a constant adjugate, and triviality is then a
         plain rank question about A(0).
@@ -189,13 +195,15 @@ class Analysis:
         n, reach = self.n, (self.n - 1) * self.a.degree_bound
         if reach == 0:
             s = np.linalg.svd(self.norm.evaluate(0.0).real, compute_uv=False)
-            e = int(np.count_nonzero(s > s[0] * n * 1e-12)) if s[0] else 0
-            return e, float(s[n - 2]) if n >= 2 else 0.0
+            return rank_of(s, (n, n)), float(s[n - 2]) if n >= 2 else 0.0
         if self.live.size < 2:
             return 0, 0.0
-        syl = generalized_sylvester(self.table[0][self.live], [reach] * self.live.size)
-        s = np.linalg.svd(syl, compute_uv=False)
-        e = int(np.count_nonzero(s > s[0] * max(syl.shape) * 1e-12)) if s[0] else 0
+        if np.all(self.table[1][self.live] == reach):  # gcd_degree's matrix
+            s, shape = self.gcd_svd
+        else:
+            syl = generalized_sylvester(self.table[0][self.live], [reach] * self.live.size)
+            s, shape = np.linalg.svd(syl, compute_uv=False), syl.shape
+        e = rank_of(s, shape)
         return e, float(s[e - 1]) if e else 0.0
 
     @property
@@ -213,10 +221,12 @@ class Analysis:
         those degrees: the infimum is unattainable exactly when padding to
         the reachable degrees kills full rank and the reversed entries share
         a root at zero.  reach is reachable_adjoint_degrees(self.a,
-        structure) when the caller has it.
+        structure) when the caller has it.  No reachable degree exceeds (n-1)d
+        (a sum of n-1 entry degrees of at most d): when every entry has it, the
+        padded matrix is gcd_degree's, of full rank, and reach is not computed.
         """
         self.require_nonsingular()
-        if not self.gcd_trivial:
+        if not self.gcd_trivial or np.all(self.table[1] == (self.n - 1) * self.a.degree_bound):
             return False
         if reach is None:
             reach = reachable_adjoint_degrees(self.a, structure)
@@ -333,7 +343,8 @@ def reachable_adjoint_degrees(a: MatPoly, structure: PerturbStructure) -> np.nda
 
     Each adjoint entry is a minor, so its degree is bounded by the best
     permutation sum of the reachable degrees of the complementary submatrix.
-    Entries that are structurally zero stay NEG_INF.
+    Entries that are structurally zero stay NEG_INF.  The loop visits all
+    (n-1)! permutations for each of the n^2 entries, 322,560 at n = 8.
     """
     from itertools import permutations
 

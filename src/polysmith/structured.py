@@ -107,9 +107,9 @@ def numeric_rank(m) -> int:
     Accepts real or complex matrices.
     """
     m = np.asarray(m)
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > s[0] * max(m.shape) * 1e-12))
+    return rank_of(np.linalg.svd(m, compute_uv=False) if m.size else m.ravel(), m.shape)
+
+
+def rank_of(s, shape) -> int:
+    """numeric_rank of a matrix of this shape from its singular values s."""
+    return int(np.count_nonzero(s > s[0] * max(shape) * 1e-12)) if s.size and s[0] else 0

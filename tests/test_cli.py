@@ -405,6 +405,8 @@ def test_check_builds_adjugate_and_determinant_once(capsys, monkeypatch):
     # Sylvester builds and ranks are counted where the benchmark's tracer
     # wraps them for gcdkit: ex1 builds the matrix at the actual degrees,
     # the padded one and the reachable one; unattainable_C also its reversal.
+    # The first two are decomposed by Analysis itself (one SVD each), so
+    # numeric_rank ranks only the reachable matrix and the reversal.
     calls = {}
     for name in ("adjoint", "determinant", "generalized_sylvester", "numeric_rank"):
         def counted(*args, _fn=getattr(gcdkit, name), _name=name):
@@ -414,12 +416,54 @@ def test_check_builds_adjugate_and_determinant_once(capsys, monkeypatch):
         monkeypatch.setattr(gcdkit, name, counted)
     report, code = run_cli(capsys, ["check", str(FIXTURES / "ex1.json")])
     assert code == 0 and report["is_trivial"]
-    assert calls == {"adjoint": 1, "determinant": 1, "generalized_sylvester": 3, "numeric_rank": 2}
+    assert calls == {"adjoint": 1, "determinant": 1, "generalized_sylvester": 3, "numeric_rank": 1}
     calls.clear()
     report, code = run_cli(capsys, ["check", str(FIXTURES / "unattainable_C.json")])
     assert code == 0 and report["unattainable"]
-    assert calls == {"adjoint": 1, "determinant": 1, "generalized_sylvester": 4, "numeric_rank": 3}
+    assert calls == {"adjoint": 1, "determinant": 1, "generalized_sylvester": 4, "numeric_rank": 2}
 
+
+def _blocks(rng, n):
+    """Block diagonal s [[t, t - c], [t + c, t]] blocks, as unattainable_C."""
+    coeff = np.zeros((n, n, 2))
+    for i in range(0, n, 2):
+        s, c = rng.uniform(0.5, 2.0, 2)
+        coeff[i : i + 2, i : i + 2] = s * np.array([[[0, 1], [-c, 1]], [[c, 1], [0, 1]]])
+    return MatPoly(coeff)
+
+
+SEARCH_CALLS = {
+    "generic-6": {"generalized_sylvester": 1},
+    "generic-8": {"generalized_sylvester": 1},
+    "ex1": {"reachable_adjoint_degrees": 1, "generalized_sylvester": 3, "numeric_rank": 1},
+    "blocks-6": {"reachable_adjoint_degrees": 1, "generalized_sylvester": 4, "numeric_rank": 2},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEARCH_CALLS))
+def test_check_searches_degrees_only_below_full_degree(capsys, monkeypatch, tmp_path, name):
+    # The (n-1)!-permutation search of reachable_adjoint_degrees runs only
+    # when some adjugate entry is below degree (n-1)d.  A generic dense input
+    # has none: check builds its one Sylvester matrix and decomposes it once
+    # for the GCD degree, the padded rank and sigma.
+    calls, want = {}, SEARCH_CALLS[name]
+    for fn in ("reachable_adjoint_degrees", "generalized_sylvester", "numeric_rank"):
+        def counted(*args, _fn=getattr(gcdkit, fn), _name=fn):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(gcdkit, fn, counted)
+    kind, _, n = name.partition("-")
+    if kind == "ex1":
+        path = FIXTURES / "ex1.json"
+    else:
+        rng = np.random.default_rng(int(n))
+        a = random_full_rank_matpoly(rng, int(n), 2) if kind == "generic" else _blocks(rng, int(n))
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"rows": a.rows, "cols": a.cols, "entries": a.coeff.tolist()}))
+    report, code = run_cli(capsys, ["check", str(path), "--structure", "support"])
+    assert code == 0 and report["is_trivial"] and report["unattainable"] is (kind == "blocks")
+    assert calls == want
 
 
 def test_commands_are_looked_up_per_run(capsys, monkeypatch):

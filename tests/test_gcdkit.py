@@ -20,6 +20,7 @@ from polysmith.gcdkit import (
 )
 from polysmith.matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 
+import oracles
 from conftest import FIXTURES
 from oracles import (
     PerEntryAnalysis,
@@ -131,37 +132,84 @@ def _table_case(rng, case):
 
 def test_table_analysis_matches_per_entry_analysis_bitwise(monkeypatch):
     # The coefficient table of Analysis against one trimmed Poly per adjugate
-    # entry: the same Sylvester matrices, in the same order, and the same
-    # GCD degree, padded rank and sigma and unattainable verdict.
-    built = []
+    # entry: the same GCD degree, padded rank and sigma and unattainable
+    # verdict, and every Sylvester matrix Analysis builds is, in order, the
+    # reference's matrix at the same degrees, bit for bit.  Analysis builds
+    # exactly the ones it cannot reuse: the padded matrix is gcd_degree's when
+    # every live entry has degree (n-1)d, and when every entry has, the
+    # reachable matrix is too and unattainable builds nothing.
+    built, ref_built = [], []
 
-    def recorded(f, dprime, _fn=gcdkit.generalized_sylvester):
-        built.append(_fn(f, dprime))
-        return built[-1]
+    def recorded(log, fn):
+        def build(f, dprime):
+            log.append(([int(x) for x in dprime], fn(f, dprime)))
+            return log[-1][1]
+        return build
 
-    monkeypatch.setattr(gcdkit, "generalized_sylvester", recorded)
+    monkeypatch.setattr(gcdkit, "generalized_sylvester", recorded(built, gcdkit.generalized_sylvester))
+    monkeypatch.setattr(oracles, "per_entry_sylvester", recorded(ref_built, oracles.per_entry_sylvester))
     rng = np.random.default_rng(26)
-    seen = {"dead entries": 0, "unattainable": 0, "reversed": 0, "singular": 0, "1x1": 0}
+    seen = {"dead entries": 0, "unattainable": 0, "reversed": 0, "singular": 0, "1x1": 0,
+            "padded reused": 0, "search skipped": 0}
     for case in range(240):
         a = _table_case(rng, case)
         structure = (PerturbStructure.full, PerturbStructure.support,
                      PerturbStructure.degree)[rng.integers(3)](a)
         table, reference = Analysis(a), PerEntryAnalysis(a)
         built.clear()
+        ref_built.clear()
         assert _outcome(lambda: table.gcd_degree) == _outcome(lambda: reference.gcd_degree)
         assert _outcome(lambda: table.padded) == _outcome(reference.padded)
         trivial = _outcome(lambda: table.gcd_trivial) is True
         reach = reachable_adjoint_degrees(a, structure) if trivial else None
         verdict = _outcome(lambda: table.unattainable(structure, reach))
         assert verdict == _outcome(lambda: reference.unattainable(reach))
-        assert len(built) == len(reference.matrices)
-        assert all(np.array_equal(x, y) for x, y in zip(built, reference.matrices))
+        assert [id(m) for _, m in ref_built] == [id(m) for m in reference.matrices]
+        rest = iter(ref_built)
+        assert all(any(dp == rdp and np.array_equal(m, rm) for rdp, rm in rest)
+                   for dp, m in built)
+        full, deg = (a.rows - 1) * a.degree_bound, _outcome(lambda: table.table[1])
+        padded_reused = isinstance(deg, np.ndarray) and full > 0 and table.live.size >= 2 \
+            and bool(np.all(deg[table.live] == full))
+        search_skipped = padded_reused and verdict is False and trivial and bool(np.all(deg == full))
+        assert len(built) == len(ref_built) - padded_reused - search_skipped
         seen["dead entries"] += a.rows > 1 and 0 < table.live.size < a.rows**2
         seen["unattainable"] += verdict is True
-        seen["reversed"] += len(built) == 4
+        seen["reversed"] += len(ref_built) == 4
         seen["singular"] += verdict == "RankDeficientInput"
         seen["1x1"] += verdict == "DimensionMismatch"
+        seen["padded reused"] += padded_reused
+        seen["search skipped"] += search_skipped
     assert min(seen.values()) >= 5, seen
+
+
+def test_full_degree_verdict_matches_the_reference_search(monkeypatch):
+    # When every adjugate entry has degree (n-1)d, unattainable answers
+    # without reachable_adjoint_degrees.  Under every mask its verdict, with
+    # reach passed in and without, is the reference's over the permutation
+    # search.  Zeroed lower coefficients make the support and degree masks
+    # differ from the full one; a generic leading coefficient keeps every
+    # adjugate entry at full degree.
+    searches = []
+    monkeypatch.setattr(gcdkit, "reachable_adjoint_degrees",
+                        lambda *args: searches.append(args) or reachable_adjoint_degrees(*args))
+    rng = np.random.default_rng(29)
+    masks = (PerturbStructure.full, PerturbStructure.support, PerturbStructure.degree)
+    for case in range(75):
+        n, d = 2 + case % 5, int(rng.integers(1, 4))
+        coeff = random_full_rank_matpoly(rng, n, d).coeff
+        coeff[:, :, :d] *= rng.random((n, n, d)) < rng.uniform(0.3, 1.0)
+        a = MatPoly(2.0 ** rng.choice([-40, 0, 40]) * coeff)
+        structure = masks[case % 3](a)
+        assert np.all(Analysis(a).table[1] == (n - 1) * d)
+        reach = reachable_adjoint_degrees(a, structure)
+        want = PerEntryAnalysis(a).unattainable(reach)
+        assert want is False
+        searches.clear()
+        assert Analysis(a).unattainable(structure) is want
+        assert Analysis(a).unattainable(structure, reach) is want
+        assert detect_unattainable(a, structure) is want
+        assert searches == []
 
 
 def _outcome(fn):
