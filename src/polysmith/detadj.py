@@ -35,12 +35,6 @@ def _interp_nodes(count: int) -> np.ndarray:
     return np.exp(-2j * np.pi * np.arange(count) / count)
 
 
-def _batch_evaluate(a: MatPoly, nodes: np.ndarray) -> np.ndarray:
-    """A(z) for every node at once; shape (len(nodes), rows, cols)."""
-    vals = np.polynomial.polynomial.polyval(nodes, a.coeff.transpose(2, 0, 1))
-    return vals.transpose(2, 0, 1)
-
-
 def _coeffs_from_values(values: np.ndarray) -> np.ndarray:
     """Real coefficients interpolating values at the node set; first axis is the node."""
     return np.fft.ifft(values, axis=0).real
@@ -108,7 +102,7 @@ class AdjugateNodes:
         self.n, self.d = a.rows, a.degree_bound
         self.dadj = (self.n - 1) * self.d
         self.nodes = _interp_nodes(self.dadj + 1)
-        self.values = _batch_evaluate(a, self.nodes)
+        self.values = a.evaluate(self.nodes)
         self._minors = {}
 
     def _derivative(self, k: int, weight=None) -> np.ndarray:
@@ -189,7 +183,7 @@ def determinant(a: MatPoly) -> Poly:
     """Determinant as a polynomial of degree at most n * degree_bound."""
     _require_square(a)
     count = a.rows * a.degree_bound + 1
-    values = _det_batch(_batch_evaluate(a, _interp_nodes(count)))
+    values = _det_batch(a.evaluate(_interp_nodes(count)))
     return Poly(_coeffs_from_values(values))
 
 

@@ -80,11 +80,16 @@ class ApproxGcdResult:
     stop: str
 
 
-def rank_at_point(a: MatPoly, omega) -> int:
-    """Rank of A(omega) with a tolerance suited to approximate eigenvalues."""
-    values = a.evaluate(omega)
-    s = np.linalg.svd(values, compute_uv=False)
-    return int(np.count_nonzero(s > EIGEN_RANK_TOL * max(1.0, s[0] if s.size else 0.0)))
+def eigen_rank(s):
+    """Count of singular values (last axis, largest first) above EIGEN_RANK_TOL
+    times max(1, the largest): a rank suited to approximate eigenvalues."""
+    return np.count_nonzero(s > EIGEN_RANK_TOL * np.fmax(1.0, s[..., :1]), axis=-1)
+
+
+def ranks_at(a: MatPoly, points):
+    """eigen_rank of A(omega) at a scalar point, or at each of a 1-D array of
+    points, from one MatPoly.evaluate and one stacked SVD."""
+    return eigen_rank(np.linalg.svd(a.evaluate(points), compute_uv=False))
 
 
 # Fixed generic sample point for rank questions about singular inputs.
@@ -178,11 +183,8 @@ class Analysis:
         a singular input the rank over the rational functions (sampled at a
         generic point) is the ceiling instead.
         """
-        singular = self.det.degree() == NEG_INF
-        rank = rank_at_point(self.norm, _GENERIC_POINT) if singular else self.n
-        for omega in self.eigenvalues:
-            rank = min(rank, rank_at_point(self.norm, omega))
-        return rank
+        points = [_GENERIC_POINT] if self.det.degree() == NEG_INF else self.eigenvalues
+        return int(ranks_at(self.norm, points).min(initial=self.n))
 
     @cached_property
     def padded(self):
@@ -221,9 +223,9 @@ class Analysis:
         those degrees: the infimum is unattainable exactly when padding to
         the reachable degrees kills full rank and the reversed entries share
         a root at zero.  reach is reachable_adjoint_degrees(self.a,
-        structure) when the caller has it.  No reachable degree exceeds (n-1)d
-        (a sum of n-1 entry degrees of at most d): when every entry has it, the
-        padded matrix is gcd_degree's, of full rank, and reach is not computed.
+        structure) when the caller has it.  Where reach raises no entry's
+        degree the padded matrix is gcd_degree's, of full rank; none exceeds
+        (n-1)d, so when every entry has that degree reach is not computed.
         """
         self.require_nonsingular()
         if not self.gcd_trivial or np.all(self.table[1] == (self.n - 1) * self.a.degree_bound):
@@ -233,7 +235,7 @@ class Analysis:
         top = np.maximum(reach.T.ravel(), self.table[1])  # NEG_INF where both are
         kept = top != NEG_INF
         rows, dprime = self.table[0][kept], np.maximum(top[kept], 0).astype(int)
-        if dprime.size < 2 or dprime.max() == 0:
+        if dprime.size < 2 or dprime.max() == 0 or np.array_equal(top, self.table[1]):
             return False
         syl = generalized_sylvester(rows, dprime)
         if numeric_rank(syl) == syl.shape[1]:
@@ -314,8 +316,7 @@ def local_invariant_structure(a: MatPoly, omega):
     t = t.reshape(max_power * n, max_power * n)
     for k in range(1, max_power + 1):
         s = np.linalg.svd(t[: k * n, : k * n], compute_uv=False)
-        rank = int(np.count_nonzero(s > EIGEN_RANK_TOL * max(1.0, s[0])))
-        kernel = k * n - rank
+        kernel = k * n - int(eigen_rank(s))
         count = kernel - prev_kernel
         if count <= 0:
             break
@@ -570,6 +571,15 @@ def _common_root_radius(entries) -> float:
     return 1.0 + 1.5 * bound
 
 
+def chebyshev_minima(f, radius: float, size: int):
+    """The sorted size-point Chebyshev grid on [-radius, radius], and the
+    indices of its interior points where f, called once on the whole grid, is
+    no larger than at either neighbour."""
+    grid = np.sort(radius * np.cos(np.pi * (np.arange(size) + 0.5) / size))
+    vals = f(grid)
+    return grid, np.nonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
+
+
 def _real_candidate_roots(score, radius):
     """Real-line minimizers of the projection score, refined together by zooming.
 
@@ -577,9 +587,7 @@ def _real_candidate_roots(score, radius):
     bracket.  A round scores _ZOOM_CELLS + 1 evenly spaced points of every
     bracket in one call and keeps the neighbours of each best interior point;
     the best point of the last round is the root."""
-    grid = np.sort(radius * np.cos(np.pi * (np.arange(256) + 0.5) / 256))
-    vals = score(grid)
-    keep = np.nonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
+    grid, keep = chebyshev_minima(score, radius, 256)
     if keep.size == 0:
         return []
     lo, hi, pick = grid[keep - 1], grid[keep + 1], np.arange(keep.size)

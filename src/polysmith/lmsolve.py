@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, LinearSolveFailure, RankDeficientInput, ValidationError
+from .structured import rank_of
 
 
 # Accepted steps over which the merit's rate is measured.  Shorter windows
@@ -257,6 +258,5 @@ def certify(g_fn, h_fn, z, n_x: int, trace: LmTrace, cfg: LmConfig | None = None
     full = h_fn(z)
     h_xx, j = full[:n_x, :n_x], full[n_x:, :n_x]
     _, s, vt = np.linalg.svd(j)
-    rank = int(np.count_nonzero(s > s[0] * max(j.shape) * 1e-12)) if s.size and s[0] else 0
-    kernel = vt[rank:].T
+    kernel = vt[rank_of(s, j.shape):].T
     return not kernel.shape[1] or bool(np.linalg.eigvalsh(kernel.T @ h_xx @ kernel).min() > -1e-8)

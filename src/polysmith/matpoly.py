@@ -155,8 +155,12 @@ class MatPoly:
         return max(self.entry(i, j).degree() for i in range(self.rows) for j in range(self.cols))
 
     def evaluate(self, z) -> np.ndarray:
-        """Entry-wise evaluation at a scalar; returns a complex rows x cols matrix."""
-        return np.polynomial.polynomial.polyval(complex(z), self.coeff.transpose(2, 0, 1))
+        """Complex A(z) by one Horner polyval: rows x cols at a scalar z, a (k, rows,
+        cols) stack at a 1-D array of k points (k = 0 too), each matrix bit for
+        bit the scalar call's."""
+        z = np.asarray(z, dtype=complex)
+        values = np.polynomial.polynomial.polyval(z, self.coeff.transpose(2, 0, 1))
+        return values if z.ndim == 0 else values.transpose(2, 0, 1)
 
     def frobenius_norm(self) -> float:
         return float(np.linalg.norm(self.coeff))

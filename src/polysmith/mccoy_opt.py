@@ -33,7 +33,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DimensionMismatch, UnattainableProblem, ValidationError
-from .gcdkit import Analysis
+from .gcdkit import Analysis, chebyshev_minima
 from .lmsolve import KktWorkspace, LmConfig, LmTrace, certify, lm_minimize
 from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 
@@ -217,18 +217,13 @@ def initial_guess_mccoy(problem: McCoyProblem, analysis: Analysis | None = None)
     """
     a, r = problem.a, problem.r
     analysis = analysis or Analysis(a)
-    candidates = list(analysis.eigenvalues)
-    candidates.extend(_grid_extrema(analysis))
-    drop_idx = a.rows - r
-    # A(0) is the constant coefficient, finite for any input.
-    omega, best_score = 0.0 + 0.0j, np.inf
-    for cand in candidates:
-        values = a.evaluate(cand)
-        if not np.all(np.isfinite(values)):
-            continue  # A overflows this far out
-        score = np.linalg.svd(values, compute_uv=False)[drop_idx]
-        if score < best_score:
-            omega, best_score = complex(cand), score
+    candidates = np.concatenate([analysis.eigenvalues, _grid_extrema(analysis)])
+    values = a.evaluate(candidates)
+    finite = np.isfinite(values).all(axis=(1, 2))  # A overflows far out
+    scores = np.full(candidates.size, np.inf)
+    scores[finite] = np.linalg.svd(values[finite], compute_uv=False)[:, a.rows - r]
+    # The first least score wins; with none finite, omega = 0, where A is always finite.
+    omega = complex(candidates[np.argmin(scores)]) if (scores < np.inf).any() else 0j
     a_w = a.evaluate(omega)
     b0 = np.linalg.svd(a_w)[2][-r:].conj().T
     jp = _param_columns(problem.structure.cells, _powers(omega, a.degree_bound)[0], b0)
@@ -239,17 +234,14 @@ def initial_guess_mccoy(problem: McCoyProblem, analysis: Analysis | None = None)
     return np.concatenate([p, [omega.real, omega.imag], np.zeros(2 * (2 * a.rows - r) * r)])
 
 
-def _grid_extrema(analysis: Analysis):
-    """Local minima of |det| on a Chebyshev grid, used as extra candidates."""
+def _grid_extrema(analysis: Analysis) -> np.ndarray:
+    """Local minima of |det| on a 512-point Chebyshev grid, used as extra candidates."""
     det = analysis.det
     if det.degree() in (NEG_INF, 0):
-        return []
+        return np.zeros(0)
     radius = 1.0 + float(np.max(np.abs(analysis.a.coeff)))
-    grid = radius * np.cos(np.pi * (np.arange(512) + 0.5) / 512)
-    grid = np.sort(grid)
-    vals = np.abs(det(grid))
-    inner = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
-    return [complex(x) for x in grid[1:-1][inner]]
+    grid, keep = chebyshev_minima(lambda x: np.abs(det(x)), radius, 512)
+    return grid[keep]
 
 
 def solve_mccoy(problem: McCoyProblem, cfg: LmConfig | None = None, z0=None) -> McCoyReport:

@@ -43,7 +43,7 @@ import numpy as np
 from .detadj import AdjugateNodes, adjoint, require_full_rank
 from .errors import DimensionMismatch, RankDeficientInput, UnattainableProblem, ValidationError
 from .gcdkit import (approx_gcd_candidates, detect_unattainable, local_invariant_structure,
-                     rank_at_point, reachable_adjoint_degrees)
+                     ranks_at, reachable_adjoint_degrees)
 from .lmsolve import CONVERGED, KktWorkspace, LmConfig, LmTrace, certify, lm_minimize
 from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 from .structured import conv_index, conv_matrices
@@ -229,13 +229,11 @@ def _rank_drop_scores(ws: _Workspace, fits) -> list:
     A perturbation p moves A_ij(omega) by at most ||p|| w_ij(omega), with
     w_ij(omega)^2 = sum_k mask_ijk |omega|^(2k); so the two smallest singular
     values of A(omega), in 2-norm, over the largest weight estimate it.  All
-    roots share one stacked SVD of A, evaluated in complex as MatPoly.evaluate.
+    roots share one MatPoly.evaluate and one stacked SVD.
     """
     roots = [_divisor_roots(fit.h) for fit in fits]
     z = np.concatenate(roots).astype(complex)
-    values = np.polynomial.polynomial.polyval(z[:, None], ws.a.coeff.reshape(-1, ws.d + 1).T,
-                                              tensor=False)
-    s = np.linalg.svd(values.reshape(-1, ws.n, ws.n), compute_uv=False)
+    s = np.linalg.svd(ws.a.evaluate(z), compute_uv=False)
     powers = np.abs(z)[:, None] ** (2 * np.arange(ws.d + 1))
     weight = np.sqrt(np.max(ws.structure.mask @ powers[:, None, :, None], axis=(1, 2, 3)))
     score = np.divide(np.hypot(s[:, -2], s[:, -1]), weight, out=np.full(z.size, np.inf),
@@ -274,7 +272,7 @@ def _extract_report(ws: _Workspace, z, trace, certified: bool) -> SnfReport:
         h = Poly(h.coeffs / h.coeffs[-1])
     cofactors = MatPoly.unvec(ws.scatter_live(f_vec.reshape(ws.n_live, -1)), ws.n, ws.n, ws.deg_f)
     a_solved = ws.a + delta
-    if rank_at_point(a_solved, 0) <= ws.n - 2:
+    if ranks_at(a_solved, 0.0) <= ws.n - 2:
         # A root of multiplicity m is only accurate to eps^(1/m), so the
         # divisor's root cannot tell an eigenvalue at zero; the rank can.
         omega = 0j
@@ -313,7 +311,7 @@ def _divisor_root(h: Poly, a_solved: MatPoly):
     if complex_roots.size:
         return complex_roots[np.argmax(complex_roots.imag)]
     # Several real roots: report the one where the rank actually drops.
-    scores = [np.linalg.svd(a_solved.evaluate(r.real), compute_uv=False)[-2] for r in roots]
+    scores = np.linalg.svd(a_solved.evaluate(roots.real), compute_uv=False)[:, -2]
     return complex(roots[int(np.argmin(scores))].real)
 
 

@@ -13,8 +13,9 @@ import numpy as np
 
 from polysmith.detadj import AdjugateNodes, adjoint, determinant
 from polysmith.errors import DegreeBoundViolation, RankDeficientInput
-from polysmith.gcdkit import _ALS_SWEEPS, _ALS_WINDOW, TRIM_TOL
+from polysmith.gcdkit import _ALS_SWEEPS, _ALS_WINDOW, _GENERIC_POINT, EIGEN_RANK_TOL, TRIM_TOL
 from polysmith.matpoly import NEG_INF, MatPoly
+from polysmith.snf_opt import _divisor_roots
 from polysmith.structured import conv_matrices, numeric_rank
 from polysmith.selftest import (  # noqa: F401
     exact_determinant,
@@ -56,14 +57,37 @@ def grid_then_golden(fn, lo, hi, samples=4001):
     return golden_minimize(fn, a, b)
 
 
+def grid_root_scan(score, radius):
+    """The sorted 256-point Chebyshev grid on [-radius, radius] and the indices
+    of its interior local minima of score, scanned inline: the reference for
+    gcdkit.chebyshev_minima as _real_candidate_roots calls it."""
+    grid = np.sort(radius * np.cos(np.pi * (np.arange(256) + 0.5) / 256))
+    vals = score(grid)
+    keep = np.nonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
+    return grid, keep
+
+
+def det_grid_minima(analysis):
+    """Local minima of |det| on the 512-point Chebyshev grid of radius
+    1 + max|A|, as complex values, scanned inline: the reference for
+    mccoy_opt._grid_extrema."""
+    det = analysis.det
+    if det.degree() in (NEG_INF, 0):
+        return []
+    radius = 1.0 + float(np.max(np.abs(analysis.a.coeff)))
+    grid = radius * np.cos(np.pi * (np.arange(512) + 0.5) / 512)
+    grid = np.sort(grid)
+    vals = np.abs(det(grid))
+    inner = (vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:])
+    return [complex(x) for x in grid[1:-1][inner]]
+
+
 def golden_section_roots(score, radius):
     """Real-line minimizers of the projection score, each local minimum of the
     256-point Chebyshev grid refined by 60 golden-section steps on its two
     grid cells: the reference for gcdkit._real_candidate_roots, whose zoom
     rounds must find as many roots, each scoring no worse."""
-    grid = np.sort(radius * np.cos(np.pi * (np.arange(256) + 0.5) / 256))
-    vals = score(grid)
-    keep = np.nonzero((vals[1:-1] <= vals[:-2]) & (vals[1:-1] <= vals[2:]))[0] + 1
+    grid, keep = grid_root_scan(score, radius)
     if keep.size == 0:
         return []
     lo, hi = grid[keep - 1], grid[keep + 1]
@@ -172,16 +196,69 @@ def snf_kkt_hessian_block(ws, z):
     return 0.5 * (full + full.T)
 
 
+def scalar_evaluate(a, z):
+    """A(z) at one point, polyval at complex(z) on the coefficient array: the
+    reference for MatPoly.evaluate, whose batches must stack it bit for bit."""
+    return np.polynomial.polynomial.polyval(complex(z), a.coeff.transpose(2, 0, 1))
+
+
+def per_candidate_mccoy_omega(a, r, analysis) -> complex:
+    """The McCoy seed's omega from one scalar_evaluate and one SVD per
+    candidate (the det roots, then det_grid_minima): candidates where A
+    overflows are skipped, the first strictly least sigma_{n-r} wins, and
+    omega is 0 when no candidate is finite.  The reference for
+    mccoy_opt.initial_guess_mccoy, whose omega must match it bit for bit."""
+    omega, best = 0j, np.inf
+    for cand in list(analysis.eigenvalues) + det_grid_minima(analysis):
+        values = scalar_evaluate(a, cand)
+        if not np.all(np.isfinite(values)):
+            continue
+        score = np.linalg.svd(values, compute_uv=False)[a.rows - r]
+        if score < best:
+            omega, best = complex(cand), score
+    return omega
+
+
+def per_eigenvalue_mccoy_rank(analysis) -> int:
+    """gcdkit.Analysis.mccoy_rank from one scalar_evaluate and one SVD per
+    eigenvalue, or at the generic point for a singular input, each ranked by
+    the EIGEN_RANK_TOL rule: the reference for its one stacked SVD."""
+    def rank(omega):
+        s = np.linalg.svd(scalar_evaluate(analysis.norm, omega), compute_uv=False)
+        return int(np.count_nonzero(s > EIGEN_RANK_TOL * max(1.0, s[0])))
+
+    singular = analysis.det.degree() == NEG_INF
+    best = rank(_GENERIC_POINT) if singular else analysis.n
+    for omega in analysis.eigenvalues:
+        best = min(best, rank(omega))
+    return best
+
+
+def per_root_divisor_root(h, a_solved):
+    """snf_opt._divisor_root with one scalar_evaluate and one SVD per real
+    root: the reference for its one stacked SVD, which must match it bit for
+    bit."""
+    roots = _divisor_roots(h)
+    if roots.size == 0:
+        return complex(0.0)
+    complex_roots = roots[np.abs(roots.imag) > 1e-10]
+    if complex_roots.size:
+        return complex_roots[np.argmax(complex_roots.imag)]
+    scores = [np.linalg.svd(scalar_evaluate(a_solved, r.real), compute_uv=False)[-2]
+              for r in roots]
+    return complex(roots[int(np.argmin(scores))].real)
+
+
 def per_root_rank_drop_score(ws, fit) -> float:
     """First-order distance to rank n-2 at the divisor roots of one fit (min
-    over roots), with one MatPoly.evaluate and one SVD per root: the reference
+    over roots), with one scalar_evaluate and one SVD per root: the reference
     for snf_opt._rank_drop_scores, which must match it bit for bit."""
     h = fit.h.trimmed(1e-12)
     if h.degree() < 1:
         return np.inf
     best = np.inf
     for root in np.roots(h.coeffs[::-1]):
-        s = np.linalg.svd(ws.a.evaluate(root), compute_uv=False)
+        s = np.linalg.svd(scalar_evaluate(ws.a, root), compute_uv=False)
         powers = np.abs(root) ** (2 * np.arange(ws.d + 1))
         weight = np.sqrt(np.max(ws.structure.mask @ powers))
         if weight > 0:

@@ -403,10 +403,12 @@ def test_exit_code_stalled(capsys, monkeypatch, tmp_path, termination):
 
 def test_check_builds_adjugate_and_determinant_once(capsys, monkeypatch):
     # Sylvester builds and ranks are counted where the benchmark's tracer
-    # wraps them for gcdkit: ex1 builds the matrix at the actual degrees,
-    # the padded one and the reachable one; unattainable_C also its reversal.
-    # The first two are decomposed by Analysis itself (one SVD each), so
-    # numeric_rank ranks only the reachable matrix and the reversal.
+    # wraps them for gcdkit: ex1 builds the matrix at the actual degrees and
+    # the padded one, and its reachable degrees raise no entry's, so the
+    # reachable matrix would be the first; unattainable_C builds the
+    # reachable one and its reversal too.  The first two are decomposed by
+    # Analysis itself (one SVD each), so numeric_rank ranks only the
+    # reachable matrix and the reversal.
     calls = {}
     for name in ("adjoint", "determinant", "generalized_sylvester", "numeric_rank"):
         def counted(*args, _fn=getattr(gcdkit, name), _name=name):
@@ -416,7 +418,7 @@ def test_check_builds_adjugate_and_determinant_once(capsys, monkeypatch):
         monkeypatch.setattr(gcdkit, name, counted)
     report, code = run_cli(capsys, ["check", str(FIXTURES / "ex1.json")])
     assert code == 0 and report["is_trivial"]
-    assert calls == {"adjoint": 1, "determinant": 1, "generalized_sylvester": 3, "numeric_rank": 1}
+    assert calls == {"adjoint": 1, "determinant": 1, "generalized_sylvester": 2}
     calls.clear()
     report, code = run_cli(capsys, ["check", str(FIXTURES / "unattainable_C.json")])
     assert code == 0 and report["unattainable"]
@@ -435,8 +437,9 @@ def _blocks(rng, n):
 SEARCH_CALLS = {
     "generic-6": {"generalized_sylvester": 1},
     "generic-8": {"generalized_sylvester": 1},
-    "ex1": {"reachable_adjoint_degrees": 1, "generalized_sylvester": 3, "numeric_rank": 1},
+    "ex1": {"reachable_adjoint_degrees": 1, "generalized_sylvester": 2},
     "blocks-6": {"reachable_adjoint_degrees": 1, "generalized_sylvester": 4, "numeric_rank": 2},
+    "dense-6": {"reachable_adjoint_degrees": 1, "generalized_sylvester": 1},
 }
 
 
@@ -445,7 +448,9 @@ def test_check_searches_degrees_only_below_full_degree(capsys, monkeypatch, tmp_
     # The (n-1)!-permutation search of reachable_adjoint_degrees runs only
     # when some adjugate entry is below degree (n-1)d.  A generic dense input
     # has none: check builds its one Sylvester matrix and decomposes it once
-    # for the GCD degree, the padded rank and sigma.
+    # for the GCD degree, the padded rank and sigma.  Two dense 3x3 blocks
+    # under the support mask leave the off-block entries dead: the search
+    # runs, raises no live entry's degree, and that one matrix still decides.
     calls, want = {}, SEARCH_CALLS[name]
     for fn in ("reachable_adjoint_degrees", "generalized_sylvester", "numeric_rank"):
         def counted(*args, _fn=getattr(gcdkit, fn), _name=fn):
@@ -458,7 +463,14 @@ def test_check_searches_degrees_only_below_full_degree(capsys, monkeypatch, tmp_
         path = FIXTURES / "ex1.json"
     else:
         rng = np.random.default_rng(int(n))
-        a = random_full_rank_matpoly(rng, int(n), 2) if kind == "generic" else _blocks(rng, int(n))
+        if kind == "generic":
+            a = random_full_rank_matpoly(rng, int(n), 2)
+        elif kind == "dense":
+            a = MatPoly(np.zeros((6, 6, 3)))
+            a.coeff[:3, :3], a.coeff[3:, 3:] = (random_full_rank_matpoly(rng, 3, 2).coeff
+                                                for _ in range(2))
+        else:
+            a = _blocks(rng, int(n))
         path = tmp_path / "a.json"
         path.write_text(json.dumps({"rows": a.rows, "cols": a.cols, "entries": a.coeff.tolist()}))
     report, code = run_cli(capsys, ["check", str(path), "--structure", "support"])

@@ -26,7 +26,9 @@ from oracles import (
     PerEntryAnalysis,
     diagonal_snf_instance,
     golden_section_roots,
+    grid_root_scan,
     grid_then_golden,
+    per_eigenvalue_mccoy_rank,
     per_seed_alternating_fits,
     plain_alternating_fits,
     random_full_rank_matpoly,
@@ -136,8 +138,9 @@ def test_table_analysis_matches_per_entry_analysis_bitwise(monkeypatch):
     # verdict, and every Sylvester matrix Analysis builds is, in order, the
     # reference's matrix at the same degrees, bit for bit.  Analysis builds
     # exactly the ones it cannot reuse: the padded matrix is gcd_degree's when
-    # every live entry has degree (n-1)d, and when every entry has, the
-    # reachable matrix is too and unattainable builds nothing.
+    # every live entry has degree (n-1)d, and the reachable matrix is when the
+    # reachable degrees raise no entry's (when every entry has degree (n-1)d,
+    # unattainable does not even search them); unattainable then builds nothing.
     built, ref_built = [], []
 
     def recorded(log, fn):
@@ -150,7 +153,7 @@ def test_table_analysis_matches_per_entry_analysis_bitwise(monkeypatch):
     monkeypatch.setattr(oracles, "per_entry_sylvester", recorded(ref_built, oracles.per_entry_sylvester))
     rng = np.random.default_rng(26)
     seen = {"dead entries": 0, "unattainable": 0, "reversed": 0, "singular": 0, "1x1": 0,
-            "padded reused": 0, "search skipped": 0}
+            "padded reused": 0, "search skipped": 0, "reachable reused": 0}
     for case in range(240):
         a = _table_case(rng, case)
         structure = (PerturbStructure.full, PerturbStructure.support,
@@ -172,7 +175,10 @@ def test_table_analysis_matches_per_entry_analysis_bitwise(monkeypatch):
         padded_reused = isinstance(deg, np.ndarray) and full > 0 and table.live.size >= 2 \
             and bool(np.all(deg[table.live] == full))
         search_skipped = padded_reused and verdict is False and trivial and bool(np.all(deg == full))
-        assert len(built) == len(ref_built) - padded_reused - search_skipped
+        reachable_reused = verdict is False and trivial and not search_skipped \
+            and table.live.size >= 2 and deg.max() > 0 \
+            and np.array_equal(np.maximum(reach.T.ravel(), deg), deg)
+        assert len(built) == len(ref_built) - padded_reused - search_skipped - reachable_reused
         seen["dead entries"] += a.rows > 1 and 0 < table.live.size < a.rows**2
         seen["unattainable"] += verdict is True
         seen["reversed"] += len(ref_built) == 4
@@ -180,6 +186,7 @@ def test_table_analysis_matches_per_entry_analysis_bitwise(monkeypatch):
         seen["1x1"] += verdict == "DimensionMismatch"
         seen["padded reused"] += padded_reused
         seen["search skipped"] += search_skipped
+        seen["reachable reused"] += reachable_reused
     assert min(seen.values()) >= 5, seen
 
 
@@ -655,6 +662,61 @@ def test_mccoy_rank_cases():
     assert Analysis(MatPoly.identity(4, 0)).mccoy_rank == 4
     a = MatPoly.from_entries([[[-1, 1], [0]], [[0], [-2, 1]]])
     assert Analysis(a).mccoy_rank == 1
+
+
+def _rank_case(rng, case):
+    """Seeded n = 2..6 input: generic, with a rank drop of two planted at a
+    real point, singular (two equal rows), constant, or scaled by 1e200."""
+    n, d, kind = 2 + case % 5, int(rng.integers(1, 4)), case % 5
+    coeff = rng.normal(size=(n, n, 1 if kind == 3 else d + 1))
+    if kind == 1:
+        drop = MatPoly(np.zeros((n, n, 2)))
+        drop.coeff[np.arange(n), np.arange(n), 0] = 1.0
+        drop.coeff[[0, 1], [0, 1]] = [-rng.uniform(-1.0, 1.0), 1.0]
+        return drop @ MatPoly(coeff)
+    if kind == 2:
+        coeff[1] = coeff[0]
+    return MatPoly(coeff * (1e200 if kind == 4 else 1.0))
+
+
+def test_batched_mccoy_rank_matches_per_eigenvalue_loop_bitwise():
+    # One stacked SVD over the eigenvalues, or the generic point of a singular
+    # input, against one evaluation and one SVD per point.
+    rng = np.random.default_rng(30)
+    seen = {"drop": 0, "singular": 0, "no eigenvalues": 0}
+    for case in range(100):
+        analysis = Analysis(_rank_case(rng, case))
+        rank = analysis.mccoy_rank
+        assert type(rank) is int and rank == per_eigenvalue_mccoy_rank(analysis)
+        seen["drop"] += rank <= analysis.n - 2
+        seen["singular"] += analysis.det.degree() == NEG_INF
+        seen["no eigenvalues"] += analysis.eigenvalues.size == 0
+    assert min(seen.values()) >= 5, seen
+
+
+def test_mccoy_rank_is_one_stacked_svd(monkeypatch):
+    analysis = Analysis(random_full_rank_matpoly(np.random.default_rng(8), 8, 2))
+    count, shapes, svd = analysis.eigenvalues.size, [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda m, *args, **kw: shapes.append(np.shape(m)) or svd(m, *args, **kw))
+    assert analysis.mccoy_rank == 7
+    assert shapes == [(count, 8, 8)] and count == 16
+
+
+def test_chebyshev_minima_is_the_inline_grid_scan_bitwise():
+    # The shared scan against the 256-point scan _real_candidate_roots held
+    # inline, on the projection scores of seeded entries and radii.
+    rng = np.random.default_rng(30)
+    found = 0
+    for seed in range(40):
+        entries = [rng.normal(size=rng.integers(2, 6)) for _ in range(rng.integers(1, 5))]
+        score = _root_projection_score(entries)
+        radius = gcdkit._common_root_radius(entries) * rng.uniform(0.5, 2.0)
+        grid, keep = gcdkit.chebyshev_minima(score, radius, 256)
+        want_grid, want_keep = grid_root_scan(score, radius)
+        assert grid.tobytes() == want_grid.tobytes() and np.array_equal(keep, want_keep)
+        found += keep.size
+    assert found >= 40
 
 
 def test_local_invariant_structure_reversed_block_diag():

@@ -6,7 +6,12 @@ from polysmith.errors import DimensionMismatch, PadTooSmall
 from polysmith.matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 
 from conftest import FIXTURES
-from oracles import from_entries_per_entry, perturb_apply_via_delta, perturb_delta_via_vec
+from oracles import (
+    from_entries_per_entry,
+    perturb_apply_via_delta,
+    perturb_delta_via_vec,
+    scalar_evaluate,
+)
 
 EXAMPLE = MatPoly.from_entries([[[0, 1], [-1, 1]], [[1, 1], [0, 1]]])  # [[t, t-1], [t+1, t]]
 
@@ -185,6 +190,25 @@ def test_perturbation_isometry():
     params = rng.normal(size=structure.num_params)
     moved = structure.apply(a, params)
     assert (moved - a).frobenius_norm() == pytest.approx(np.linalg.norm(params))
+
+
+def test_batched_evaluate_stacks_scalar_calls_bitwise():
+    # A 1-D batch of points, real or complex and empty too, gives the stack of
+    # the scalar evaluations, bit for bit; a scalar gives the matrix itself.
+    rng = np.random.default_rng(30)
+    for case in range(60):
+        rows, cols, d = (int(x) for x in rng.integers(1, 6, 3))
+        a = MatPoly(rng.normal(size=(rows, cols, d + 1)) * 10.0 ** rng.uniform(-5, 5))
+        k = int(rng.integers(0, 9)) if case else 0
+        z = rng.normal(size=k) * 10.0 ** rng.uniform(-3, 3, k)
+        if case % 2:
+            z = z + 1j * rng.normal(size=k)
+        got = a.evaluate(z)
+        want = np.array([scalar_evaluate(a, x) for x in z], dtype=complex).reshape(k, rows, cols)
+        assert got.shape == (k, rows, cols) and got.dtype == want.dtype == complex
+        assert got.tobytes() == want.tobytes()
+        for x in z:
+            assert a.evaluate(x).tobytes() == scalar_evaluate(a, x).tobytes()
 
 
 def test_evaluate_is_ring_homomorphism():

@@ -4,7 +4,7 @@ import pytest
 from polysmith import cli, gcdkit, mccoy_opt
 from polysmith.detadj import determinant
 from polysmith.errors import UnattainableProblem
-from polysmith.gcdkit import local_invariant_structure
+from polysmith.gcdkit import Analysis, local_invariant_structure
 from polysmith.lmsolve import LmConfig, Termination
 from polysmith.matpoly import MatPoly, PerturbStructure
 from polysmith.mccoy_opt import (
@@ -19,7 +19,13 @@ from polysmith.snf_opt import SnfProblem, _Workspace, initial_guess
 from polysmith.structured import numeric_rank
 
 from conftest import FIXTURES
-from oracles import fd_columns, mccoy_all_entries_distance, mccoy_rank2_instance
+from oracles import (
+    det_grid_minima,
+    fd_columns,
+    mccoy_all_entries_distance,
+    mccoy_rank2_instance,
+    per_candidate_mccoy_omega,
+)
 
 
 def pencil_as_matpoly(e, f):
@@ -246,6 +252,52 @@ def test_initial_guess_candidates_and_orthonormal_kernel():
     frame = np.hstack([ws.q, ws.b0])
     assert np.linalg.norm(frame.conj().T @ frame - np.eye(3)) <= 1e-12
     assert np.isfinite(omega.real) and np.isfinite(omega.imag)
+
+
+def _seed_case(rng, case):
+    """Seeded dense n = 2..6 input: of degree 1 to 3, constant (no candidates),
+    or scaled by 1e200, where A overflows on the outer grid points."""
+    n, kind = 2 + case % 5, case % 3
+    coeff = rng.normal(size=(n, n, 1 if kind == 1 else int(rng.integers(2, 5))))
+    return MatPoly(coeff * (1e200 if kind == 2 else 1.0))
+
+
+def test_batched_seed_matches_per_candidate_loop_bitwise():
+    # One evaluation and one stacked SVD over the finite candidates against one
+    # of each per candidate: the same omega, the same |det| grid minima.
+    rng = np.random.default_rng(30)
+    seen = {"overflow": 0, "no candidates": 0}
+    for case in range(60):
+        a = _seed_case(rng, case)
+        problem = McCoyProblem(a, PerturbStructure.full(a), r=int(rng.integers(2, a.rows + 1)))
+        analysis = Analysis(a)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = initial_guess_mccoy(problem, analysis)
+            omega = per_candidate_mccoy_omega(a, problem.r, analysis)
+            grid = mccoy_opt._grid_extrema(analysis)
+            values = a.evaluate(np.concatenate([analysis.eigenvalues, grid]))
+            want = np.array(det_grid_minima(analysis), dtype=complex)
+        assert grid.astype(complex).tobytes() == want.tobytes()
+        m_p = problem.structure.num_params
+        assert z[m_p : m_p + 2].tobytes() == np.array([omega.real, omega.imag]).tobytes()
+        seen["overflow"] += not np.isfinite(values).all()
+        seen["no candidates"] += values.shape[0] == 0
+    assert min(seen.values()) >= 5, seen
+
+
+def test_seed_scores_candidates_in_one_evaluation_and_one_svd(monkeypatch):
+    # ex1 at r = 4: every candidate in one evaluation and one stacked SVD; the
+    # winner's A(omega) and its frame take one more of each.
+    a = cli.parse(str(FIXTURES / "ex1.json")).to_matpoly()
+    analysis = Analysis(a)
+    count = analysis.eigenvalues.size + mccoy_opt._grid_extrema(analysis).size
+    points, shapes, evaluate, svd = [], [], MatPoly.evaluate, np.linalg.svd
+    monkeypatch.setattr(MatPoly, "evaluate",
+                        lambda self, z: points.append(np.shape(z)) or evaluate(self, z))
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda m, *args, **kw: shapes.append(np.shape(m)) or svd(m, *args, **kw))
+    initial_guess_mccoy(McCoyProblem(a, PerturbStructure.support(a), r=4), analysis)
+    assert points == [(count,), ()] and shapes == [(count, 4, 4), (4, 4)] and count > 1
 
 
 def test_solve_repeated_eigenvalue_distance_zero():

@@ -31,6 +31,7 @@ from oracles import (
     diagonal_snf_instance,
     fd_columns,
     mccoy_rank2_instance,
+    per_root_divisor_root,
     per_root_rank_drop_score,
     random_full_rank_matpoly,
     snf_kkt_hessian_block,
@@ -237,6 +238,34 @@ def test_batched_rank_drop_scores_match_per_root_loop_bitwise():
         seen["inf"] += sum(np.isinf(want))
         seen["complex roots"] += sum(fit.h.coeffs[1] ** 2 < 4 * fit.h.coeffs[0]
                                      for fit in fits if fit.h.coeffs.size == 3)
+    assert min(seen.values()) >= 5, seen
+
+
+def test_batched_divisor_root_matches_per_root_loop_bitwise():
+    # The reported root of divisors with two real roots (A drops rank by two
+    # at one of them), a complex pair, one root or none, on dense n = 2..6
+    # inputs: one stacked SVD over the real roots against one evaluation and
+    # one SVD per root.
+    rng = np.random.default_rng(30)
+    seen = {"first of two": 0, "second of two": 0, "complex": 0, "linear": 0, "constant": 0}
+    for case in range(100):
+        a = random_full_rank_matpoly(rng, 2 + case % 5, int(rng.integers(1, 4)))
+        kind = ("two", "two", "complex", "linear", "constant")[case % 5]
+        if kind == "two":
+            roots = rng.uniform(-2.0, 2.0, 2)
+            drop = MatPoly(np.zeros((a.rows, a.rows, 2)))
+            drop.coeff[np.arange(a.rows), np.arange(a.rows), 0] = 1.0
+            drop.coeff[[0, 1], [0, 1]] = [-roots[rng.integers(2)], 1.0]
+            a, h = drop @ a, Poly(np.polynomial.polynomial.polyfromroots(roots))
+        elif kind == "complex":
+            h = Poly([rng.uniform(1.0, 2.0), rng.uniform(-1.0, 1.0), 1.0])
+        else:
+            h = Poly(rng.normal(size=2) if kind == "linear" else [rng.normal()])
+        got, want = snf_opt._divisor_root(h, a), per_root_divisor_root(h, a)
+        assert np.complex128(got).tobytes() == np.complex128(want).tobytes()
+        if kind == "two":
+            kind = ("first", "second")[int(got == snf_opt._divisor_roots(h)[1])] + " of two"
+        seen[kind] += 1
     assert min(seen.values()) >= 5, seen
 
 
