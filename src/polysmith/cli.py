@@ -25,7 +25,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -184,20 +184,9 @@ def _lm_config(args) -> LmConfig:
 
 
 def _cmd_check(args):
-    report = triviality_report(*_load(args))
-    payload = {
-        "is_trivial": report.is_trivial,
-        "mccoy_rank": report.mccoy_rank,
-        "gcd_adjoint_degree": report.gcd_adjoint_degree,
-        "lower_bound": report.lower_bound,
-        "unattainable": report.unattainable,
-        "sylvester_rank": report.sylvester_rank,
-        "sylvester_sigma": report.sylvester_sigma,
-    }
-    if report.unattainable:
-        payload["reversal_invariant_structure"] = [
-            list(pair) for pair in report.reversal_invariant_structure
-        ]
+    payload = asdict(triviality_report(*_load(args)))
+    if not payload["unattainable"]:
+        del payload["reversal_invariant_structure"]
     return payload, EXIT_OK
 
 

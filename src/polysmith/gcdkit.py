@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
+from itertools import permutations
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -19,7 +20,7 @@ from numpy.linalg import _umath_linalg
 from .detadj import adjoint, determinant, jacobian_adj
 from .errors import DegreeTooLarge, RankDeficientInput
 from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly, last_index
-from .structured import conv_matrices, generalized_sylvester, numeric_rank, rank_of
+from .structured import conv_matrices, generalized_sylvester, rank_of
 
 # Computed adjoints and determinants carry interpolation noise around 1e-16;
 # trailing coefficients below this relative size are treated as zero.
@@ -96,6 +97,13 @@ def ranks_at(a: MatPoly, points):
 _GENERIC_POINT = 0.5702958749 + 0.8216998537j
 
 
+def _sylvester_svd(rows, dprime):
+    """Singular values and shape of the generalized Sylvester matrix of the
+    coefficient rows at the declared degrees dprime, from one SVD."""
+    syl = generalized_sylvester(rows, dprime)
+    return np.linalg.svd(syl, compute_uv=False), syl.shape
+
+
 def _rescaled(value: float, power: int) -> float:
     """value * 2**power, saturating to inf or 0 at the ends of the float range."""
     with np.errstate(over="ignore", under="ignore"):
@@ -160,9 +168,8 @@ class Analysis:
 
     @cached_property
     def gcd_svd(self):
-        """Singular values and shape of gcd_degree's Sylvester matrix, one SVD."""
-        syl = generalized_sylvester(self.table[0][self.live], self.table[1][self.live])
-        return np.linalg.svd(syl, compute_uv=False), syl.shape
+        """Singular values and shape of gcd_degree's Sylvester matrix."""
+        return _sylvester_svd(self.table[0][self.live], self.table[1][self.live])
 
     @property
     def gcd_trivial(self) -> bool:
@@ -200,11 +207,8 @@ class Analysis:
             return rank_of(s, (n, n)), float(s[n - 2]) if n >= 2 else 0.0
         if self.live.size < 2:
             return 0, 0.0
-        if np.all(self.table[1][self.live] == reach):  # gcd_degree's matrix
-            s, shape = self.gcd_svd
-        else:
-            syl = generalized_sylvester(self.table[0][self.live], [reach] * self.live.size)
-            s, shape = np.linalg.svd(syl, compute_uv=False), syl.shape
+        s, shape = (self.gcd_svd if np.all(self.table[1][self.live] == reach)  # gcd_degree's
+                    else _sylvester_svd(self.table[0][self.live], [reach] * self.live.size))
         e = rank_of(s, shape)
         return e, float(s[e - 1]) if e else 0.0
 
@@ -215,35 +219,32 @@ class Analysis:
         power = self.k if self.a.degree_bound == 0 else self.k * (self.n - 1)
         return _rescaled(self.padded[1], power)
 
-    def unattainable(self, structure: PerturbStructure, reach=None) -> bool:
+    def unattainable(self, structure: PerturbStructure) -> bool:
         """True iff the nearest non-trivial Smith form is an infimum at infinity.
 
         Tests the adjoint entries at their actual degrees, at the maximal
         degrees reachable under the perturbation mask, and after reversal at
         those degrees: the infimum is unattainable exactly when padding to
         the reachable degrees kills full rank and the reversed entries share
-        a root at zero.  reach is reachable_adjoint_degrees(self.a,
-        structure) when the caller has it.  Where reach raises no entry's
-        degree the padded matrix is gcd_degree's, of full rank; none exceeds
-        (n-1)d, so when every entry has that degree reach is not computed.
+        a root at zero.  Where the reachable degrees raise no entry's degree
+        the padded matrix is gcd_degree's, of full rank; none exceeds (n-1)d,
+        so when every entry has that degree they are not computed.
         """
         self.require_nonsingular()
         if not self.gcd_trivial or np.all(self.table[1] == (self.n - 1) * self.a.degree_bound):
             return False
-        if reach is None:
-            reach = reachable_adjoint_degrees(self.a, structure)
-        top = np.maximum(reach.T.ravel(), self.table[1])  # NEG_INF where both are
-        kept = top != NEG_INF
+        top = np.maximum(reachable_adjoint_degrees(self.a, structure).T.ravel(), self.table[1])
+        kept = top != NEG_INF  # top is NEG_INF where both are
         rows, dprime = self.table[0][kept], np.maximum(top[kept], 0).astype(int)
         if dprime.size < 2 or dprime.max() == 0 or np.array_equal(top, self.table[1]):
             return False
-        syl = generalized_sylvester(rows, dprime)
-        if numeric_rank(syl) == syl.shape[1]:
+        s, shape = _sylvester_svd(rows, dprime)
+        if rank_of(s, shape) == shape[1]:
             return False
         # Reversal at dprime: coefficient i is dprime - i; i > dprime wraps to the zero tail.
         flip = dprime[:, None] - np.arange(rows.shape[1])
-        syl = generalized_sylvester(np.take_along_axis(rows, flip, axis=1), dprime)
-        return numeric_rank(syl) < syl.shape[1]
+        s, shape = _sylvester_svd(np.take_along_axis(rows, flip, axis=1), dprime)
+        return rank_of(s, shape) < shape[1]
 
     def lower_bound(self):
         """Lower bound on the distance to a non-trivial Smith form.
@@ -344,13 +345,23 @@ def reachable_adjoint_degrees(a: MatPoly, structure: PerturbStructure) -> np.nda
 
     Each adjoint entry is a minor, so its degree is bounded by the best
     permutation sum of the reachable degrees of the complementary submatrix.
-    Entries that are structurally zero stay NEG_INF.  The loop visits all
-    (n-1)! permutations for each of the n^2 entries, 322,560 at n = 8.
+    Entries that are structurally zero stay NEG_INF.  The search visits all
+    (n-1)! permutations for each of the n^2 entries, 322,560 at n = 8, so
+    the last result is kept, keyed on the reachable entry degrees and the
+    input's coefficients: the attainability verdict and the workspaces of
+    one solve share one search, and a call on another input, even one with
+    the same sparsity pattern, costs what it did without the memo.  Each
+    call returns a fresh copy.
     """
-    from itertools import permutations
-
     base = reachable_entry_degrees(a, structure)
-    n = a.rows
+    return _adjoint_degree_search(base.tobytes(), a.rows, a.coeff.tobytes()).copy()
+
+
+@lru_cache(maxsize=1)
+def _adjoint_degree_search(key: bytes, n: int, coeff: bytes) -> np.ndarray:
+    """reachable_adjoint_degrees from the n x n reachable entry degrees in key;
+    coeff, the input's coefficients, only scopes the kept result to one input."""
+    base = np.frombuffer(key).reshape(n, n)
     out = np.full((n, n), NEG_INF)
     for i in range(n):
         for j in range(n):
@@ -363,9 +374,9 @@ def reachable_adjoint_degrees(a: MatPoly, structure: PerturbStructure) -> np.nda
     return out
 
 
-def detect_unattainable(a: MatPoly, structure: PerturbStructure, reach=None) -> bool:
+def detect_unattainable(a: MatPoly, structure: PerturbStructure) -> bool:
     """True iff the nearest non-trivial Smith form is at infinity; see Analysis.unattainable."""
-    return Analysis(a).unattainable(structure, reach)
+    return Analysis(a).unattainable(structure)
 
 
 def distance_lower_bound(a: MatPoly):

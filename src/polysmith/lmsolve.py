@@ -136,9 +136,11 @@ def lm_minimize(g_fn, h_fn, z0, cfg: LmConfig | None = None):
     Steps are accepted only when they strictly decrease ||g||; a rejected
     step raises mu and retries, giving up as Stalled after 21 trials in one
     iteration.  A run whose observed rate cannot reach grad_tol within
-    max_iter ends as Sublinear (see the module docstring).  A
-    RankDeficientInput raised by g_fn during a trial step is treated as a
-    rejection, so the iterate backs away from the wall.
+    max_iter ends as Sublinear (see the module docstring).  A trial whose
+    shifted solve fails (lm_step's LinearSolveFailure), or whose g_fn raises
+    RankDeficientInput, is a rejection: the larger shift of the next trial
+    conditions the solve better, and the iterate backs away from the wall.
+    A Jacobian with the wrong number of rows still raises LinearSolveFailure.
     """
     cfg = cfg or LmConfig()
     z = np.asarray(z0, dtype=float).copy()
@@ -152,15 +154,17 @@ def lm_minimize(g_fn, h_fn, z0, cfg: LmConfig | None = None):
             trace.termination = Termination.GRAD_TOL
             return z, trace
         h = np.asarray(h_fn(z), dtype=float)
+        if h.shape[0] != g.size:
+            raise LinearSolveFailure(f"Jacobian has {h.shape[0]} rows for {g.size} residuals")
         rejected = 0
         while True:
             nu = max(NU_FLOOR, mu * merit)
-            dz = lm_step(g, h, nu)
-            z_trial = z + dz
             try:
+                dz = lm_step(g, h, nu)
+                z_trial = z + dz
                 g_trial = np.asarray(g_fn(z_trial), dtype=float)
                 merit_trial = float(np.linalg.norm(g_trial))
-            except RankDeficientInput:
+            except (LinearSolveFailure, RankDeficientInput):
                 merit_trial = np.inf
             if merit_trial < merit:
                 break

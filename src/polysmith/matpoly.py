@@ -49,13 +49,8 @@ class Poly:
         tol is relative to the largest coefficient magnitude, so computed
         quantities with rounding noise can be trimmed with e.g. tol=1e-10.
         """
-        scale = np.max(np.abs(self.coeffs))
-        if scale == 0.0:
-            return NEG_INF
-        keep = np.nonzero(np.abs(self.coeffs) > tol * max(1.0, scale))[0]
-        if keep.size == 0:
-            return NEG_INF
-        return int(keep[-1])
+        deg = last_index(np.abs(self.coeffs) > tol * max(1.0, np.max(np.abs(self.coeffs))))
+        return int(deg) if deg >= 0 else NEG_INF
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -152,7 +147,8 @@ class MatPoly:
 
     def degree(self):
         """Maximum entry degree, or NEG_INF for the zero matrix."""
-        return max(self.entry(i, j).degree() for i in range(self.rows) for j in range(self.cols))
+        deg = last_index(np.abs(self.coeff) > 0.0).max()
+        return int(deg) if deg >= 0 else NEG_INF
 
     def evaluate(self, z) -> np.ndarray:
         """Complex A(z) by one Horner polyval: rows x cols at a scalar z, a (k, rows,

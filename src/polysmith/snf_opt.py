@@ -95,20 +95,10 @@ class _Linearization:
     jac: np.ndarray
 
 
-def live_entries(a: MatPoly, structure: PerturbStructure, reach=None) -> np.ndarray:
-    """Column-major indices, as in vec(Adj), of the adjugate entries that the
-    mask can make nonzero: those with a finite reachable degree.  reach is
-    reachable_adjoint_degrees(a, structure) when the caller has it."""
-    if reach is None:
-        reach = reachable_adjoint_degrees(a, structure)
-    return np.flatnonzero(reach.T.ravel() != NEG_INF)
-
-
 class _Workspace(KktWorkspace):
-    """Index bookkeeping and the KKT system of one problem instance; reach as
-    in live_entries."""
+    """Index bookkeeping and the KKT system of one problem instance."""
 
-    def __init__(self, problem: SnfProblem, reach=None):
+    def __init__(self, problem: SnfProblem):
         a, structure = problem.a, problem.structure
         self.a, self.structure = a, structure
         self.n = a.rows
@@ -118,7 +108,8 @@ class _Workspace(KktWorkspace):
         self.deg_f = self.dadj - self.deg_h
         self.m_p = structure.num_params
         self.n_entries = self.n * self.n
-        self.live = live_entries(a, structure, reach)
+        # Column-major indices, as in vec(Adj), of the live adjugate entries.
+        self.live = np.flatnonzero(reachable_adjoint_degrees(a, structure).T.ravel() != NEG_INF)
         self.n_live = self.live.size
         # The rows of the live entries in d vec(Adj) / d vec(A).
         self.live_rows = (self.live[:, None] * (self.dadj + 1) + np.arange(self.dadj + 1)).ravel()
@@ -244,21 +235,20 @@ def _rank_drop_scores(ws: _Workspace, fits) -> list:
 
 def solve(problem: SnfProblem, cfg: LmConfig | None = None) -> SnfReport:
     """Run the constrained iteration and extract the solution record."""
-    reach = reachable_adjoint_degrees(problem.a, problem.structure)
-    _require_attainable(problem, reach)
-    return _minimize(problem, cfg or LmConfig(), reach)
+    _require_attainable(problem)
+    return _minimize(problem, cfg or LmConfig())
 
 
-def _require_attainable(problem: SnfProblem, reach):
-    if detect_unattainable(problem.a, problem.structure, reach):
+def _require_attainable(problem: SnfProblem):
+    if detect_unattainable(problem.a, problem.structure):
         raise UnattainableProblem(
             "the nearest non-trivial Smith form lies at infinity; solve "
             "mccoy_opt.reversed_problem(problem) instead (snf: add or drop --reversal)"
         )
 
 
-def _minimize(problem: SnfProblem, cfg: LmConfig, reach) -> SnfReport:
-    ws = _Workspace(problem, reach)
+def _minimize(problem: SnfProblem, cfg: LmConfig) -> SnfReport:
+    ws = _Workspace(problem)
     z0 = initial_guess(problem, ws)
     z, trace = lm_minimize(ws.residual, ws.hessian, z0, cfg)
     return _extract_report(ws, z, trace, certify(ws.residual, ws.hessian, z, ws.n_x, trace, cfg))
@@ -318,20 +308,18 @@ def _divisor_root(h: Poly, a_solved: MatPoly):
 def solve_best_degree(a: MatPoly, structure: PerturbStructure,
                       cfg: LmConfig | None = None) -> SnfReport:
     """Try divisor degrees 1 and 2 and keep the smaller distance; one
-    attainability verdict, taken on the input and mask, covers both, and one
-    reachable_adjoint_degrees serves it and both workspaces."""
+    attainability verdict, taken on the input and mask, covers both."""
     n, d = a.rows, a.degree_bound
     if (n - 1) * d == 0:
         raise ValidationError(f"no divisor degree is feasible for n={n}, d={d}")
     problems = [SnfProblem(a, structure, deg_h=deg_h) for deg_h in (1, 2)
                 if deg_h <= (n - 1) * d]
-    reach = reachable_adjoint_degrees(a, structure)
-    _require_attainable(problems[0], reach)
+    _require_attainable(problems[0])
     cfg = cfg or LmConfig()
     reports, errors = [], []
     for problem in problems:
         try:
-            reports.append(_minimize(problem, cfg, reach))
+            reports.append(_minimize(problem, cfg))
         except RankDeficientInput as exc:
             errors.append(exc)
     if not reports:

@@ -279,6 +279,20 @@ def test_mccoy_reports_certificate(capsys, tmp_path):
     assert report["distance"] == pytest.approx(1.117725, abs=1e-6)
 
 
+def test_inaccurate_shifted_solves_end_short_of_tol(capsys, tmp_path):
+    # On ex1 scaled by 1e3 some shifted solves of the SNF path miss their
+    # residual test.  Each such trial is rejected and retried at a larger
+    # shift, and the run ends Sublinear with exit 2, not exit 1.
+    doc = json.loads((FIXTURES / "ex1.json").read_text())
+    doc["entries"] = [[[1e3 * x for x in cell] for cell in row] for row in doc["entries"]]
+    path = tmp_path / "ex1_scaled.json"
+    path.write_text(json.dumps(doc))
+    report, code = run_cli(capsys, ["snf", str(path), "--deg-h", "2"])
+    assert code == cli.EXIT_STALLED and report["certified"] is False
+    assert report["trace"]["termination"] == "Sublinear"
+    assert report["trace"]["iterations"] == 50 and report["trace"]["rejected_trials"] >= 1
+
+
 def test_mccoy_rank_gap_tells_a_feasible_point(capsys, tmp_path):
     # ex2 drops rank by 4 at omega.  On ex1 scaled by 1e3 the run ends
     # Sublinear at a distance below ex2's optimum, at a point where the
@@ -402,15 +416,14 @@ def test_exit_code_stalled(capsys, monkeypatch, tmp_path, termination):
 
 
 def test_check_builds_adjugate_and_determinant_once(capsys, monkeypatch):
-    # Sylvester builds and ranks are counted where the benchmark's tracer
-    # wraps them for gcdkit: ex1 builds the matrix at the actual degrees and
-    # the padded one, and its reachable degrees raise no entry's, so the
-    # reachable matrix would be the first; unattainable_C builds the
-    # reachable one and its reversal too.  The first two are decomposed by
-    # Analysis itself (one SVD each), so numeric_rank ranks only the
-    # reachable matrix and the reversal.
+    # Sylvester builds are counted where the benchmark's tracer wraps them for
+    # gcdkit, and their SVDs at gcdkit._sylvester_svd, which decomposes each
+    # matrix Analysis builds once: ex1 builds the matrix at the actual
+    # degrees and the padded one, and its reachable degrees raise no entry's,
+    # so the reachable matrix would be the first; unattainable_C builds the
+    # reachable one and its reversal too.
     calls = {}
-    for name in ("adjoint", "determinant", "generalized_sylvester", "numeric_rank"):
+    for name in ("adjoint", "determinant", "generalized_sylvester", "_sylvester_svd"):
         def counted(*args, _fn=getattr(gcdkit, name), _name=name):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
@@ -418,11 +431,13 @@ def test_check_builds_adjugate_and_determinant_once(capsys, monkeypatch):
         monkeypatch.setattr(gcdkit, name, counted)
     report, code = run_cli(capsys, ["check", str(FIXTURES / "ex1.json")])
     assert code == 0 and report["is_trivial"]
-    assert calls == {"adjoint": 1, "determinant": 1, "generalized_sylvester": 2}
+    assert calls == {"adjoint": 1, "determinant": 1, "generalized_sylvester": 2,
+                     "_sylvester_svd": 2}
     calls.clear()
     report, code = run_cli(capsys, ["check", str(FIXTURES / "unattainable_C.json")])
     assert code == 0 and report["unattainable"]
-    assert calls == {"adjoint": 1, "determinant": 1, "generalized_sylvester": 4, "numeric_rank": 2}
+    assert calls == {"adjoint": 1, "determinant": 1, "generalized_sylvester": 4,
+                     "_sylvester_svd": 4}
 
 
 def _blocks(rng, n):
@@ -435,11 +450,11 @@ def _blocks(rng, n):
 
 
 SEARCH_CALLS = {
-    "generic-6": {"generalized_sylvester": 1},
-    "generic-8": {"generalized_sylvester": 1},
-    "ex1": {"reachable_adjoint_degrees": 1, "generalized_sylvester": 2},
-    "blocks-6": {"reachable_adjoint_degrees": 1, "generalized_sylvester": 4, "numeric_rank": 2},
-    "dense-6": {"reachable_adjoint_degrees": 1, "generalized_sylvester": 1},
+    "generic-6": {"generalized_sylvester": 1, "_sylvester_svd": 1},
+    "generic-8": {"generalized_sylvester": 1, "_sylvester_svd": 1},
+    "ex1": {"reachable_adjoint_degrees": 1, "generalized_sylvester": 2, "_sylvester_svd": 2},
+    "blocks-6": {"reachable_adjoint_degrees": 1, "generalized_sylvester": 4, "_sylvester_svd": 4},
+    "dense-6": {"reachable_adjoint_degrees": 1, "generalized_sylvester": 1, "_sylvester_svd": 1},
 }
 
 
@@ -452,7 +467,7 @@ def test_check_searches_degrees_only_below_full_degree(capsys, monkeypatch, tmp_
     # under the support mask leave the off-block entries dead: the search
     # runs, raises no live entry's degree, and that one matrix still decides.
     calls, want = {}, SEARCH_CALLS[name]
-    for fn in ("reachable_adjoint_degrees", "generalized_sylvester", "numeric_rank"):
+    for fn in ("reachable_adjoint_degrees", "generalized_sylvester", "_sylvester_svd"):
         def counted(*args, _fn=getattr(gcdkit, fn), _name=fn):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)

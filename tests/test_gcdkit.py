@@ -95,6 +95,29 @@ def test_reachable_adjoint_degrees_support_vs_full():
     assert np.all(full == 3.0)
 
 
+def test_reachable_degrees_keep_the_last_search():
+    # A repeated call does not search again and returns an equal array of its
+    # own, which the caller may change; another mask searches anew, and so
+    # does another input with the same sparsity pattern.
+    c, search = block_diag_c(), gcdkit._adjoint_degree_search
+    search.cache_clear()
+    first = reachable_adjoint_degrees(c, PerturbStructure.support(c))
+    second = reachable_adjoint_degrees(c, PerturbStructure.support(c))
+    assert search.cache_info().misses == 1 and search.cache_info().hits == 1
+    assert np.array_equal(first, second) and not np.shares_memory(first, second)
+    first[:] = 0.0
+    assert np.array_equal(reachable_adjoint_degrees(c, PerturbStructure.support(c)), second)
+    assert second[0, 2] == NEG_INF and search.cache_info().misses == 1
+    full = reachable_adjoint_degrees(c, PerturbStructure.full(c))
+    assert search.cache_info().misses == 2 and np.all(full == 3.0)
+    assert np.array_equal(reachable_adjoint_degrees(c, PerturbStructure.support(c)), second)
+    assert search.cache_info().misses == 3
+    scaled = MatPoly(2.0 * c.coeff)
+    assert np.array_equal(reachable_adjoint_degrees(scaled, PerturbStructure.support(scaled)),
+                          second)
+    assert search.cache_info().misses == 4
+
+
 def test_reachable_entry_degrees_match_the_entry_loop():
     rng = np.random.default_rng(41)
     for _ in range(200):
@@ -165,7 +188,7 @@ def test_table_analysis_matches_per_entry_analysis_bitwise(monkeypatch):
         assert _outcome(lambda: table.padded) == _outcome(reference.padded)
         trivial = _outcome(lambda: table.gcd_trivial) is True
         reach = reachable_adjoint_degrees(a, structure) if trivial else None
-        verdict = _outcome(lambda: table.unattainable(structure, reach))
+        verdict = _outcome(lambda: table.unattainable(structure))
         assert verdict == _outcome(lambda: reference.unattainable(reach))
         assert [id(m) for _, m in ref_built] == [id(m) for m in reference.matrices]
         rest = iter(ref_built)
@@ -192,11 +215,10 @@ def test_table_analysis_matches_per_entry_analysis_bitwise(monkeypatch):
 
 def test_full_degree_verdict_matches_the_reference_search(monkeypatch):
     # When every adjugate entry has degree (n-1)d, unattainable answers
-    # without reachable_adjoint_degrees.  Under every mask its verdict, with
-    # reach passed in and without, is the reference's over the permutation
-    # search.  Zeroed lower coefficients make the support and degree masks
-    # differ from the full one; a generic leading coefficient keeps every
-    # adjugate entry at full degree.
+    # without reachable_adjoint_degrees.  Under every mask its verdict is the
+    # reference's over the permutation search.  Zeroed lower coefficients
+    # make the support and degree masks differ from the full one; a generic
+    # leading coefficient keeps every adjugate entry at full degree.
     searches = []
     monkeypatch.setattr(gcdkit, "reachable_adjoint_degrees",
                         lambda *args: searches.append(args) or reachable_adjoint_degrees(*args))
@@ -214,7 +236,6 @@ def test_full_degree_verdict_matches_the_reference_search(monkeypatch):
         assert want is False
         searches.clear()
         assert Analysis(a).unattainable(structure) is want
-        assert Analysis(a).unattainable(structure, reach) is want
         assert detect_unattainable(a, structure) is want
         assert searches == []
 

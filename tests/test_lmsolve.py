@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from polysmith import lmsolve
 from polysmith.errors import LinearSolveFailure, RankDeficientInput, ValidationError
 from polysmith.lmsolve import RATE_WINDOW, LmConfig, LmTrace, Termination, lm_minimize, lm_step
 
@@ -139,6 +140,42 @@ def test_lm_minimize_counts_rejected_trials():
     assert trace.rejected[0] >= 1
     assert len(trace.rejected) == trace.iterations + (trace.termination == Termination.STALLED)
     assert z[0] < 0.5
+
+
+def test_lm_minimize_rejects_trials_whose_shifted_solve_fails(monkeypatch):
+    # A shifted solve that fails below nu = 2 rejects the trial and doubles
+    # the shift, as a wall does; one that always fails stalls after 21 trials.
+    nus = []
+
+    def step(g, h, nu, _fn=lmsolve.lm_step):
+        nus.append(nu)
+        if nu < 2.0:
+            raise LinearSolveFailure("shifted normal equations solved inaccurately")
+        return _fn(g, h, nu)
+
+    monkeypatch.setattr(lmsolve, "lm_step", step)
+    cfg = LmConfig(max_iter=3)
+    _, trace = lm_minimize(lambda v: v - 1.0, lambda v: np.eye(1), np.array([0.0]), cfg)
+    assert nus[:2] == [1.0, 2.0] and trace.rejected[0] == 1
+    assert trace.merits[1] < trace.merits[0]
+    monkeypatch.setattr(lmsolve, "lm_step", lambda g, h, nu: step(g, h, 0.0))
+    z, trace = lm_minimize(lambda v: v - 1.0, lambda v: np.eye(1), np.array([0.0]), cfg)
+    assert trace.termination == Termination.STALLED and trace.rejected == [21]
+    assert z[0] == 0.0
+
+
+def test_lm_minimize_raises_on_a_jacobian_of_the_wrong_shape():
+    # A Jacobian whose rows do not match g is a programming error, not a
+    # rejected trial: it raises before the first trial step.
+    calls = []
+
+    def g(v):
+        calls.append(v)
+        return v - 1.0
+
+    with pytest.raises(LinearSolveFailure, match="2 rows for 1 residuals"):
+        lm_minimize(g, lambda v: np.ones((2, 1)), np.array([0.0]), LmConfig())
+    assert len(calls) == 1
 
 
 def test_lm_minimize_ends_sublinear_tail_early():

@@ -5,9 +5,9 @@ import pytest
 
 from polysmith import cli, gcdkit, mccoy_opt, snf_opt
 from polysmith.detadj import adjoint
-from polysmith.gcdkit import distance_lower_bound
+from polysmith.gcdkit import distance_lower_bound, reachable_adjoint_degrees
 from polysmith.lmsolve import LmConfig, Termination, certify
-from polysmith.matpoly import MatPoly, PerturbStructure, Poly
+from polysmith.matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
 from polysmith.mccoy_opt import (
     McCoyProblem,
     _McCoyWorkspace,
@@ -19,7 +19,6 @@ from polysmith.snf_opt import (
     SnfProblem,
     _Workspace,
     initial_guess,
-    live_entries,
     solve,
     solve_best_degree,
 )
@@ -129,7 +128,7 @@ def test_dropped_adjugate_entries_vanish_for_every_perturbation(n, d):
     for _ in range(3):
         a, structure = _random_sparse_case(rng, n, d)
         for a, structure in ((a, structure), (a.reversed(), structure.reversed())):
-            live = live_entries(a, structure)
+            live = np.flatnonzero(reachable_adjoint_degrees(a, structure).T.ravel() != NEG_INF)
             dead = np.setdiff1d(np.arange(n * n), live)
             for k in range(3):
                 p = rng.normal(size=structure.num_params)
@@ -158,32 +157,29 @@ def test_kkt_size_counts_live_entries_only():
 
 
 def test_reachable_degrees_run_once_per_workspace_outside_the_loop(monkeypatch):
-    # The permutation loop of reachable_adjoint_degrees is factorial in n;
-    # one call per input serves the attainability verdict and every
-    # divisor degree's workspace, and none runs from inside lm_minimize.
-    calls, inside = [], []
-
-    def counted(*args, _fn=gcdkit.reachable_adjoint_degrees):
-        calls.append(1)
-        return _fn(*args)
+    # The permutation search of reachable_adjoint_degrees is factorial in n;
+    # it runs once per input and mask, its kept result serves the
+    # attainability verdict and every divisor degree's workspace, and none
+    # runs from inside lm_minimize.
+    search, inside = gcdkit._adjoint_degree_search, []
 
     def loop(*args, _fn=snf_opt.lm_minimize):
-        before = len(calls)
+        before = search.cache_info().misses
         out = _fn(*args)
-        inside.append(len(calls) - before)
+        inside.append(search.cache_info().misses - before)
         return out
 
-    monkeypatch.setattr(gcdkit, "reachable_adjoint_degrees", counted)
-    monkeypatch.setattr(snf_opt, "reachable_adjoint_degrees", counted)
     monkeypatch.setattr(snf_opt, "lm_minimize", loop)
     a = cli.parse(str(FIXTURES / "ex1.json")).to_matpoly()
+    search.cache_clear()
     report = solve(SnfProblem(a, PerturbStructure.support(a), deg_h=2), LmConfig())
     assert report.trace.iterations == 19
-    assert len(calls) == 1 and inside == [0]
-    calls.clear()
+    assert search.cache_info().misses == 1 and search.cache_info().hits == 1 and inside == [0]
+    search.cache_clear()
     inside.clear()
     solve_best_degree(a, PerturbStructure.support(a), LmConfig())
-    assert len(calls) == 1 and inside == [0, 0]
+    assert search.cache_info().misses == 1 and search.cache_info().hits == 2
+    assert inside == [0, 0]
 
 
 def test_report_records_every_seed_and_its_score():
