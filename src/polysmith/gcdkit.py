@@ -10,6 +10,7 @@ and is used to recognize unattainable infima.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import permutations
@@ -19,7 +20,7 @@ from numpy.linalg import _umath_linalg
 
 from .detadj import adjoint, determinant, jacobian_adj
 from .errors import DegreeTooLarge, RankDeficientInput
-from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly, last_index
+from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly, last_index, taylor_weights
 from .structured import conv_matrices, generalized_sylvester, rank_of
 
 # Computed adjoints and determinants carry interpolation noise around 1e-16;
@@ -293,20 +294,13 @@ def local_invariant_structure(a: MatPoly, omega):
     """Partial multiplicities of the invariant factors at an eigenvalue.
 
     Returns (degree, multiplicity) pairs, degrees ascending and summing the
-    multiplicities to n.  Kernel dimensions of the block Toeplitz matrices of
-    Taylor blocks of A at omega determine how many factors carry each power
-    of (t - omega).
+    multiplicities to n.  The Taylor blocks of A at omega are one product with
+    the matpoly.taylor_weights table.  T_k, the block Toeplitz matrix of the
+    first k blocks, gains a kernel dimension per factor divisible by
+    (t - omega)^k: the increments are the conjugate partition of the profile.
     """
-    n = a.rows
-    d = a.degree_bound
-    omega = complex(omega)
-    taylor = np.zeros((n, n, d + 1), dtype=complex)
-    powers = np.array([omega**m for m in range(d + 1)])
-    for j in range(d + 1):
-        binom = np.array([float(math.comb(m, j)) for m in range(d + 1)])
-        weights = np.zeros(d + 1, dtype=complex)
-        weights[j:] = (binom[j:] * powers[: d + 1 - j])
-        taylor[:, :, j] = np.tensordot(a.coeff, weights, axes=([2], [0]))
+    n, d = a.rows, a.degree_bound
+    taylor = np.tensordot(a.coeff, taylor_weights(omega, d, d + 1), axes=([2], [1]))
 
     counts = []
     prev_kernel = 0
@@ -324,15 +318,9 @@ def local_invariant_structure(a: MatPoly, omega):
         counts.append(count)
         prev_kernel = kernel
 
-    # counts[k-1] = number of factors with multiplicity >= k; invert.
-    degrees = []
-    nontrivial = counts[0] if counts else 0
-    for i in range(nontrivial):
-        degrees.append(sum(1 for c in counts if c >= i + 1))
-    profile = [(0, n - nontrivial)] if n > nontrivial else []
-    for deg in sorted(set(degrees)):
-        profile.append((deg, degrees.count(deg)))
-    return profile
+    top = counts[0] if counts else 0
+    degrees = Counter({0: n - top}) + Counter(sum(c > i for c in counts) for i in range(top))
+    return sorted(degrees.items())
 
 
 def reachable_entry_degrees(a: MatPoly, structure: PerturbStructure) -> np.ndarray:

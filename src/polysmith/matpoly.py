@@ -8,6 +8,7 @@ on declared, not actual, degrees.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import zip_longest
@@ -22,6 +23,16 @@ NEG_INF = float("-inf")
 def last_index(flags) -> np.ndarray:
     """Index of the last True along the last axis of flags, as a float; NEG_INF where none is."""
     return np.where(flags, np.arange(flags.shape[-1]), NEG_INF).max(-1)
+
+
+def taylor_weights(omega, d: int, count: int) -> np.ndarray:
+    """Rows j < count of W[j, k] = C(k, j) omega^(k - j), zero for k < j: sum_k W[j, k] A_k
+    is A^(j)(omega) / j!.  Row 0 is omega^k itself, row j binomials times it shifted by j."""
+    pw = np.append(np.zeros(count - 1), complex(omega) ** np.arange(d + 1))
+    binom = np.array([[math.comb(k, j) for k in range(d + 1)] for j in range(count)])
+    w = binom * [pw[count - 1 - j : count + d - j] for j in range(count)]
+    w[0] = pw[count - 1 :]
+    return w
 
 
 class Poly:

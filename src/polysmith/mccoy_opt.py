@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DimensionMismatch, UnattainableProblem, ValidationError
 from .gcdkit import Analysis, chebyshev_minima
 from .lmsolve import KktWorkspace, LmConfig, LmTrace, certify, lm_minimize
-from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
+from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly, taylor_weights
 
 # |omega| beyond this means the eigenvalue is running off to infinity.
 _OMEGA_DIVERGENCE = 1e8
@@ -91,13 +91,6 @@ class McCoyReport:
     trace: LmTrace
     rank_gap: float
     z: np.ndarray = field(repr=False, default=None)
-
-
-def _powers(omega: complex, d: int) -> np.ndarray:
-    """Rows omega^k, k omega^(k-1) and k (k-1) omega^(k-2) for k = 0..d."""
-    k = np.arange(d + 1)
-    pw = np.append([0, 0], complex(omega) ** k)
-    return np.array([pw[2:], k * pw[1:-1], k * (k - 1) * pw[:-2]])
 
 
 def _param_columns(cells, weights, b) -> np.ndarray:
@@ -156,12 +149,13 @@ class _McCoyWorkspace(KktWorkspace):
                 "mccoy_opt.reversed_problem(problem), where it is the eigenvalue 0"
             )
         b = self.b0 + self.q @ x
-        powers = _powers(omega, self.d)
-        m, dm, d2m = np.tensordot(powers, self.structure.apply(self.a, p).coeff, axes=(1, 2))
+        weights = taylor_weights(omega, self.d, 3)
+        weights[2] *= 2  # M''(omega) = 2 sum_k C(k, 2) omega^(k-2) A_k
+        m, dm, d2m = np.tensordot(weights, self.structure.apply(self.a, p).coeff, axes=(1, 2))
         mb = m @ b
         c = np.concatenate([mb.real, mb.imag]).ravel()
         return _Linearization(p, omega, b, lam, dm, d2m, c,
-                              self.constraint_jacobian(powers[0], m, dm, b))
+                              self.constraint_jacobian(weights[0], m, dm, b))
 
     def constraint_jacobian(self, weights, m, dm, b) -> np.ndarray:
         """Real then imaginary kernel rows; columns p, omega, Re X, Im X."""
@@ -189,7 +183,7 @@ class _McCoyWorkspace(KktWorkspace):
         i, j, coef = self.cells
         n_xr, w0 = self.sl_xr.stop - self.sl_xr.start, self.sl_w.start
         wc = (lin.lam[: self.nr] - 1j * lin.lam[self.nr :]).reshape(self.n, self.r)
-        weights, d_weights, _ = _powers(lin.omega, self.d)
+        weights, d_weights = taylor_weights(lin.omega, self.d, 2)
         # Upper off-diagonal blocks first; the lower ones are their transposes.
         px = np.einsum("k,kb,ka->kba", weights[coef], self.q[j], wc[i]).reshape(self.m_p, n_xr)
         h_xx[self.sl_p, self.sl_xr], h_xx[self.sl_p, self.sl_xi] = px.real, -px.imag
@@ -226,7 +220,7 @@ def initial_guess_mccoy(problem: McCoyProblem, analysis: Analysis | None = None)
     omega = complex(candidates[np.argmin(scores)]) if (scores < np.inf).any() else 0j
     a_w = a.evaluate(omega)
     b0 = np.linalg.svd(a_w)[2][-r:].conj().T
-    jp = _param_columns(problem.structure.cells, _powers(omega, a.degree_bound)[0], b0)
+    jp = _param_columns(problem.structure.cells, taylor_weights(omega, a.degree_bound, 1)[0], b0)
     rhs = -(a_w @ b0).ravel()
     p = np.linalg.lstsq(np.vstack([jp.real, jp.imag]), np.concatenate([rhs.real, rhs.imag]),
                         rcond=None)[0]
@@ -250,6 +244,8 @@ def solve_mccoy(problem: McCoyProblem, cfg: LmConfig | None = None, z0=None) -> 
     cfg = cfg or LmConfig()
     analysis = Analysis(problem.a)
     analysis.require_nonsingular()
+    if problem.r == 2 and analysis.unattainable(problem.structure):  # a non-trivial Smith form
+        raise UnattainableProblem("the rank drop lies at infinity; solve reversed_problem(problem)")
     if z0 is None:
         z0 = initial_guess_mccoy(problem, analysis)
     ws = _McCoyWorkspace(problem, z0)

@@ -204,6 +204,21 @@ def test_exit_code_unattainable(capsys):
     )
 
 
+@pytest.mark.parametrize("rank_drop, want", [("2", cli.EXIT_UNATTAINABLE), ("3", 0)])
+def test_mccoy_rank_drop_two_takes_the_attainability_verdict(capsys, rank_drop, want):
+    # check flags unattainable_C: its nearest rank drop of 2 is at infinity.
+    code = cli.run(["mccoy", str(FIXTURES / "unattainable_C.json"), "--rank-drop", rank_drop])
+    captured = capsys.readouterr()
+    lines = captured.out.strip().splitlines()
+    assert code == want and len(lines) == 1
+    assert "Traceback" not in captured.err
+    report = json.loads(lines[0])
+    if want:
+        assert "reversed_problem(problem)" in report["error"]
+    else:
+        assert report["distance"] == pytest.approx(3 ** 0.5)
+
+
 def test_snf_small_instance_through_cli(capsys, tmp_path):
     f = np.polynomial.polynomial.polyfromroots([0.6, 1.1]) * 0.9
     g = np.polynomial.polynomial.polyfromroots([0.8, -1.0]) * 0.7

@@ -751,6 +751,31 @@ def test_local_invariant_structure_generic_point():
     assert profile == [(0, 2)]
 
 
+def planted_local_structure(a, powers, seed):
+    """U(t) diag((t - a)^m for m in powers) V(t) with U and V unimodular: unit
+    upper and unit lower triangular of degree one."""
+    rng = np.random.default_rng(seed)
+    n = len(powers)
+    diag = np.zeros((n, n, max(powers) + 1))
+    for i, m in enumerate(powers):
+        diag[i, i, : m + 1] = np.polynomial.polynomial.polypow([-a, 1.0], m)
+    u, v = rng.normal(size=(2, n, n, 2)) * np.triu(np.ones((n, n)), 1)[:, :, None]
+    u[range(n), range(n), 0] = v[range(n), range(n), 0] = 1.0
+    return MatPoly(u) @ MatPoly(diag) @ MatPoly(v.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("powers, profile", [
+    ((0, 1, 2, 2), [(0, 1), (1, 1), (2, 2)]),
+    ((0, 0, 1, 3), [(0, 2), (1, 1), (3, 1)]),
+    ((1, 1, 1), [(1, 3)]),
+])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_local_invariant_structure_planted_profile(powers, profile, seed):
+    a = planted_local_structure(0.5, powers, seed)
+    assert local_invariant_structure(a, 0.5) == profile
+    assert local_invariant_structure(a, -1.25) == [(0, len(powers))]
+
+
 # Flags as the unscaled inputs report them: (is_trivial, mccoy_rank,
 # gcd_adjoint_degree, unattainable, sylvester_rank).
 @pytest.mark.parametrize("name, flags, profile", [

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from polysmith import cli, selftest
 from polysmith.errors import DimensionMismatch, PadTooSmall
-from polysmith.matpoly import NEG_INF, MatPoly, PerturbStructure, Poly
+from polysmith.matpoly import NEG_INF, MatPoly, PerturbStructure, Poly, taylor_weights
 
 from conftest import FIXTURES
 from oracles import (
@@ -296,3 +298,22 @@ def test_difference_matches_entry_wise_subtraction():
     assert np.array_equal((a - b).coeff, want)
     with pytest.raises(DimensionMismatch):
         a - MatPoly(rng.normal(size=(3, 2, 3)))
+
+
+@pytest.mark.parametrize("omega", [0.0, -1.7, 0.6 - 1.3j, 1e3, -1e3j])
+@pytest.mark.parametrize("d", range(5))
+def test_taylor_weights_are_the_derivative_weights(d, omega):
+    w = taylor_weights(omega, d, d + 3)
+    assert w.shape == (d + 3, d + 1)
+    # The McCoy solver's rows: omega^k, k omega^(k-1) and, doubled, k (k-1) omega^(k-2),
+    # bit for bit, signed zeros included.  Negative powers are zero.
+    k = np.arange(d + 1)
+    pw = np.append([0, 0], complex(omega) ** k)
+    assert w[0].tobytes() == pw[2:].tobytes()
+    assert w[1].tobytes() == (k * pw[1:-1]).tobytes()
+    assert (2 * w[2]).tobytes() == (k * (k - 1) * pw[:-2]).tobytes()
+    # Row j applied to the coefficients of t^k is the j-th derivative of t^k at omega over j!.
+    for j in range(d + 3):
+        want = np.polynomial.polynomial.polyval(
+            omega, np.polynomial.polynomial.polyder(np.eye(d + 1), j)) / math.factorial(j)
+        np.testing.assert_allclose(w[j], want, rtol=1e-13, atol=0.0)

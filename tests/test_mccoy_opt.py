@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from polysmith.detadj import determinant
 from polysmith.errors import UnattainableProblem
 from polysmith.gcdkit import Analysis, local_invariant_structure
 from polysmith.lmsolve import LmConfig, Termination
-from polysmith.matpoly import MatPoly, PerturbStructure
+from polysmith.matpoly import MatPoly, PerturbStructure, taylor_weights
 from polysmith.mccoy_opt import (
     McCoyProblem,
     _McCoyWorkspace,
@@ -154,7 +156,7 @@ def test_constraint_jacobian_kernel_blocks_equal_the_kron_product(kind, r):
     p, omega, x, _ = ws.unpack(z)
     m = rng.normal(size=(ws.n, ws.n)) + 1j * rng.normal(size=(ws.n, ws.n))
     m[0] = complex(-0.0, 0.0)
-    jac = ws.constraint_jacobian(mccoy_opt._powers(omega, ws.d)[0], m, m, ws.b0 + ws.q @ x)
+    jac = ws.constraint_jacobian(taylor_weights(omega, ws.d, 1)[0], m, m, ws.b0 + ws.q @ x)
     k = np.kron(m @ ws.q, np.eye(ws.r))
     assert k.shape == (ws.nr, (ws.n - ws.r) * ws.r)
     for got, want in ((jac[: ws.nr, ws.sl_xr], k.real), (jac[ws.nr :, ws.sl_xr], k.imag),
@@ -373,6 +375,23 @@ def test_reversed_problem_round_trip_and_profile():
     assert np.allclose(back.a.coeff, c.coeff)
     profile = local_invariant_structure(rev.a, 0.0)
     assert profile == [(0, 2), (2, 2)]
+
+
+def test_rank_drop_two_takes_the_attainability_verdict():
+    # A rank drop of 2 is a non-trivial Smith form: where snf finds the
+    # infimum at infinity, mccoy raises too, and the reversal reaches it.
+    a = cli.parse(str(FIXTURES / "unattainable_C.json")).to_matpoly()
+    problem = McCoyProblem(a, PerturbStructure.support(a), r=2)
+    with pytest.raises(UnattainableProblem, match=r"reversed_problem\(problem\)"):
+        solve_mccoy(problem)
+    report = solve_mccoy(reversed_problem(problem))
+    # The eigenvalue 0 of the reversal is double, so omega moves with the root of the distance.
+    assert report.distance < 1e-10 and abs(report.omega) < 1e-5
+    assert report.certified
+    # A rank drop of 3 is not gated: its plain minimum beats the reversal's.
+    plain = solve_mccoy(replace(problem, r=3))
+    assert plain.distance == pytest.approx(np.sqrt(3.0), rel=1e-12)
+    assert solve_mccoy(reversed_problem(replace(problem, r=3))).distance == pytest.approx(2.0)
 
 
 def test_reversed_solve_reaches_infimum_at_infinity():
