@@ -209,3 +209,14 @@ def jacobian_adj(a: MatPoly) -> np.ndarray:
     """
     require_full_rank(a)
     return AdjugateNodes(a).jacobian()
+
+
+def jacobian_adj_norm(a: MatPoly) -> float:
+    """Frobenius norm of jacobian_adj(a), sqrt(4(d+1)/N sum_x e_{n-2}(sigma(A(z_x))^2)) at its N
+    nodes: Parseval on blocks of degree < N, Cauchy-Binet on minors (Horn & Johnson 0.8.1)."""
+    require_full_rank(a)
+    nodes = AdjugateNodes(a)
+    e = np.tile(np.eye(1, nodes.n - 1), (len(nodes.nodes), 1))  # e_0, ..., e_{n-2} per node
+    for sq in np.linalg.svd(nodes.values, compute_uv=False).T ** 2:
+        e[:, 1:] += sq[:, None] * e[:, :-1]  # e_k += sigma_j^2 e_{k-1}: nothing cancels
+    return float(np.sqrt(4 * (nodes.d + 1) / len(e) * e[:, -1].sum()))  # 4 orders per minor

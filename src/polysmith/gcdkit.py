@@ -18,7 +18,7 @@ from itertools import permutations
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .detadj import adjoint, determinant, jacobian_adj
+from .detadj import adjoint, determinant, jacobian_adj_norm
 from .errors import DegreeTooLarge, RankDeficientInput
 from .matpoly import NEG_INF, MatPoly, PerturbStructure, Poly, last_index, taylor_weights
 from .structured import conv_matrices, generalized_sylvester, rank_of
@@ -265,10 +265,10 @@ class Analysis:
             # Constant matrix: non-triviality means rank at most n-2, and the
             # unstructured distance to that set is the (n-1)-th singular value.
             bound = sigma
-        elif e == 0 or self.live.size < 2:
+        elif e == 0:
             bound = 0.0
         else:
-            gradient_scale = float(np.linalg.norm(jacobian_adj(self.norm)))
+            gradient_scale = jacobian_adj_norm(self.norm)
             bound = sigma / ((self.n - 1) * d * gradient_scale) if gradient_scale else 0.0
         return _rescaled(bound, self.k), self.sylvester_sigma
 

@@ -108,6 +108,7 @@ class _Linearization:
 
     p: np.ndarray
     omega: complex
+    weights: np.ndarray  # taylor_weights at omega that built M, M' and M'', row 2 doubled
     b: np.ndarray
     lam: np.ndarray
     dm: np.ndarray
@@ -154,7 +155,7 @@ class _McCoyWorkspace(KktWorkspace):
         m, dm, d2m = np.tensordot(weights, self.structure.apply(self.a, p).coeff, axes=(1, 2))
         mb = m @ b
         c = np.concatenate([mb.real, mb.imag]).ravel()
-        return _Linearization(p, omega, b, lam, dm, d2m, c,
+        return _Linearization(p, omega, weights, b, lam, dm, d2m, c,
                               self.constraint_jacobian(weights[0], m, dm, b))
 
     def constraint_jacobian(self, weights, m, dm, b) -> np.ndarray:
@@ -183,11 +184,10 @@ class _McCoyWorkspace(KktWorkspace):
         i, j, coef = self.cells
         n_xr, w0 = self.sl_xr.stop - self.sl_xr.start, self.sl_w.start
         wc = (lin.lam[: self.nr] - 1j * lin.lam[self.nr :]).reshape(self.n, self.r)
-        weights, d_weights = taylor_weights(lin.omega, self.d, 2)
         # Upper off-diagonal blocks first; the lower ones are their transposes.
-        px = np.einsum("k,kb,ka->kba", weights[coef], self.q[j], wc[i]).reshape(self.m_p, n_xr)
+        px = np.einsum("k,kb,ka->kba", lin.weights[0, coef], self.q[j], wc[i]).reshape(self.m_p, n_xr)
         h_xx[self.sl_p, self.sl_xr], h_xx[self.sl_p, self.sl_xi] = px.real, -px.imag
-        s = d_weights[coef] * np.sum(wc[i] * lin.b[j], axis=1)
+        s = lin.weights[1, coef] * np.sum(wc[i] * lin.b[j], axis=1)
         h_xx[self.sl_p, w0], h_xx[self.sl_p, w0 + 1] = s.real, -s.imag
         u = ((lin.dm @ self.q).T @ wc).ravel()
         h_xx[w0, self.sl_xr], h_xx[w0, self.sl_xi] = u.real, -u.imag

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .detadj import adjoint, determinant, jacobian_adj, jacobian_det
+from .detadj import adjoint, determinant, jacobian_adj, jacobian_adj_norm, jacobian_det
 from .lmsolve import LmConfig, lm_minimize
 from .matpoly import MatPoly, PerturbStructure, Poly
 from .mccoy_opt import McCoyProblem, _McCoyWorkspace, initial_guess_mccoy
@@ -187,6 +187,7 @@ def run_selftest(seed: int = 0):
     jac = jacobian_adj(dense)
     fd = fd_columns(lambda v: adjoint(MatPoly.unvec(v, 3, 3, 1)).vec(), dense.vec())
     yield "jacobian_adj 3x3 vs central differences", *_relative_check(jac, fd, 1e-5)
+    yield "jacobian_adj_norm identity", *_relative_check(jacobian_adj_norm(dense), np.linalg.norm(jac), 1e-13)
 
     snf = SnfProblem(dense, PerturbStructure.full(dense), deg_h=1)
     ws = _Workspace(snf)

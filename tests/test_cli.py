@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from polysmith import cli, gcdkit, snf_opt
+from polysmith import cli, detadj, gcdkit, snf_opt
 from polysmith.errors import ParseError, ValidationError
 from polysmith.lmsolve import LmTrace, Termination
 from polysmith.matpoly import MatPoly, PerturbStructure
@@ -453,6 +453,26 @@ def test_check_builds_adjugate_and_determinant_once(capsys, monkeypatch):
     assert code == 0 and report["unattainable"]
     assert calls == {"adjoint": 1, "determinant": 1, "generalized_sylvester": 4,
                      "_sylvester_svd": 4}
+
+
+@pytest.mark.parametrize("command", ["check", "bound"])
+def test_lower_bound_builds_no_adjugate_jacobian(capsys, monkeypatch, tmp_path, command):
+    # The bound's gradient scale is the Frobenius norm of the adjugate
+    # Jacobian, read off singular values at the adjugate nodes: neither
+    # jacobian_adj nor AdjugateNodes.jacobian runs, and the bound is the one
+    # the built Jacobian gives.
+    a = random_full_rank_matpoly(np.random.default_rng(5), 5, 2)
+    analysis = gcdkit.Analysis(a)
+    scale = np.linalg.norm(detadj.jacobian_adj(analysis.norm))
+    want = gcdkit._rescaled(analysis.padded[1] / ((5 - 1) * 2 * scale), analysis.k)
+    calls = []
+    monkeypatch.setattr(detadj, "jacobian_adj", lambda *args: calls.append(args))
+    monkeypatch.setattr(detadj.AdjugateNodes, "jacobian", lambda *args: calls.append(args))
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"rows": a.rows, "cols": a.cols, "entries": a.coeff.tolist()}))
+    report, code = run_cli(capsys, [command, str(path)])
+    assert code == cli.EXIT_OK and calls == []
+    assert report["lower_bound"] == pytest.approx(want, rel=1e-13) and want > 0
 
 
 def _blocks(rng, n):

@@ -7,6 +7,7 @@ from polysmith.detadj import (
     adjoint,
     determinant,
     jacobian_adj,
+    jacobian_adj_norm,
     jacobian_det,
 )
 from polysmith.errors import RankDeficientInput
@@ -149,6 +150,31 @@ def test_jacobian_adj_rank_deficient_input():
     singular = MatPoly.from_entries([[[1.0], [1.0]], [[1.0], [1.0]]])
     with pytest.raises(RankDeficientInput):
         jacobian_adj(singular)
+    with pytest.raises(RankDeficientInput):
+        jacobian_adj_norm(singular)
+
+
+def _norm_cases():
+    """Seeded n = 2..7, d = 1..3 inputs at scales 1e-3, 1 and 1e3, one with a
+    sparse row and one with a rank-1 leading coefficient per (n, d)."""
+    rng = np.random.default_rng(11)
+    for n in range(2, 8):
+        for d in range(1, 4):
+            for scale in (1e-3, 1.0, 1e3):
+                yield MatPoly(scale * random_full_rank_matpoly(rng, n, d).coeff)
+            sparse = random_full_rank_matpoly(rng, n, d)
+            sparse.coeff[0, 1:] = 0.0
+            yield sparse
+            rank1 = random_full_rank_matpoly(rng, n, d)
+            rank1.coeff[:, :, d] = np.outer(rng.normal(size=n), rng.normal(size=n))
+            yield rank1
+
+
+def test_jacobian_adj_norm_matches_built_jacobian():
+    # Parseval over the adjugate nodes and Cauchy-Binet at each node.
+    for a in _norm_cases():
+        want = np.linalg.norm(jacobian_adj(a))
+        assert jacobian_adj_norm(a) == pytest.approx(want, rel=1e-13)
 
 
 def test_jacobian_adj_gathers_minors_in_bounded_chunks():
